@@ -153,9 +153,11 @@ class GbtModel:
         return proba / proba.sum(axis=1, keepdims=True)
 
     def predict(self, X) -> np.ndarray:
-        proba = self.predict_proba(X)
-        picks = np.argmax(proba, axis=1)       # first max -> lower class id
-        return np.array([self.classes[i] for i in picks], dtype=object)
+        return self.decide(self.predict_proba(X))
+
+    def decide(self, proba) -> np.ndarray:
+        """Class of each predict_proba row's first maximum (ties -> lower class id)."""
+        return np.array([self.classes[i] for i in np.argmax(proba, axis=1)], dtype=object)
 
     def save(self, path) -> None:
         blob = {

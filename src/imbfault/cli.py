@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import SamplerParams
 from .errors import ConfigError, DataError
-from .ingestion import (LabeledSeries, label_timestamps, read_feature_csv,
+from .ingestion import (LabeledSeries, label_timestamps, read_feature_csv, read_header,
                         read_intervals_csv, read_timeseries_csv, write_feature_csv,
                         write_intervals_csv, write_labeled_csv)
 from .features import featurize
@@ -148,8 +148,8 @@ def _infer_channels(path, timestamp_col: str, channels_arg) -> list:
         return [c.strip() for c in channels_arg.split(",") if c.strip()]
     import csv as _csv
     with open(path, newline="", encoding="utf-8") as fh:
-        header = next(_csv.reader(fh))
-    return [c.strip() for c in header if c.strip() not in (timestamp_col, "label")]
+        header = read_header(_csv.reader(fh), path)
+    return [c for c in header if c not in (timestamp_col, "label")]
 
 
 def _featurize_series(series: LabeledSeries, cfg: PipelineConfig):

@@ -68,6 +68,8 @@ class FaultInterval:
     label: str
 
     def __post_init__(self):
+        if not np.isfinite([self.t_start, self.t_end]).all():
+            raise DataError(f"non-finite interval bound ({self.t_start}, {self.t_end})")
         if self.t_start > self.t_end:
             raise DataError(f"inverted interval ({self.t_start}, {self.t_end})")
 
@@ -89,8 +91,8 @@ class WindowInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen_array(self.values, ndim=2))
-        if self.values.shape[1] < 1:
-            raise DataError("window length must be >= 1")
+        if 0 in self.values.shape:
+            raise DataError("a window needs at least one channel and one tick")
         if not np.all(np.isfinite(self.values)):
             raise DataError("window values must be finite")
 

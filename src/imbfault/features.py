@@ -36,46 +36,62 @@ WAVELETS = {
 }
 
 
-def time_stats(segment) -> np.ndarray:
-    """The nine segment statistics, in STAT_NAMES order.
+def _stats(x: np.ndarray) -> np.ndarray:
+    """The nine statistics along the last axis: (..., n) -> (..., 9).
 
-    The dimensionless factors (crest, impulse, margin) are defined as 0 on an
-    all-zero segment so downstream matrices stay finite.
+    The elementwise temporaries reuse one scratch buffer the size of x.
     """
+    if not np.all(np.isfinite(x)):
+        raise DataError("segment must be finite")
+    n = x.shape[-1]
+    mx, mn = x.max(axis=-1), x.min(axis=-1)
+    buf = np.abs(x)
+    max_abs, mean_abs = buf.max(axis=-1), buf.mean(axis=-1)
+    # libm pow rather than m * m: the square is rounded like the scalar
+    # definition's Python float ``** 2``.
+    mean_sqrt_sq = np.float_power(np.sqrt(buf, out=buf).mean(axis=-1), 2)
+    # Square x over the power of two at or below max|x|: the scaling is exact,
+    # and squares of tiny or huge segments neither lose precision nor overflow.
+    scale = np.ldexp(1.0, np.frexp(max_abs)[1] - 1)
+    np.divide(x, scale[..., None], out=buf)
+    rms = scale * np.sqrt(np.square(buf, out=buf).mean(axis=-1))
+    den = np.stack([rms, mean_abs, mean_sqrt_sq], axis=-1)
+    factors = np.divide(max_abs[..., None], den, out=np.zeros_like(den), where=den > 0.0)
+    buf[...] = x
+    buf.sort(axis=-1)
+    median = buf[..., n // 2] if n % 2 else (buf[..., n // 2 - 1] + buf[..., n // 2]) / 2.0
+    return np.concatenate([np.stack([x.mean(axis=-1), rms, mx, mn, median, mx - mn], axis=-1),
+                           factors], axis=-1)
+
+
+def _spectrum(x: np.ndarray) -> np.ndarray:
+    return np.abs(np.fft.fft(x, axis=-1))
+
+
+def _segment(segment) -> np.ndarray:
     x = np.asarray(segment, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise DataError("segment must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(x)):
-        raise DataError("segment must be finite")
-    mean = x.mean()
-    rms = math.sqrt(float(np.mean(x * x)))
-    mx, mn = float(x.max()), float(x.min())
-    s = np.sort(x)
-    n = x.size
-    median = float(s[n // 2]) if n % 2 else float((s[n // 2 - 1] + s[n // 2]) / 2.0)
-    rng = mx - mn
-    ax = np.abs(x)
-    max_abs = float(ax.max())
-    # Each factor is 0 when its denominator vanishes (all-zero segments, or
-    # values tiny enough that the squares underflow to 0).
-    mean_abs = float(ax.mean())
-    mean_sqrt_sq = float(np.sqrt(ax).mean()) ** 2
-    crest = max_abs / rms if rms > 0.0 else 0.0
-    impulse = max_abs / mean_abs if mean_abs > 0.0 else 0.0
-    margin = max_abs / mean_sqrt_sq if mean_sqrt_sq > 0.0 else 0.0
-    return np.array([mean, rms, mx, mn, median, rng, crest, impulse, margin])
+    return x
+
+
+def time_stats(segment) -> np.ndarray:
+    """The nine segment statistics, in STAT_NAMES order.
+
+    The dimensionless factors (crest, impulse, margin) are 0 where their
+    denominator vanishes (an all-zero segment, or a margin whose squared mean
+    root underflows), so downstream matrices stay finite.
+    """
+    return _stats(_segment(segment))
 
 
 def fft_magnitude(segment) -> np.ndarray:
     """Unnormalized DFT magnitudes |X_k|, k = 0..l-1 (full spectrum)."""
-    x = np.asarray(segment, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise DataError("segment must be a non-empty 1-d vector")
-    return np.abs(np.fft.fft(x))
+    return _spectrum(_segment(segment))
 
 
 def freq_stats(segment) -> np.ndarray:
-    return time_stats(fft_magnitude(segment))
+    return _stats(fft_magnitude(segment))
 
 
 def _filter_pair(wavelet: str):
@@ -87,15 +103,30 @@ def _filter_pair(wavelet: str):
     return lo, hi
 
 
-def _wpt_step(x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    # Periodic extension; an odd-length signal wraps its first sample so the
-    # filter bank always halves the (possibly padded) length.
-    if len(x) % 2:
-        x = np.concatenate([x, x[:1]])
-    n = len(x)
-    idx = (2 * np.arange(n // 2)[:, None] + np.arange(len(lo))[None, :]) % n
-    tap = x[idx]
-    return tap @ lo, tap @ hi
+def _wpt_bands(x: np.ndarray, depth: int, wavelet: str) -> np.ndarray:
+    """Terminal subbands of a full wavelet-packet tree over the last axis:
+    (..., n) -> (..., 2**depth, m), in natural filter-bank order."""
+    if depth < 1:
+        raise DataError("depth must be >= 1")
+    if x.shape[-1] < 2 ** depth:
+        raise DataError(f"segment of length {x.shape[-1]} too short for depth {depth}")
+    lo, hi = _filter_pair(wavelet)
+    bands = x[..., None, :]
+    for _ in range(depth):
+        # Periodic extension; an odd-length band wraps its first sample so the
+        # filter bank always halves the (possibly padded) length.
+        n = bands.shape[-1]
+        half = (n + 1) // 2
+        pos = 2 * np.arange(half)
+        # Each band splits into its approximation then its detail, so stepping
+        # level by level keeps the depth-first subband order.
+        out = np.zeros(bands.shape[:-1] + (2, half))
+        for j in range(len(lo)):
+            tap = bands[..., (pos + j) % (2 * half) % n]
+            out[..., 0, :] += lo[j] * tap
+            out[..., 1, :] += hi[j] * tap
+        bands = out.reshape(*out.shape[:-3], -1, half)
+    return bands
 
 
 def wpt_decompose(segment, depth: int, wavelet: str = "haar") -> list:
@@ -104,26 +135,12 @@ def wpt_decompose(segment, depth: int, wavelet: str = "haar") -> list:
     Both approximation and detail branches are recursed; the 2^depth terminal
     subbands come back in natural filter-bank order (all-approximation first).
     """
-    x = np.asarray(segment, dtype=float)
-    if depth < 1:
-        raise DataError("depth must be >= 1")
-    if x.size < 2 ** depth:
-        raise DataError(f"segment of length {x.size} too short for depth {depth}")
-    lo, hi = _filter_pair(wavelet)
-
-    def recurse(v, d):
-        if d == 0:
-            return [v]
-        a, dt = _wpt_step(v, lo, hi)
-        return recurse(a, d - 1) + recurse(dt, d - 1)
-
-    return recurse(x, depth)
+    return list(_wpt_bands(_segment(segment), depth, wavelet))
 
 
 def wpt_stats(segment, depth: int, wavelet: str = "haar") -> np.ndarray:
     """time_stats of each terminal subband, concatenated in subband order."""
-    bands = wpt_decompose(segment, depth, wavelet)
-    return np.concatenate([time_stats(b) for b in bands])
+    return _stats(_wpt_bands(_segment(segment), depth, wavelet)).ravel()
 
 
 @dataclass
@@ -153,23 +170,18 @@ class FeatureConfig:
             _filter_pair(self.wavelet)
 
 
-def _channel_features(x: np.ndarray, config: FeatureConfig):
-    blocks, names = [], []
-    for domain in config.domains:
-        if domain == "origin":
-            blocks.append(x)
-            names += [f"origin.t{i}" for i in range(len(x))]
-        elif domain == "time":
-            blocks.append(time_stats(x))
-            names += [f"time.{s}" for s in STAT_NAMES]
-        elif domain == "frequency":
-            blocks.append(freq_stats(x))
-            names += [f"freq.{s}" for s in STAT_NAMES]
-        else:
-            blocks.append(wpt_stats(x, config.wpt_depth, config.wavelet))
-            names += [f"wpt{b}.{s}"
-                      for b in range(2 ** config.wpt_depth) for s in STAT_NAMES]
-    return np.concatenate(blocks), names
+def _domain_block(x: np.ndarray, domain: str, config: FeatureConfig):
+    """One domain's (windows, channels, f) block of x = (windows, channels, L),
+    with the f per-channel feature names."""
+    if domain == "origin":
+        return x, [f"origin.t{i}" for i in range(x.shape[-1])]
+    if domain == "time":
+        return _stats(x), [f"time.{s}" for s in STAT_NAMES]
+    if domain == "frequency":
+        return _stats(_spectrum(x)), [f"freq.{s}" for s in STAT_NAMES]
+    block = _stats(_wpt_bands(x, config.wpt_depth, config.wavelet))
+    return (block.reshape(*x.shape[:-1], -1),
+            [f"wpt{b}.{s}" for b in range(2 ** config.wpt_depth) for s in STAT_NAMES])
 
 
 def featurize(windows, config: FeatureConfig) -> FeatureMatrix:
@@ -180,20 +192,11 @@ def featurize(windows, config: FeatureConfig) -> FeatureMatrix:
     shape = windows[0].values.shape
     if any(w.values.shape != shape for w in windows):
         raise DataError("windows must share channel count and length")
-    n_channels = shape[0]
-    rows, labels = [], []
-    feature_names = None
-    for w in windows:
-        parts, names = [], []
-        for ch in range(n_channels):
-            block, block_names = _channel_features(w.values[ch], config)
-            parts.append(block)
-            names += [f"ch{ch}.{n}" for n in block_names]
-        rows.append(np.concatenate(parts))
-        labels.append(w.label)
-        if feature_names is None:
-            feature_names = tuple(names)
-    return FeatureMatrix(np.vstack(rows), labels, feature_names)
+    x = np.stack([w.values for w in windows])
+    blocks, names = zip(*(_domain_block(x, d, config) for d in config.domains))
+    feature_names = [f"ch{ch}.{n}" for ch in range(shape[0]) for block in names for n in block]
+    data = np.concatenate(blocks, axis=-1).reshape(len(windows), -1)
+    return FeatureMatrix(data, [w.label for w in windows], feature_names)
 
 
 @dataclass

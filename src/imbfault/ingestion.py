@@ -43,6 +43,25 @@ def _parse_float(cell: str, row_num: int, column: str) -> float:
         raise ParseError(f"non-numeric cell {cell!r} in column {column!r} at row {row_num}") from None
 
 
+def read_header(reader, path) -> list:
+    """The header row's stripped cells; an empty file is a SchemaError."""
+    try:
+        return [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise SchemaError(f"{path}: empty file, header row required") from None
+
+
+def _data_rows(reader, width: int, path):
+    """(row number, row) of each non-blank data row; a row with fewer than
+    `width` cells is a ParseError naming it."""
+    for row_num, row in enumerate(reader, start=2):
+        if not row or all(c.strip() == "" for c in row):
+            continue
+        if len(row) < width:
+            raise ParseError(f"{path}: short row, {len(row)} of {width} cells, at row {row_num}")
+        yield row_num, row
+
+
 def read_timeseries_csv(path, timestamp_col: str, channel_cols) -> TimeSeriesFrame:
     """Read a multichannel series; rows are sorted by timestamp.
 
@@ -52,19 +71,13 @@ def read_timeseries_csv(path, timestamp_col: str, channel_cols) -> TimeSeriesFra
     channel_cols = list(channel_cols)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, header row required") from None
-        header = [h.strip() for h in header]
+        header = read_header(reader, path)
         missing = [c for c in [timestamp_col] + channel_cols if c not in header]
         if missing:
             raise SchemaError(f"{path}: missing columns {missing}")
         col_idx = {c: header.index(c) for c in [timestamp_col] + channel_cols}
         ts, rows = [], []
-        for row_num, row in enumerate(reader, start=2):
-            if not row or all(c.strip() == "" for c in row):
-                continue
+        for row_num, row in _data_rows(reader, max(col_idx.values()) + 1, path):
             ts.append(_parse_float(row[col_idx[timestamp_col]], row_num, timestamp_col))
             rows.append([_parse_float(row[col_idx[c]], row_num, c) for c in channel_cols])
     if not ts:
@@ -90,11 +103,7 @@ def read_intervals_csv(path) -> list:
         header = tuple(h.strip() for h in header)
         if header != INTERVAL_COLUMNS:
             raise SchemaError(f"{path}: interval header must be {','.join(INTERVAL_COLUMNS)}")
-        for row_num, row in enumerate(reader, start=2):
-            if not row or all(c.strip() == "" for c in row):
-                continue
-            if len(row) < 3:
-                raise ParseError(f"{path}: short row at {row_num}")
+        for row_num, row in _data_rows(reader, len(INTERVAL_COLUMNS), path):
             t0 = _parse_float(row[0], row_num, "t_start")
             t1 = _parse_float(row[1], row_num, "t_end")
             label = row[2].strip()
@@ -150,19 +159,14 @@ def read_labeled_csv(path, timestamp_col: str = "timestamp") -> LabeledSeries:
     """Inverse of write_labeled_csv; channel order is taken from the header."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
+        header = read_header(reader, path)
         if timestamp_col not in header or "label" not in header:
             raise SchemaError(f"{path}: need {timestamp_col!r} and 'label' columns")
         channels = [c for c in header if c not in (timestamp_col, "label")]
         t_i, l_i = header.index(timestamp_col), header.index("label")
         ch_i = [header.index(c) for c in channels]
         ts, rows, labels = [], [], []
-        for row_num, row in enumerate(reader, start=2):
-            if not row or all(c.strip() == "" for c in row):
-                continue
+        for row_num, row in _data_rows(reader, max(t_i, l_i, *ch_i) + 1, path):
             ts.append(_parse_float(row[t_i], row_num, timestamp_col))
             rows.append([_parse_float(row[j], row_num, channels[k]) for k, j in enumerate(ch_i)])
             labels.append(row[l_i].strip())
@@ -194,18 +198,13 @@ def read_feature_csv(path):
 
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
+        header = read_header(reader, path)
         if "label" not in header:
             raise SchemaError(f"{path}: missing 'label' column")
         l_i = header.index("label")
         feature_names = header[:l_i]
         data, labels = [], []
-        for row_num, row in enumerate(reader, start=2):
-            if not row or all(c.strip() == "" for c in row):
-                continue
+        for row_num, row in _data_rows(reader, l_i + 1, path):
             data.append([_parse_float(row[j], row_num, feature_names[j]) for j in range(l_i)])
             labels.append(row[l_i].strip())
     if not data:

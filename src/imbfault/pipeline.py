@@ -191,9 +191,8 @@ def run_crossval(features: FeatureMatrix, cfg: PipelineConfig, out_dir) -> dict:
         test_fm = apply_transforms(fold, features.select(test_idx))
         proba = fold.model.predict_proba(test_fm)
         scores = np.zeros((len(test_idx), len(classes)))
-        for mi, c in enumerate(fold.model.classes):
-            scores[:, classes.index(c)] = proba[:, mi]
-        pred = fold.model.predict(test_fm)
+        scores[:, [classes.index(c) for c in fold.model.classes]] = proba
+        pred = fold.model.decide(proba)
         report = macro_metrics(features.labels[test_idx], pred, scores, classes)
         fold_reports.append(report)
         oof_scores[test_idx] = scores

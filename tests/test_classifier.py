@@ -87,6 +87,13 @@ class TestPredictProba:
         picked = [model.classes[i] for i in np.argmax(proba, axis=1)]
         assert picked == list(fm.labels)
 
+    def test_decide_ties_go_to_lower_class(self):
+        fm = _separable_1d(seed=4)
+        model = gbt_train(fm, GbtParams(rounds=5, max_depth=1))
+        picked = model.decide(np.array([[0.5, 0.5], [0.2, 0.8], [0.7, 0.3]]))
+        assert list(picked) == ["a", "b", "a"]
+        assert list(model.decide(model.predict_proba(fm))) == list(model.predict(fm))
+
     def test_margin_monotone_in_rounds(self):
         fm = _separable_1d(seed=5)
         x = fm.data[:1]

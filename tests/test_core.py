@@ -119,6 +119,17 @@ class TestCoreTypes:
             FaultInterval(5, 3, "F")
         assert FaultInterval(3, 3, "F").contains(3)
 
+    @pytest.mark.parametrize("bounds", [(np.nan, 5), (0, np.inf), (-np.inf, 0),
+                                        (np.nan, np.nan)])
+    def test_interval_non_finite(self, bounds):
+        with pytest.raises(DataError, match="non-finite"):
+            FaultInterval(*bounds, "F")
+
+    @pytest.mark.parametrize("shape", [(0, 4), (2, 0)])
+    def test_window_rejects_empty(self, shape):
+        with pytest.raises(DataError, match="at least one channel and one tick"):
+            WindowInstance(0, np.zeros(shape), "N")
+
     def test_window_rejects_nan(self):
         with pytest.raises(DataError):
             WindowInstance(0, [[np.nan, 1.0]], "N")

@@ -18,7 +18,7 @@ def stats_oracle(x):
     x = np.asarray(x, dtype=float)
     l = len(x)
     mean = sum(x) / l
-    rms = math.sqrt(sum(v * v for v in x) / l)
+    rms = math.hypot(*x) / math.sqrt(l)       # no underflow of tiny squares
     mx, mn = max(x), min(x)
     s = sorted(x)
     med = s[l // 2] if l % 2 else (s[l // 2 - 1] + s[l // 2]) / 2
@@ -41,6 +41,48 @@ def naive_dft_magnitude(x):
         im = sum(x[n] * math.sin(-2 * math.pi * k * n / l) for n in range(l))
         out[k] = math.hypot(re, im)
     return out
+
+
+_SQRT2, _SQRT3 = math.sqrt(2.0), math.sqrt(3.0)
+ORACLE_FILTERS = {
+    "haar": [1 / _SQRT2, 1 / _SQRT2],
+    "db2": [v / (4 * _SQRT2) for v in (1 + _SQRT3, 3 + _SQRT3, 3 - _SQRT3, 1 - _SQRT3)],
+}
+
+
+def wpt_oracle(x, depth, wavelet):
+    """Terminal wavelet-packet subbands by direct periodic filter-bank sums."""
+    x = [float(v) for v in x]
+    if depth == 0:
+        return [x]
+    lo = ORACLE_FILTERS[wavelet]
+    hi = [(-1) ** k * lo[len(lo) - 1 - k] for k in range(len(lo))]
+    if len(x) % 2:
+        x = x + x[:1]
+    n = len(x)
+    approx = [sum(lo[j] * x[(2 * i + j) % n] for j in range(len(lo))) for i in range(n // 2)]
+    detail = [sum(hi[j] * x[(2 * i + j) % n] for j in range(len(hi))) for i in range(n // 2)]
+    return wpt_oracle(approx, depth - 1, wavelet) + wpt_oracle(detail, depth - 1, wavelet)
+
+
+def featurize_oracle(values, config):
+    """One featurize row from the scalar oracles: channel-major, domains in
+    canonical order. The spectrum is a per-segment FFT: a naive DFT agrees
+    with it only to ~1e-15 absolute, which the square roots in `margin`
+    magnify on near-zero bins (TestFftMagnitude checks the FFT itself)."""
+    row = []
+    for x in values:
+        for domain in config.domains:
+            if domain == "origin":
+                row += list(x)
+            elif domain == "time":
+                row += list(stats_oracle(x))
+            elif domain == "frequency":
+                row += list(stats_oracle(np.abs(np.fft.fft(x))))
+            else:
+                for band in wpt_oracle(x, config.wpt_depth, config.wavelet):
+                    row += list(stats_oracle(band))
+    return np.array(row)
 
 
 class TestTimeStats:
@@ -236,6 +278,38 @@ class TestFeaturize:
         with pytest.raises(ConfigError):
             FeatureConfig(domains=("cepstrum",))
         assert set(DOMAINS) >= set(FeatureConfig(domains=("origin",)).domains)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n_windows=st.integers(1, 6), channels=st.integers(1, 4),
+           length=st.integers(1, 64),
+           domains=st.sets(st.sampled_from(DOMAINS), min_size=1),
+           wavelet=st.sampled_from(["haar", "db2"]), depth=st.integers(1, 3),
+           kind=st.sampled_from(["random", "zero", "constant"]),
+           constant=st.floats(-50.0, 50.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_batched_rows_equal_scalar_oracles(self, n_windows, channels, length, domains,
+                                               wavelet, depth, kind, constant, seed):
+        config = FeatureConfig(domains=tuple(domains), wpt_depth=depth, wavelet=wavelet)
+        shape = (n_windows, channels, length)
+        if kind == "random":
+            rng = Pcg32(seed)
+            values = rng.normals(n_windows * channels * length).reshape(shape) * (1 + seed % 7)
+        else:
+            values = np.full(shape, 0.0 if kind == "zero" else constant)
+        windows = [WindowInstance(i, values[i], "N") for i in range(n_windows)]
+        if "timefreq" in config.domains and length < 2 ** depth:
+            with pytest.raises(DataError, match="too short"):
+                featurize(windows, config)
+            return
+        fm = featurize(windows, config)
+        for i in range(n_windows):
+            np.testing.assert_allclose(fm.data[i], featurize_oracle(values[i], config),
+                                       rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("length,depth", [(3, 2), (1, 1), (7, 3)])
+    def test_window_too_short_for_depth(self, length, depth):
+        windows = self._windows(3, 2, length)
+        with pytest.raises(DataError, match="too short"):
+            featurize(windows, FeatureConfig(domains=("time", "timefreq"), wpt_depth=depth))
 
     def test_labels_carried(self):
         fm = featurize(self._windows(4, 1, 6), FeatureConfig())

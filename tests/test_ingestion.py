@@ -43,6 +43,11 @@ class TestReadTimeseries:
         with pytest.raises(ParseError, match="row 3"):
             read_timeseries_csv(p, "t", ["a"])
 
+    def test_short_row_names_row(self, tmp_path):
+        p = _write(tmp_path / "s.csv", "timestamp,a,b\n0,1,2\n1,3\n")
+        with pytest.raises(ParseError, match="short row.*row 3"):
+            read_timeseries_csv(p, "timestamp", ["a", "b"])
+
     def test_missing_column(self, tmp_path):
         p = _write(tmp_path / "s.csv", "t,a\n0,1.0\n")
         with pytest.raises(SchemaError, match="missing columns"):
@@ -67,6 +72,17 @@ class TestIntervals:
     def test_inverted_row(self, tmp_path):
         p = _write(tmp_path / "i.csv", "t_start,t_end,label\n200,100,F\n")
         with pytest.raises(DataError):
+            read_intervals_csv(p)
+
+    @pytest.mark.parametrize("row", ["nan,5,F", "0,inf,F", "-inf,5,F", "nan,nan,F"])
+    def test_non_finite_bound(self, tmp_path, row):
+        p = _write(tmp_path / "i.csv", f"t_start,t_end,label\n{row}\n")
+        with pytest.raises(DataError, match="non-finite"):
+            read_intervals_csv(p)
+
+    def test_short_row_names_row(self, tmp_path):
+        p = _write(tmp_path / "i.csv", "t_start,t_end,label\n0,1,F\n2,3\n")
+        with pytest.raises(ParseError, match="short row.*row 3"):
             read_intervals_csv(p)
 
     def test_empty_file(self, tmp_path):
@@ -116,6 +132,15 @@ class TestLabelTimestamps:
     def test_label_vector_length_checked(self):
         with pytest.raises(DataError):
             LabeledSeries(self._frame(), ["N"] * 3)
+
+
+@pytest.mark.parametrize("reader,text", [
+    (read_labeled_csv, "timestamp,a,label\n0,1.0,N\n1,2.0\n"),
+    (read_feature_csv, "f0,f1,label\n1.0,2.0,a\n3.0,4.0\n"),
+])
+def test_short_row_names_row(tmp_path, reader, text):
+    with pytest.raises(ParseError, match="short row.*row 3"):
+        reader(_write(tmp_path / "s.csv", text))
 
 
 class TestRoundTrips:

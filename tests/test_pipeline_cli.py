@@ -1,9 +1,11 @@
+import json
 import os
 import warnings
 
 import numpy as np
 import pytest
 
+from imbfault.classifier import GbtModel
 from imbfault.cli import main
 from imbfault.core import FaultInterval, FeatureMatrix, class_distribution
 from imbfault.errors import ConfigError
@@ -107,6 +109,14 @@ class TestRunCrossval:
         for name in ("fold_metrics.csv", "mean_metrics.csv", "confusion.csv",
                      "roc_points.csv"):
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
+
+    def test_each_test_fold_scored_once(self, tmp_path, monkeypatch):
+        calls = []
+        scores = GbtModel.predict_proba
+        monkeypatch.setattr(GbtModel, "predict_proba",
+                            lambda self, X: calls.append(1) or scores(self, X))
+        run_crossval(_blobs(seed=9), small_cfg(sampler="none"), tmp_path)
+        assert len(calls) == small_cfg().folds
 
     def test_golden_mean_metrics(self, tmp_path):
         fm = gaussian_blobs([((0, 0), 1.0, 40, "N"), ((3, 0), 0.5, 10, "F")], seed=42)
@@ -290,6 +300,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert '"message"' in err
+
+    @pytest.mark.parametrize("text,error,detail", [
+        ("timestamp,a,b\n0,1,2\n1,3\n", "ParseError", "row 3"),
+        ("", "SchemaError", "empty file"),
+    ])
+    def test_ingest_malformed_series_error_line(self, tmp_path, capsys, text, error, detail):
+        series = tmp_path / "s.csv"
+        series.write_text(text)
+        rc = main(["ingest", "--series", str(series), "--out", str(tmp_path / "out.csv")])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        payload = json.loads(lines[0][len("error: "):])
+        assert payload["type"] == error and detail in payload["message"]
 
     def test_synthgen_timeseries_cli(self, tmp_path):
         ivs_path = tmp_path / "ivs.csv"
