@@ -32,15 +32,7 @@ print("selection probabilities:", np.round(wset.probabilities, 3))
 
 center, radius = np.asarray(sc.gap_center), sc.gap_radius
 for name in ("smote", "mwmote", "emicil", "ewmote"):
-    rng = ib.Pcg32(99)
-    if name == "smote":
-        synth = ib.smote(s_min, 2000, params.k, rng)
-    elif name == "mwmote":
-        synth = ib.mwmote(s_maj, s_min, 2000, params, rng)
-    elif name == "emicil":
-        synth = ib.emicil(s_min, 2000, rng)
-    else:
-        synth = ib.ewmote(s_maj, s_min, 2000, params, rng)[len(s_min):]
+    synth = ib.SAMPLERS[name](s_min, s_maj, 2000, params, ib.Pcg32(99))
     in_gap = float(np.mean(np.linalg.norm(synth - center, axis=1) <= radius))
     print(f"{name:8s} fraction of synthetics inside the planted majority gap: {in_gap:.3f}")
 

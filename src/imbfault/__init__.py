@@ -14,11 +14,11 @@ from .features import (FeatureConfig, Standardizer, featurize, fft_magnitude,
                        freq_stats, time_stats, wpt_decompose, wpt_stats)
 from .reduction import LdaModel, PcaModel, lda_fit, lda_transform, pca_fit, pca_transform
 from .imputation import GaussianModel, fit_gaussian, impute_conditional, impute_stochastic
-from .sampling import (WeightedMinoritySet, agglomerative_clusters, borderline_majority,
-                       emicil, ewmote, filtered_minority, information_weight,
+from .sampling import (SAMPLERS, WeightedMinoritySet, agglomerative_clusters,
+                       borderline_majority, emicil, ewmote, filtered_minority,
                        informative_minority, knn, mwmote, random_oversample,
                        resample_multiclass, selection_probabilities, smote)
-from .classifier import GbtModel, GbtParams, gbt_train, knn_classify, predict, predict_proba
+from .classifier import GbtModel, GbtParams, gbt_train, knn_classify
 from .metrics import (ConfusionMatrix, auc, confusion, fam, macro_metrics, mcc,
                       precision_recall_f, roc_points)
 from .events import event_confusion, merge_events, windows_to_events

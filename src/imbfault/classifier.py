@@ -191,12 +191,11 @@ class GbtModel:
                    trees=blob["trees"], params=params)
 
 
-def gbt_train(fm: FeatureMatrix, params: GbtParams | None = None, rng=None) -> GbtModel:
+def gbt_train(fm: FeatureMatrix, params: GbtParams | None = None) -> GbtModel:
     """Stagewise fitting of depth-limited regression trees to loss gradients.
 
     Margins start at the class prior log-odds, so a model with a vanishing
-    learning rate predicts the prior. The rng argument is accepted for
-    interface stability; exact greedy training uses no randomness.
+    learning rate predicts the prior.
     """
     params = params or GbtParams()
     classes = fm.classes()
@@ -239,14 +238,6 @@ def gbt_train(fm: FeatureMatrix, params: GbtParams | None = None, rng=None) -> G
         trees.append(round_trees)
     return GbtModel(classes=classes, n_features=X.shape[1], binary=False,
                     init=init, trees=trees, params=params)
-
-
-def predict_proba(model: GbtModel, X) -> np.ndarray:
-    return model.predict_proba(X)
-
-
-def predict(model: GbtModel, X) -> np.ndarray:
-    return model.predict(X)
 
 
 def knn_classify(train: FeatureMatrix, queries, k: int) -> np.ndarray:

@@ -122,7 +122,7 @@ def _resolve_options(args: argparse.Namespace) -> dict:
 def _pipeline_config(opts: dict) -> PipelineConfig:
     params = SamplerParams(k=opts["k"], k1=opts["k1"], k2=opts["k2"], k3=opts["k3"],
                            cp=opts["cp"], cf_th=opts["cf_th"], cmax=opts["cmax"],
-                           seed=opts["seed"], emi_ridge=opts["emi_ridge"])
+                           emi_ridge=opts["emi_ridge"])
     return PipelineConfig(
         window_len=opts["window_len"], slide_len=opts["slide_len"],
         label_rule=opts["label_rule"], default_label=opts["default_label"],

@@ -43,6 +43,8 @@ class TimeSeriesFrame:
             )
         if len(self.timestamps) == 0:
             raise DataError("empty time series")
+        if len(self.channel_names) == 0:
+            raise DataError("a time series needs at least one channel")
         if np.any(np.diff(self.timestamps) <= 0):
             raise DataError("timestamps must be strictly increasing")
         if not np.all(np.isfinite(self.values)):
@@ -188,7 +190,6 @@ class SamplerParams:
     cf_th: float = 5.0
     cmax: float = 2.0
     n_synthetic: int | None = None
-    seed: int = 0
     emi_ridge: float = 1e-6
 
     def __post_init__(self):

@@ -9,6 +9,10 @@ All neighbour searches are brute-force exact, with distance ties broken by
 lower row index, so results are deterministic given (inputs, seed).
 Degenerate inputs fall back down a documented ladder instead of failing:
 ewmote -> emicil -> random duplication, mwmote -> smote -> random.
+
+Every generator has the signature f(s_min, s_maj, n, params, rng) and
+returns only its n synthetic rows; SAMPLERS maps each method name to its
+generator.
 """
 
 from __future__ import annotations
@@ -23,9 +27,6 @@ from .core import FeatureMatrix, SamplerParams, class_distribution
 from .errors import ConfigError, DataError
 from .imputation import fit_gaussian, impute_conditional
 from .rng import Pcg32
-
-METHODS = ("none", "random", "smote", "emicil", "mwmote", "ewmote")
-
 
 def _rows(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
@@ -68,7 +69,7 @@ def _knn_rows(queries: np.ndarray, pool: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(d2, axis=1, kind="stable")[:, :k]
 
 
-def random_oversample(s_min, n: int, rng: Pcg32) -> np.ndarray:
+def random_oversample(s_min, s_maj, n: int, params: SamplerParams, rng: Pcg32) -> np.ndarray:
     """n exact copies of minority rows, sampled with replacement."""
     s_min = _rows(s_min, "s_min")
     if len(s_min) == 0:
@@ -79,18 +80,18 @@ def random_oversample(s_min, n: int, rng: Pcg32) -> np.ndarray:
     return out
 
 
-def smote(s_min, n: int, k: int, rng: Pcg32) -> np.ndarray:
-    """n interpolated rows x + alpha * (z - x), z one of x's k minority
+def smote(s_min, s_maj, n: int, params: SamplerParams, rng: Pcg32) -> np.ndarray:
+    """n interpolated rows x + alpha * (z - x), z one of x's params.k minority
     neighbours, alpha uniform in [0, 1)."""
     s_min = _rows(s_min, "s_min")
     if n == 0:
         return np.empty((0, s_min.shape[1]))
     if len(s_min) < 2:
         warnings.warn("smote needs >= 2 minority rows; falling back to random duplication")
-        return random_oversample(s_min, n, rng)
-    k_eff = min(k, len(s_min) - 1)
-    if k_eff < k:
-        warnings.warn(f"smote k clipped from {k} to {k_eff}")
+        return random_oversample(s_min, s_maj, n, params, rng)
+    k_eff = min(params.k, len(s_min) - 1)
+    if k_eff < params.k:
+        warnings.warn(f"smote k clipped from {params.k} to {k_eff}")
     d2 = _cross_sq_dists(s_min, s_min)
     np.fill_diagonal(d2, np.inf)
     nbrs = np.argsort(d2, axis=1, kind="stable")[:, :k_eff]
@@ -144,33 +145,6 @@ def informative_minority(s_bmaj, s_minf, k3: int) -> np.ndarray:
     if k3_eff < k3:
         warnings.warn(f"k3 clipped from {k3} to {k3_eff}")
     return np.unique(_knn_rows(s_bmaj, s_minf, k3_eff))
-
-
-def closeness_factor(y, x, cf_th: float, cmax: float) -> float:
-    """Capped reciprocal of the dimension-normalized distance, rescaled so the
-    cap maps to cmax. Zero distance hits the cap."""
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    d_n = float(np.linalg.norm(y - x)) / y.size
-    recip = math.inf if d_n == 0.0 else 1.0 / d_n
-    return min(recip, cf_th) / cf_th * cmax
-
-
-def information_weight(y, x_index: int, s_imin, nmin_indices, cf_th: float, cmax: float) -> float:
-    """I_w for one (borderline-majority y, informative-minority x) pair.
-
-    nmin_indices are the indices (into s_imin) of y's nearest-minority set;
-    rows outside it contribute zero closeness. The weight is the closeness of
-    x times its share of y's total closeness.
-    """
-    s_imin = _rows(s_imin, "s_imin")
-    cf = np.zeros(len(s_imin))
-    for q in np.unique(np.asarray(nmin_indices, dtype=int)):
-        cf[q] = closeness_factor(y, s_imin[q], cf_th, cmax)
-    total = cf.sum()
-    if total == 0.0 or cf[x_index] == 0.0:
-        return 0.0
-    return float(cf[x_index] * cf[x_index] / total)
 
 
 @dataclass(frozen=True)
@@ -237,11 +211,8 @@ def selection_probabilities(s_min, s_maj, params: SamplerParams) -> WeightedMino
     imin_in_minf = np.unique(nmin)
     s_imin = s_minf[imin_in_minf]
 
-    pos = {int(j): p for p, j in enumerate(imin_in_minf)}
     member = np.zeros((len(s_bmaj), len(s_imin)), dtype=bool)
-    for i in range(len(s_bmaj)):
-        for j in nmin[i]:
-            member[i, pos[int(j)]] = True
+    member[np.arange(len(s_bmaj))[:, None], np.searchsorted(imin_in_minf, nmin)] = True
 
     dist = np.sqrt(_cross_sq_dists(s_bmaj, s_imin)) / d
     with np.errstate(divide="ignore"):
@@ -275,10 +246,10 @@ def agglomerative_clusters(points, cp: float) -> np.ndarray:
         raise DataError("cannot cluster an empty set")
     if n == 1:
         return np.zeros(1, dtype=int)
-    dist = np.sqrt(_cross_sq_dists(points, points))
+    # Exact row differences, so duplicated rows sit at distance 0.
+    dist = np.array([np.linalg.norm(points - p, axis=1) for p in points])
     np.fill_diagonal(dist, np.inf)
-    d_avg = dist.min(axis=1).mean()
-    threshold = d_avg * cp
+    threshold = cp * dist.min(axis=1).sum() / n
 
     cd = dist.copy()
     size = np.ones(n)
@@ -308,7 +279,13 @@ def agglomerative_clusters(points, cp: float) -> np.ndarray:
     return labels
 
 
-def mwmote(s_maj, s_min, n: int, params: SamplerParams, rng: Pcg32) -> np.ndarray:
+def _draw_base(cum: np.ndarray, rng: Pcg32) -> int:
+    """Inverse-CDF draw of one index from cumulative selection probabilities."""
+    u = rng.random() * cum[-1]
+    return min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
+
+
+def mwmote(s_min, s_maj, n: int, params: SamplerParams, rng: Pcg32) -> np.ndarray:
     """n synthetic rows interpolated between a weighted base sample and a
     uniform partner from the base's filtered-minority cluster."""
     s_min = _rows(s_min, "s_min")
@@ -318,19 +295,17 @@ def mwmote(s_maj, s_min, n: int, params: SamplerParams, rng: Pcg32) -> np.ndarra
         return np.empty((0, d))
     if len(s_min) < 2:
         warnings.warn("mwmote needs >= 2 minority rows; falling back to random duplication")
-        return random_oversample(s_min, n, rng)
+        return random_oversample(s_min, s_maj, n, params, rng)
     wset = selection_probabilities(s_min, s_maj, params)
     if wset.is_empty:
         warnings.warn("mwmote found no informative minority rows; falling back to smote")
-        return smote(s_min, n, params.k, rng)
+        return smote(s_min, s_maj, n, params, rng)
     s_minf = s_min[wset.minf_indices]
     clusters = agglomerative_clusters(s_minf, params.cp)
     cum = np.cumsum(wset.probabilities)
     out = np.empty((n, d))
     for t in range(n):
-        u = rng.random() * cum[-1]
-        b = min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
-        base_pos = int(wset.imin_in_minf[b])
+        base_pos = int(wset.imin_in_minf[_draw_base(cum, rng)])
         pool = np.flatnonzero(clusters == clusters[base_pos])
         partner = int(pool[rng.randint(len(pool))])
         x = s_minf[base_pos]
@@ -339,7 +314,7 @@ def mwmote(s_maj, s_min, n: int, params: SamplerParams, rng: Pcg32) -> np.ndarra
     return out
 
 
-def emicil(s_min, n: int, rng: Pcg32, ridge_scale: float = 1e-6) -> np.ndarray:
+def emicil(s_min, s_maj, n: int, params: SamplerParams, rng: Pcg32) -> np.ndarray:
     """n rows built by masking one uniformly chosen attribute of a uniformly
     chosen minority row and filling it with the conditional Gaussian mean."""
     s_min = _rows(s_min, "s_min")
@@ -348,8 +323,8 @@ def emicil(s_min, n: int, rng: Pcg32, ridge_scale: float = 1e-6) -> np.ndarray:
         return np.empty((0, d))
     if len(s_min) < 2 or d < 2:
         warnings.warn("emicil needs >= 2 rows and >= 2 attributes; falling back to random duplication")
-        return random_oversample(s_min, n, rng)
-    model = fit_gaussian(s_min, ridge_scale)
+        return random_oversample(s_min, s_maj, n, params, rng)
+    model = fit_gaussian(s_min, params.emi_ridge)
     out = np.empty((n, d))
     for t in range(n):
         i = rng.randint(len(s_min))
@@ -358,9 +333,9 @@ def emicil(s_min, n: int, rng: Pcg32, ridge_scale: float = 1e-6) -> np.ndarray:
     return out
 
 
-def ewmote(s_maj, s_min, n: int, params: SamplerParams, rng: Pcg32) -> np.ndarray:
-    """The oversampled minority set: the original rows followed by n rows
-    generated by weighted base selection plus single-attribute imputation.
+def ewmote(s_min, s_maj, n: int, params: SamplerParams, rng: Pcg32) -> np.ndarray:
+    """n rows generated by weighted base selection plus single-attribute
+    imputation.
 
     Per generated row the draw order is fixed: one uniform selects the base
     from the informative set by selection probability, one bounded draw picks
@@ -370,26 +345,27 @@ def ewmote(s_maj, s_min, n: int, params: SamplerParams, rng: Pcg32) -> np.ndarra
     s_maj = _rows(s_maj, "s_maj")
     d = s_min.shape[1]
     if n == 0:
-        return s_min.copy()
-    if len(s_min) < 2:
-        warnings.warn("ewmote needs >= 2 minority rows; falling back to random duplication")
-        return np.vstack([s_min, random_oversample(s_min, n, rng)])
-    if d < 2:
-        warnings.warn("ewmote needs >= 2 attributes; falling back to random duplication")
-        return np.vstack([s_min, random_oversample(s_min, n, rng)])
+        return np.empty((0, d))
+    if len(s_min) < 2 or d < 2:
+        warnings.warn("ewmote needs >= 2 rows and >= 2 attributes; falling back to random duplication")
+        return random_oversample(s_min, s_maj, n, params, rng)
     wset = selection_probabilities(s_min, s_maj, params)
     if wset.is_empty:
         warnings.warn("ewmote found no informative minority rows; falling back to emicil")
-        return np.vstack([s_min, emicil(s_min, n, rng, params.emi_ridge)])
+        return emicil(s_min, s_maj, n, params, rng)
     model = fit_gaussian(s_min, params.emi_ridge)
     cum = np.cumsum(wset.probabilities)
-    synth = np.empty((n, d))
+    out = np.empty((n, d))
     for t in range(n):
-        u = rng.random() * cum[-1]
-        b = min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
+        b = _draw_base(cum, rng)
         attr = rng.randint(d)
-        synth[t] = impute_conditional(model, wset.s_imin[b], [attr])
-    return np.vstack([s_min, synth])
+        out[t] = impute_conditional(model, wset.s_imin[b], [attr])
+    return out
+
+
+SAMPLERS = {"random": random_oversample, "smote": smote, "emicil": emicil,
+            "mwmote": mwmote, "ewmote": ewmote}
+METHODS = ("none", *SAMPLERS)
 
 
 def resample_multiclass(fm: FeatureMatrix, method: str, params: SamplerParams,
@@ -415,18 +391,7 @@ def resample_multiclass(fm: FeatureMatrix, method: str, params: SamplerParams,
             continue
         s_min = fm.data[fm.labels == c]
         s_maj = fm.data[fm.labels != c]
-        crng = rng.child(ci)
-        if method == "random":
-            synth = random_oversample(s_min, n_new, crng)
-        elif method == "smote":
-            synth = smote(s_min, n_new, params.k, crng)
-        elif method == "emicil":
-            synth = emicil(s_min, n_new, crng, params.emi_ridge)
-        elif method == "mwmote":
-            synth = mwmote(s_maj, s_min, n_new, params, crng)
-        else:
-            synth = ewmote(s_maj, s_min, n_new, params, crng)[len(s_min):]
-        blocks.append(synth)
+        blocks.append(SAMPLERS[method](s_min, s_maj, n_new, params, rng.child(ci)))
         label_blocks.append([c] * n_new)
     data = np.vstack(blocks)
     labels = [lab for block in label_blocks for lab in block]

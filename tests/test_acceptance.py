@@ -156,7 +156,7 @@ def test_criterion_2_weighting_fidelity():
     params = ib.SamplerParams()
     wset = ib.selection_probabilities(s_min, s_maj, params)
     n_draws = 100_000
-    out = ib.ewmote(s_maj, s_min, n_draws, params, Pcg32(7))[len(s_min):]
+    out = ib.ewmote(s_min, s_maj, n_draws, params, Pcg32(7))
     eq = (out[:, None, :] == wset.s_imin[None, :, :]).sum(axis=2)
     base = np.argmax(eq, axis=1)
     assert np.all(eq[np.arange(len(out)), base] >= 4)
@@ -177,8 +177,8 @@ def test_criterion_3_cluster_gap_claim():
         sc = ib.fig2b_split_cluster_scenario(seed)
         s_min, s_maj = sc.minority_rows(), sc.majority_rows()
         params = ib.SamplerParams()
-        mw = ib.mwmote(s_maj, s_min, 1000, params, Pcg32(seed * 2 + 1))
-        ew = ib.ewmote(s_maj, s_min, 1000, params, Pcg32(seed * 2 + 2))[len(s_min):]
+        mw = ib.mwmote(s_min, s_maj, 1000, params, Pcg32(seed * 2 + 1))
+        ew = ib.ewmote(s_min, s_maj, 1000, params, Pcg32(seed * 2 + 2))
         center = np.asarray(sc.gap_center)
         f_mw = float(np.mean(np.linalg.norm(mw - center, axis=1) <= sc.gap_radius))
         f_ew = float(np.mean(np.linalg.norm(ew - center, axis=1) <= sc.gap_radius))
@@ -276,21 +276,8 @@ def test_criterion_6_sampler_invariants():
         seed = trial * 7 + 1
 
         for sampler in checked:
-            if sampler == "smote":
-                a = ib.smote(s_min, n, params.k, Pcg32(seed))
-                b = ib.smote(s_min, n, params.k, Pcg32(seed))
-            elif sampler == "emicil":
-                a = ib.emicil(s_min, n, Pcg32(seed))
-                b = ib.emicil(s_min, n, Pcg32(seed))
-            elif sampler == "mwmote":
-                a = ib.mwmote(s_maj, s_min, n, params, Pcg32(seed))
-                b = ib.mwmote(s_maj, s_min, n, params, Pcg32(seed))
-            else:
-                a = ib.ewmote(s_maj, s_min, n, params, Pcg32(seed))
-                b = ib.ewmote(s_maj, s_min, n, params, Pcg32(seed))
-                assert np.array_equal(a[:m_min], s_min)       # originals preserved
-                a = a[m_min:]
-                b = b[m_min:]
+            a = ib.SAMPLERS[sampler](s_min, s_maj, n, params, Pcg32(seed))
+            b = ib.SAMPLERS[sampler](s_min, s_maj, n, params, Pcg32(seed))
             assert a.shape == (n, d)                          # count exact
             assert a.tobytes() == b.tobytes()                 # seed determinism
             if sampler in ("smote", "mwmote"):

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from imbfault.classifier import (GbtModel, GbtParams, gbt_train, knn_classify,
-                                 predict, predict_proba)
+from imbfault.classifier import GbtModel, GbtParams, gbt_train, knn_classify
 from imbfault.core import FeatureMatrix
 from imbfault.errors import ConfigError, DataError
 from imbfault.rng import Pcg32
@@ -24,12 +23,12 @@ class TestGbtTrain:
     def test_separable_perfect_fit(self):
         fm = _separable_1d()
         model = gbt_train(fm, GbtParams(rounds=30, max_depth=1))
-        assert np.all(predict(model, fm) == fm.labels)
+        assert np.all(model.predict(fm) == fm.labels)
 
     def test_vanishing_rate_predicts_prior(self):
         fm = _fm([[0.0], [1.0], [2.0], [3.0]], ["a", "a", "a", "b"])
         model = gbt_train(fm, GbtParams(rounds=1, learning_rate=1e-9))
-        proba = predict_proba(model, fm)
+        proba = model.predict_proba(fm)
         np.testing.assert_allclose(proba[:, 0], 0.75, atol=1e-3)
         np.testing.assert_allclose(proba[:, 1], 0.25, atol=1e-3)
 
@@ -43,7 +42,7 @@ class TestGbtTrain:
                 y.append(label)
         fm = _fm(X, y)
         model = gbt_train(fm, GbtParams(rounds=50, max_depth=2))
-        acc = float(np.mean(predict(model, fm) == fm.labels))
+        acc = float(np.mean(model.predict(fm) == fm.labels))
         assert acc >= 0.95
 
     def test_single_class_errors(self):
@@ -60,7 +59,7 @@ class TestGbtTrain:
         fm = _fm(X, y)
         model = gbt_train(fm, GbtParams(rounds=25, max_depth=2))
         assert model.binary is False
-        assert float(np.mean(predict(model, fm) == fm.labels)) == 1.0
+        assert float(np.mean(model.predict(fm) == fm.labels)) == 1.0
 
     def test_loss_validation(self):
         fm3 = _fm([[0.0], [1.0], [2.0]], ["a", "b", "c"])
@@ -76,14 +75,14 @@ class TestPredictProba:
     def test_rows_sum_to_one_and_open_interval(self):
         fm = _separable_1d(seed=3)
         model = gbt_train(fm, GbtParams(rounds=40, max_depth=2))
-        proba = predict_proba(model, fm)
+        proba = model.predict_proba(fm)
         np.testing.assert_allclose(proba.sum(axis=1), 1.0, atol=1e-9)
         assert proba.min() > 0.0 and proba.max() < 1.0
 
     def test_argmax_matches_labels_on_separable(self):
         fm = _separable_1d(seed=4)
         model = gbt_train(fm, GbtParams(rounds=30, max_depth=1))
-        proba = predict_proba(model, fm)
+        proba = model.predict_proba(fm)
         picked = [model.classes[i] for i in np.argmax(proba, axis=1)]
         assert picked == list(fm.labels)
 
@@ -101,7 +100,7 @@ class TestPredictProba:
         prev = None
         for rounds in (1, 3, 6, 10, 20):
             model = gbt_train(fm, GbtParams(rounds=rounds, max_depth=1))
-            p = predict_proba(model, x)[0][model.classes.index(true_first)]
+            p = model.predict_proba(x)[0][model.classes.index(true_first)]
             if prev is not None:
                 assert p >= prev - 1e-9
             prev = p
@@ -110,7 +109,7 @@ class TestPredictProba:
         fm = _separable_1d(seed=6)
         model = gbt_train(fm, GbtParams(rounds=2))
         with pytest.raises(DataError):
-            predict(model, np.ones((2, 3)))
+            model.predict(np.ones((2, 3)))
 
 
 class TestModelInvariants:
@@ -119,8 +118,8 @@ class TestModelInvariants:
         swapped = FeatureMatrix(fm.data, ["b" if l == "a" else "a" for l in fm.labels],
                                 fm.feature_names)
         params = GbtParams(rounds=15, max_depth=2)
-        pa = predict_proba(gbt_train(fm, params), fm)
-        pb = predict_proba(gbt_train(swapped, params), fm)
+        pa = gbt_train(fm, params).predict_proba(fm)
+        pb = gbt_train(swapped, params).predict_proba(fm)
         np.testing.assert_allclose(pa[:, 0], pb[:, 1], atol=1e-12)
         np.testing.assert_allclose(pa[:, 1], pb[:, 0], atol=1e-12)
 
@@ -133,8 +132,8 @@ class TestModelInvariants:
         params = GbtParams(rounds=20, max_depth=3)
         fm = _fm(X, y)
         fm_rev = _fm(X[:, ::-1], y)
-        pred_a = predict(gbt_train(fm, params), fm)
-        pred_b = predict(gbt_train(fm_rev, params), fm_rev)
+        pred_a = gbt_train(fm, params).predict(fm)
+        pred_b = gbt_train(fm_rev, params).predict(fm_rev)
         assert np.array_equal(pred_a, pred_b)
 
     def test_duplicated_feature_column_harmless(self):
@@ -142,8 +141,8 @@ class TestModelInvariants:
         dup = FeatureMatrix(np.column_stack([fm.data, fm.data[:, 0]]), fm.labels,
                             ("f0", "f1"))
         params = GbtParams(rounds=10, max_depth=2)
-        pred_a = predict(gbt_train(fm, params), fm)
-        pred_b = predict(gbt_train(dup, params), dup)
+        pred_a = gbt_train(fm, params).predict(fm)
+        pred_b = gbt_train(dup, params).predict(dup)
         assert np.array_equal(pred_a, pred_b)
 
     def test_serialization_deterministic(self, tmp_path):
@@ -160,7 +159,7 @@ class TestModelInvariants:
         path = tmp_path / "model.json"
         model.save(path)
         loaded = GbtModel.load(path)
-        np.testing.assert_array_equal(predict_proba(model, fm), predict_proba(loaded, fm))
+        np.testing.assert_array_equal(model.predict_proba(fm), loaded.predict_proba(fm))
         assert loaded.classes == model.classes
 
     def test_load_rejects_foreign_file(self, tmp_path):

@@ -109,6 +109,10 @@ class TestCoreTypes:
         with pytest.raises(DataError):
             TimeSeriesFrame([0, 1], ("a", "b"), [[1.0, 2.0]])
 
+    def test_frame_needs_a_channel(self):
+        with pytest.raises(DataError, match="at least one channel"):
+            TimeSeriesFrame([0, 1], (), np.empty((0, 2)))
+
     def test_frame_is_readonly(self):
         frame = TimeSeriesFrame([0, 1], ("a",), [[1.0, 2.0]])
         with pytest.raises(ValueError):

@@ -127,8 +127,12 @@ class TestTimeStats:
         np.testing.assert_allclose(time_stats(values), time_stats(shuffled),
                                    rtol=0, atol=1e-9)
 
+    # Subnormal values are excluded: there `values * s` is itself rounded to a
+    # few bits, so the scaled window is not an exact multiple of the original.
+    # With |v| >= 1e-300 and s >= 0.01 every scaled value stays normal.
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.floats(-1e2, 1e2), min_size=2, max_size=16),
+    @given(st.lists(st.floats(-1e2, 1e2, allow_subnormal=False)
+                    .filter(lambda v: v == 0.0 or abs(v) >= 1e-300), min_size=2, max_size=16),
            st.floats(0.01, 100.0))
     def test_scaling_property(self, values, s):
         base = time_stats(values)

@@ -48,6 +48,11 @@ class TestReadTimeseries:
         with pytest.raises(ParseError, match="short row.*row 3"):
             read_timeseries_csv(p, "timestamp", ["a", "b"])
 
+    def test_no_channels_rejected(self, tmp_path):
+        p = _write(tmp_path / "s.csv", "t\n0\n1\n2\n")
+        with pytest.raises(DataError, match="at least one channel"):
+            read_timeseries_csv(p, "t", [])
+
     def test_missing_column(self, tmp_path):
         p = _write(tmp_path / "s.csv", "t,a\n0,1.0\n")
         with pytest.raises(SchemaError, match="missing columns"):

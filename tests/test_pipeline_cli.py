@@ -304,6 +304,7 @@ class TestCli:
     @pytest.mark.parametrize("text,error,detail", [
         ("timestamp,a,b\n0,1,2\n1,3\n", "ParseError", "row 3"),
         ("", "SchemaError", "empty file"),
+        ("timestamp\n0\n1\n2\n", "DataError", "at least one channel"),
     ])
     def test_ingest_malformed_series_error_line(self, tmp_path, capsys, text, error, detail):
         series = tmp_path / "s.csv"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,17 @@ from imbfault.core import FeatureMatrix, SamplerParams, class_distribution
 from imbfault.errors import ConfigError, DataError
 from imbfault.features import Standardizer
 from imbfault.rng import Pcg32
-from imbfault.sampling import (agglomerative_clusters, borderline_majority,
-                               closeness_factor, emicil, ewmote, filtered_minority,
-                               information_weight, informative_minority, knn, mwmote,
-                               random_oversample, resample_multiclass,
-                               selection_probabilities, smote)
+from imbfault.sampling import (METHODS, SAMPLERS, agglomerative_clusters,
+                               borderline_majority, emicil, ewmote, filtered_minority,
+                               informative_minority, knn, mwmote, random_oversample,
+                               resample_multiclass, selection_probabilities, smote)
+
+P = SamplerParams()
+
+
+def no_maj(s_min):
+    """An empty majority set matching s_min's width, for samplers that ignore it."""
+    return np.empty((0, np.shape(s_min)[1]))
 
 
 def knn_oracle(query, pool, k):
@@ -26,6 +34,33 @@ def filtered_oracle(s_min, s_maj, k1):
         if any(j < len(s_min) for j in ranked):
             kept.append(i)
     return kept
+
+
+def closeness_factor(y, x, cf_th, cmax):
+    """Capped reciprocal of the dimension-normalized distance, rescaled so the
+    cap maps to cmax. Zero distance hits the cap."""
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    d_n = float(np.linalg.norm(y - x)) / y.size
+    recip = math.inf if d_n == 0.0 else 1.0 / d_n
+    return min(recip, cf_th) / cf_th * cmax
+
+
+def information_weight(y, x_index, s_imin, nmin_indices, cf_th, cmax):
+    """I_w for one (borderline-majority y, informative-minority x) pair.
+
+    nmin_indices are the indices (into s_imin) of y's nearest-minority set;
+    rows outside it contribute zero closeness. The weight is the closeness of
+    x times its share of y's total closeness.
+    """
+    s_imin = np.asarray(s_imin, dtype=float)
+    cf = np.zeros(len(s_imin))
+    for q in np.unique(np.asarray(nmin_indices, dtype=int)):
+        cf[q] = closeness_factor(y, s_imin[q], cf_th, cmax)
+    total = cf.sum()
+    if total == 0.0 or cf[x_index] == 0.0:
+        return 0.0
+    return float(cf[x_index] * cf[x_index] / total)
 
 
 def average_linkage_oracle(points, cp):
@@ -81,53 +116,53 @@ class TestKnn:
 
 class TestRandomOversample:
     def test_zero(self):
-        out = random_oversample(np.ones((3, 2)), 0, Pcg32(0))
+        out = random_oversample(np.ones((3, 2)), no_maj(np.ones((3, 2))), 0, P, Pcg32(0))
         assert out.shape == (0, 2)
 
     def test_singleton(self):
-        out = random_oversample(np.array([[1.0, 2.0]]), 5, Pcg32(0))
+        out = random_oversample(np.array([[1.0, 2.0]]), np.empty((0, 2)), 5, P, Pcg32(0))
         assert np.array_equal(out, np.tile([1.0, 2.0], (5, 1)))
 
     def test_membership(self):
         rng = Pcg32(1)
         s_min = rng.normals(10).reshape(5, 2)
-        out = random_oversample(s_min, 20, rng)
+        out = random_oversample(s_min, no_maj(s_min), 20, P, rng)
         rows = {tuple(r) for r in s_min}
         assert all(tuple(r) in rows for r in out)
 
     def test_empty_error(self):
         with pytest.raises(DataError):
-            random_oversample(np.empty((0, 2)), 1, Pcg32(0))
+            random_oversample(np.empty((0, 2)), np.empty((0, 2)), 1, P, Pcg32(0))
 
 
 class TestSmote:
     def test_two_point_segment(self):
         s_min = np.array([[0.0, 0.0], [1.0, 1.0]])
-        out = smote(s_min, 50, 1, Pcg32(0))
+        out = smote(s_min, no_maj(s_min), 50, SamplerParams(k=1), Pcg32(0))
         np.testing.assert_allclose(out[:, 0], out[:, 1], atol=1e-12)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_duplicate_points_give_base(self):
         s_min = np.array([[2.0, 3.0], [2.0, 3.0]])
-        out = smote(s_min, 10, 1, Pcg32(0))
+        out = smote(s_min, no_maj(s_min), 10, SamplerParams(k=1), Pcg32(0))
         assert np.array_equal(out, np.tile([2.0, 3.0], (10, 1)))
 
     def test_bounding_box(self):
         rng = Pcg32(2)
         s_min = rng.normals(30).reshape(15, 2)
-        out = smote(s_min, 200, 5, rng)
+        out = smote(s_min, no_maj(s_min), 200, P, rng)
         lo, hi = s_min.min(axis=0), s_min.max(axis=0)
         assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
 
     def test_k_clipped_with_warning(self):
         s_min = np.arange(6, dtype=float).reshape(3, 2)
         with pytest.warns(UserWarning, match="clipped"):
-            smote(s_min, 4, 10, Pcg32(0))
+            smote(s_min, no_maj(s_min), 4, SamplerParams(k=10), Pcg32(0))
 
     def test_tiny_set_falls_back(self):
         s_min = np.array([[1.0, 1.0]])
         with pytest.warns(UserWarning, match="random"):
-            out = smote(s_min, 3, 5, Pcg32(0))
+            out = smote(s_min, no_maj(s_min), 3, P, Pcg32(0))
         assert np.array_equal(out, np.tile([1.0, 1.0], (3, 1)))
 
 
@@ -299,13 +334,20 @@ class TestAgglomerativeClusters:
         assert agglomerative_clusters(np.array([[1.0, 2.0]]), 3.0).tolist() == [0]
 
     def test_vs_naive_oracle(self):
+        cases = [
+            # duplicated rows sit at distance 0, so they merge at any threshold
+            (np.array([[0.1, -0.4]] * 3 + [[-0.4, 0.1]] * 2), 1.0),
+            # the last merge lands exactly on the threshold 5/3
+            (np.array([[2, 2], [2, 1], [2, 2], [1, 1], [0, 1], [2, 0]], dtype=float), 2.5),
+        ]
         rng = Pcg32(8)
-        for trial in range(20):
+        for _ in range(20):
             n = 5 + rng.randint(8)     # up to 12 points
-            pts = rng.normals(n * 2).reshape(n, 2) * (1 + rng.randint(3))
-            labels = agglomerative_clusters(pts, cp=2.0)
+            cases.append((rng.normals(n * 2).reshape(n, 2) * (1 + rng.randint(3)), 2.0))
+        for trial, (pts, cp) in enumerate(cases):
+            labels = agglomerative_clusters(pts, cp)
             got = {frozenset(np.flatnonzero(labels == c).tolist()) for c in set(labels)}
-            want = {frozenset(c) for c in average_linkage_oracle(pts, 2.0)}
+            want = {frozenset(c) for c in average_linkage_oracle(pts, cp)}
             assert got == want, f"trial {trial}"
 
     def test_cluster_ids_ordered_by_first_member(self):
@@ -318,7 +360,7 @@ class TestMwmote:
     def test_single_cluster_two_points(self):
         s_min = np.array([[0.0, 0.0], [1.0, 1.0]])
         s_maj = np.array([[0.4, 0.6], [0.6, 0.4], [5.0, 5.0]])
-        out = mwmote(s_maj, s_min, 40, SamplerParams(k1=3, k2=2, k3=2), Pcg32(0))
+        out = mwmote(s_min, s_maj, 40, SamplerParams(k1=3, k2=2, k3=2), Pcg32(0))
         assert out.shape == (40, 2)
         np.testing.assert_allclose(out[:, 0], out[:, 1], atol=1e-12)
 
@@ -331,21 +373,21 @@ class TestMwmote:
         s_min = np.vstack([tight, outlier])
         s_maj = np.array([[101.0, 100.0], [100.0, 101.0], [101.0, 101.0]])
         params = SamplerParams(k1=5, k2=3, k3=1)
-        out = mwmote(s_maj, s_min, 30, params, Pcg32(2))
+        out = mwmote(s_min, s_maj, 30, params, Pcg32(2))
         assert all(np.array_equal(r, outlier[0]) for r in out)
 
     def test_count_exact(self):
         rng = Pcg32(3)
         s_min = rng.normals(20).reshape(10, 2)
         s_maj = rng.normals(40).reshape(20, 2) + 2
-        out = mwmote(s_maj, s_min, 17, SamplerParams(), rng)
+        out = mwmote(s_min, s_maj, 17, SamplerParams(), rng)
         assert out.shape == (17, 2)
 
     def test_collinearity_with_minority_pairs(self):
         rng = Pcg32(4)
         s_min = rng.normals(16).reshape(8, 2)
         s_maj = rng.normals(30).reshape(15, 2) + 2
-        out = mwmote(s_maj, s_min, 60, SamplerParams(), Pcg32(5))
+        out = mwmote(s_min, s_maj, 60, SamplerParams(), Pcg32(5))
         for row in out:
             ok = False
             for i in range(len(s_min)):
@@ -373,14 +415,14 @@ class TestMwmote:
             [[30.1, 30.0], [30.0, 30.1], [29.9, 30.0], [30.0, 29.9], [30.1, 30.1]],
         ])
         with pytest.warns(UserWarning, match="smote"):
-            out = mwmote(s_maj, s_min, 5, SamplerParams(), Pcg32(0))
+            out = mwmote(s_min, s_maj, 5, SamplerParams(), Pcg32(0))
         assert out.shape == (5, 2)
 
 
 class TestEmicil:
     def test_diagonal_covariance_mean_imputation(self):
         s_min = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        out = emicil(s_min, 30, Pcg32(0))
+        out = emicil(s_min, no_maj(s_min), 30, P, Pcg32(0))
         for row in out:
             diffs = [not any(abs(row[j] - base[j]) > 1e-9 for j in range(2) if j != a)
                      and abs(row[a]) < 1e-6
@@ -388,19 +430,19 @@ class TestEmicil:
             assert any(diffs)
 
     def test_zero_count(self):
-        assert emicil(np.ones((3, 2)), 0, Pcg32(0)).shape == (0, 2)
+        assert emicil(np.ones((3, 2)), np.empty((0, 2)), 0, P, Pcg32(0)).shape == (0, 2)
 
     def test_unmasked_coordinates_equal_base(self):
         rng = Pcg32(1)
         s_min = rng.normals(40).reshape(10, 4)
-        out = emicil(s_min, 50, Pcg32(2))
+        out = emicil(s_min, no_maj(s_min), 50, P, Pcg32(2))
         for row in out:
             matches = max(int(np.sum(row == base)) for base in s_min)
             assert matches >= 3
 
     def test_one_dimension_falls_back(self):
         with pytest.warns(UserWarning, match="random"):
-            out = emicil(np.array([[1.0], [2.0]]), 4, Pcg32(0))
+            out = emicil(np.array([[1.0], [2.0]]), np.empty((0, 1)), 4, P, Pcg32(0))
         assert out.shape == (4, 1)
 
 
@@ -411,21 +453,21 @@ class TestEwmote:
         s_maj = rng.normals(90).reshape(30, 3) + 2.0
         return s_min, s_maj
 
-    def test_zero_count_returns_minority(self):
+    def test_zero_count_returns_no_rows(self):
         s_min, s_maj = self._sets()
-        out = ewmote(s_maj, s_min, 0, SamplerParams(), Pcg32(0))
-        assert np.array_equal(out, s_min)
+        out = ewmote(s_min, s_maj, 0, SamplerParams(), Pcg32(0))
+        assert out.shape == (0, 3)
 
-    def test_output_contains_originals_first(self):
+    def test_returns_only_synthetic_rows(self):
         s_min, s_maj = self._sets()
-        out = ewmote(s_maj, s_min, 12, SamplerParams(), Pcg32(1))
-        assert out.shape == (20, 3)
-        assert np.array_equal(out[:8], s_min)
+        out = ewmote(s_min, s_maj, 12, SamplerParams(), Pcg32(1))
+        assert out.shape == (12, 3)
+        assert not any(np.array_equal(row, base) for row in out for base in s_min)
 
     def test_single_coordinate_deviation(self):
         s_min, s_maj = self._sets(2)
-        out = ewmote(s_maj, s_min, 40, SamplerParams(), Pcg32(3))
-        for row in out[8:]:
+        out = ewmote(s_min, s_maj, 40, SamplerParams(), Pcg32(3))
+        for row in out:
             matches = max(int(np.sum(row == base)) for base in s_min)
             assert matches >= 2       # all but the imputed coordinate
 
@@ -433,7 +475,7 @@ class TestEwmote:
         s_min, s_maj = self._sets(4)
         params = SamplerParams()
         wset = selection_probabilities(s_min, s_maj, params)
-        out = ewmote(s_maj, s_min, 4000, params, Pcg32(5))[8:]
+        out = ewmote(s_min, s_maj, 4000, params, Pcg32(5))
         eq = (out[:, None, :] == wset.s_imin[None, :, :]).sum(axis=2)
         base = np.argmax(eq, axis=1)
         assert np.all(eq[np.arange(len(out)), base] >= 2)
@@ -444,9 +486,16 @@ class TestEwmote:
     def test_tiny_minority_falls_back_to_random(self):
         s_maj = np.zeros((5, 2))
         with pytest.warns(UserWarning, match="random"):
-            out = ewmote(s_maj, np.array([[1.0, 2.0]]), 3, SamplerParams(), Pcg32(0))
-        assert out.shape == (4, 2)
+            out = ewmote(np.array([[1.0, 2.0]]), s_maj, 3, SamplerParams(), Pcg32(0))
+        assert out.shape == (3, 2)
         assert all(np.array_equal(r, [1.0, 2.0]) for r in out)
+
+    def test_one_dimension_falls_back_to_random(self):
+        s_min = np.array([[1.0], [2.0], [3.0]])
+        with pytest.warns(UserWarning, match="ewmote .*falling back to random"):
+            out = ewmote(s_min, np.array([[9.0], [8.0]]), 4, SamplerParams(), Pcg32(0))
+        assert out.shape == (4, 1)
+        assert set(out.ravel()) <= {1.0, 2.0, 3.0}
 
     def test_no_informative_set_falls_back_to_emicil(self):
         s_min = np.array([[0.0, 0.0], [30.0, 30.0]])
@@ -455,14 +504,29 @@ class TestEwmote:
             [[30.1, 30.0], [30.0, 30.1], [29.9, 30.0], [30.0, 29.9], [30.1, 30.1]],
         ])
         with pytest.warns(UserWarning, match="emicil"):
-            out = ewmote(s_maj, s_min, 6, SamplerParams(), Pcg32(0))
-        assert out.shape == (8, 2)
+            out = ewmote(s_min, s_maj, 6, SamplerParams(), Pcg32(0))
+        assert out.shape == (6, 2)
 
     def test_seed_determinism(self):
         s_min, s_maj = self._sets(6)
-        a = ewmote(s_maj, s_min, 25, SamplerParams(), Pcg32(9))
-        b = ewmote(s_maj, s_min, 25, SamplerParams(), Pcg32(9))
+        a = ewmote(s_min, s_maj, 25, SamplerParams(), Pcg32(9))
+        b = ewmote(s_min, s_maj, 25, SamplerParams(), Pcg32(9))
         assert a.tobytes() == b.tobytes()
+
+
+class TestSamplerContract:
+    def test_methods_are_none_plus_the_table(self):
+        assert METHODS == ("none", "random", "smote", "emicil", "mwmote", "ewmote")
+        assert METHODS[1:] == tuple(SAMPLERS)
+
+    @pytest.mark.parametrize("method", list(SAMPLERS))
+    @pytest.mark.parametrize("n", [0, 9])
+    def test_returns_exactly_n_rows(self, method, n):
+        rng = Pcg32(10)
+        s_min = rng.normals(24).reshape(8, 3)
+        s_maj = rng.normals(90).reshape(30, 3) + 2.0
+        out = SAMPLERS[method](s_min, s_maj, n, SamplerParams(), Pcg32(11))
+        assert out.shape == (n, 3)
 
 
 class TestResampleMulticlass:
@@ -495,9 +559,10 @@ class TestResampleMulticlass:
         assert set(dist.counts.values()) == {77043}
         assert dist.total == 77043 * 7
 
-    def test_originals_first_and_unchanged(self):
+    @pytest.mark.parametrize("method", list(SAMPLERS))
+    def test_originals_first_and_unchanged(self, method):
         fm = self._fm({"N": 30, "F": 5})
-        out = resample_multiclass(fm, "smote", SamplerParams(k=3), Pcg32(3))
+        out = resample_multiclass(fm, method, SamplerParams(k=3), Pcg32(3))
         assert np.array_equal(out.data[:35], fm.data)
         assert list(out.labels[:35]) == list(fm.labels)
         assert set(out.labels[35:]) == {"F"}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from imbfault.classifier import GbtParams, gbt_train, predict
+from imbfault.classifier import GbtParams, gbt_train
 from imbfault.core import FaultInterval, class_distribution
 from imbfault.errors import DataError
 from imbfault.features import FeatureConfig, featurize
@@ -108,7 +108,7 @@ class TestSyntheticTimeseries:
         half = fm.n_rows // 2
         train, test = fm.select(np.arange(half)), fm.select(np.arange(half, fm.n_rows))
         model = gbt_train(train, GbtParams(rounds=25, max_depth=3))
-        pred = predict(model, test)
+        pred = model.predict(test)
         fault_rows = test.labels == "F"
         return float(np.mean(pred[fault_rows] == "F"))
 
