@@ -2,16 +2,17 @@
 
 Trees are fit with exact greedy split search over sorted feature values and
 second-order leaf weights (-G/H); min_leaf is the only regularizer beyond
-depth. Binary targets use the logistic loss with one tree per round;
-multi-class targets use softmax with one tree per class per round. Nothing
-is randomized, so identical data and parameters give identical models.
+depth. The loss follows the class count: two classes use the logistic loss
+with one tree per round, more use softmax with one tree per class per round.
+Both run through one boosting loop and one link function. Nothing is
+randomized, so identical data and parameters give identical models.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .errors import ConfigError, DataError
 _EPS = 1e-16
 _FORMAT = "imbfault-gbt"
 _VERSION = 1
+_TREE_KEYS = ("feature", "threshold", "left", "right", "value")
 
 
 @dataclass
@@ -29,7 +31,6 @@ class GbtParams:
     learning_rate: float = 0.3
     max_depth: int = 6
     min_leaf: int = 1
-    loss: str = "auto"          # auto | logistic | softmax
 
     def __post_init__(self):
         if self.rounds < 1:
@@ -40,20 +41,18 @@ class GbtParams:
             raise ConfigError("max_depth must be >= 1")
         if self.min_leaf < 1:
             raise ConfigError("min_leaf must be >= 1")
-        if self.loss not in ("auto", "logistic", "softmax"):
-            raise ConfigError(f"unknown loss {self.loss!r}")
 
 
-def _fit_tree(X: np.ndarray, g: np.ndarray, h: np.ndarray, params: GbtParams) -> dict:
-    tree = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
-
-    def add_node():
-        for key in tree:
-            tree[key].append(0 if key in ("left", "right") else -1 if key == "feature" else 0.0)
-        return len(tree["feature"]) - 1
+def _fit_tree(X: np.ndarray, g: np.ndarray, h: np.ndarray, params: GbtParams):
+    """Fit one tree; returns `(tree, fitted)`, where `fitted[i]` is the value
+    of the leaf training row i reaches."""
+    tree = {key: [] for key in _TREE_KEYS}
+    fitted = np.empty(len(X))
 
     def build(idx: np.ndarray, depth: int) -> int:
-        nid = add_node()
+        nid = len(tree["feature"])
+        for key, default in zip(_TREE_KEYS, (-1, 0.0, 0, 0, 0.0)):
+            tree[key].append(default)
         G = float(g[idx].sum())
         H = float(h[idx].sum())
         best_gain, best_feature, best_threshold = 0.0, -1, 0.0
@@ -79,20 +78,18 @@ def _fit_tree(X: np.ndarray, g: np.ndarray, h: np.ndarray, params: GbtParams) ->
                     best_feature = f
                     best_threshold = float((xs_sorted[p] + xs_sorted[p + 1]) / 2.0)
         if best_feature < 0:
-            tree["feature"][nid] = -1
-            tree["value"][nid] = -G / max(H, _EPS)
+            tree["value"][nid] = fitted[idx] = -G / max(H, _EPS)
             return nid
         mask = X[idx, best_feature] <= best_threshold
         left = build(idx[mask], depth + 1)
         right = build(idx[~mask], depth + 1)
-        tree["feature"][nid] = best_feature
-        tree["threshold"][nid] = best_threshold
-        tree["left"][nid] = left
-        tree["right"][nid] = right
+        for key, v in zip(_TREE_KEYS, (best_feature, best_threshold, left, right)):
+            tree[key][nid] = v
         return nid
 
     build(np.arange(len(X)), 0)
-    return tree
+    build = None   # break the build <-> closure cycle: g and h are freed now, not by gc
+    return tree, fitted
 
 
 def _predict_tree(tree: dict, X: np.ndarray) -> np.ndarray:
@@ -110,6 +107,15 @@ def _predict_tree(tree: dict, X: np.ndarray) -> np.ndarray:
         stack.append((tree["left"][nid], idx[mask]))
         stack.append((tree["right"][nid], idx[~mask]))
     return out
+
+
+def _link(margins: np.ndarray, binary: bool) -> np.ndarray:
+    """Per-ensemble probabilities: the sigmoid of a binary model's single
+    ensemble, otherwise the max-shifted softmax across ensembles."""
+    if binary:
+        return 1.0 / (1.0 + np.exp(-margins))
+    e = np.exp(margins - margins.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def _as_data(X, n_features: int) -> np.ndarray:
@@ -132,23 +138,17 @@ class GbtModel:
     params: GbtParams = field(repr=False)
 
     def _margins(self, data: np.ndarray) -> np.ndarray:
-        n_ens = 1 if self.binary else len(self.classes)
         margins = np.tile(self.init, (len(data), 1))
         for round_trees in self.trees:
-            for c in range(n_ens):
-                margins[:, c] += self.params.learning_rate * _predict_tree(round_trees[c], data)
+            for c, tree in enumerate(round_trees):
+                margins[:, c] += self.params.learning_rate * _predict_tree(tree, data)
         return margins
 
     def predict_proba(self, X) -> np.ndarray:
         data = _as_data(X, self.n_features)
-        margins = self._margins(data)
+        proba = _link(self._margins(data), self.binary)
         if self.binary:
-            p = 1.0 / (1.0 + np.exp(-margins[:, 0]))
-            proba = np.column_stack([1.0 - p, p])
-        else:
-            shifted = margins - margins.max(axis=1, keepdims=True)
-            e = np.exp(shifted)
-            proba = e / e.sum(axis=1, keepdims=True)
+            proba = np.column_stack([1.0 - proba[:, 0], proba[:, 0]])
         proba = np.clip(proba, 1e-15, 1.0 - 1e-15)
         return proba / proba.sum(axis=1, keepdims=True)
 
@@ -167,11 +167,7 @@ class GbtModel:
             "n_features": self.n_features,
             "binary": self.binary,
             "init": [float(v) for v in self.init],
-            "learning_rate": self.params.learning_rate,
-            "rounds": self.params.rounds,
-            "max_depth": self.params.max_depth,
-            "min_leaf": self.params.min_leaf,
-            "loss": self.params.loss,
+            **asdict(self.params),
             "trees": self.trees,
         }
         with open(path, "w", encoding="utf-8") as fh:
@@ -179,16 +175,43 @@ class GbtModel:
 
     @classmethod
     def load(cls, path) -> "GbtModel":
-        with open(path, encoding="utf-8") as fh:
-            blob = json.load(fh)
-        if blob.get("format") != _FORMAT or blob.get("version") != _VERSION:
-            raise DataError(f"{path}: not a {_FORMAT} v{_VERSION} model file")
-        params = GbtParams(rounds=blob["rounds"], learning_rate=blob["learning_rate"],
-                           max_depth=blob["max_depth"], min_leaf=blob["min_leaf"],
-                           loss=blob["loss"])
-        return cls(classes=tuple(blob["classes"]), n_features=blob["n_features"],
-                   binary=blob["binary"], init=np.asarray(blob["init"], dtype=float),
-                   trees=blob["trees"], params=params)
+        """Read a file written by `save`. A file that is not such a model, or
+        whose trees could not be evaluated, raises DataError naming the path."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                blob = json.load(fh)
+            if not isinstance(blob, dict) or blob.get("format") != _FORMAT \
+                    or blob.get("version") != _VERSION:
+                raise ValueError("wrong format or version")
+            params = GbtParams(**{f.name: blob[f.name] for f in fields(GbtParams)})
+            model = cls(classes=tuple(blob["classes"]), n_features=blob["n_features"],
+                        binary=blob["binary"], init=np.asarray(blob["init"], dtype=float),
+                        trees=blob["trees"], params=params)
+            model._check()
+        except (KeyError, TypeError, ValueError, ConfigError) as exc:
+            raise DataError(f"{path}: not a valid {_FORMAT} v{_VERSION} model file "
+                            f"({type(exc).__name__}: {exc})") from None
+        return model
+
+    def _check(self) -> None:
+        """Raise ValueError unless every tree can be evaluated. Children are
+        numbered in preorder, so child ids above the parent's rule out cycles."""
+        if len(self.classes) < 2 or self.binary and len(self.classes) != 2:
+            raise ValueError("need 2 classes for a binary model, at least 2 otherwise")
+        n_ens = 1 if self.binary else len(self.classes)
+        if self.init.shape != (n_ens,) or not np.isfinite(self.init).all() \
+                or any(len(round_trees) != n_ens for round_trees in self.trees):
+            raise ValueError(f"init and every round must hold {n_ens} values and trees")
+        for i, tree in enumerate(t for round_trees in self.trees for t in round_trees):
+            cols = [tree[key] for key in _TREE_KEYS]
+            n = len(cols[0])
+            if n == 0 or any(len(col) != n for col in cols):
+                raise ValueError(f"tree {i}: node lists are empty or of unequal length")
+            for nid, (f, t, left, right, v) in enumerate(zip(*cols)):
+                if not (math.isfinite(t) and math.isfinite(v)) or f >= 0 and not (
+                        type(f) is type(left) is type(right) is int
+                        and f < self.n_features and nid < left < n and nid < right < n):
+                    raise ValueError(f"tree {i}: invalid node {nid}")
 
 
 def gbt_train(fm: FeatureMatrix, params: GbtParams | None = None) -> GbtModel:
@@ -202,41 +225,26 @@ def gbt_train(fm: FeatureMatrix, params: GbtParams | None = None) -> GbtModel:
     if len(classes) < 2:
         raise DataError("training set must contain at least 2 classes")
     X = fm.data
-    binary = (params.loss == "logistic") or (params.loss == "auto" and len(classes) == 2)
-    if binary and len(classes) != 2:
-        raise ConfigError("logistic loss needs exactly 2 classes")
-
+    binary = len(classes) == 2
+    y = np.column_stack([(fm.labels == c).astype(float)
+                         for c in (classes[1:] if binary else classes)])
     if binary:
-        y = (fm.labels == classes[1]).astype(float)
         p1 = min(max(float(y.mean()), 1e-6), 1.0 - 1e-6)
         init = np.array([math.log(p1 / (1.0 - p1))])
-        margin = np.full(len(X), init[0])
-        trees = []
-        for _ in range(params.rounds):
-            p = 1.0 / (1.0 + np.exp(-margin))
-            tree = _fit_tree(X, p - y, p * (1.0 - p), params)
-            margin = margin + params.learning_rate * _predict_tree(tree, X)
-            trees.append([tree])
-        return GbtModel(classes=classes, n_features=X.shape[1], binary=True,
-                        init=init, trees=trees, params=params)
-
-    onehot = np.column_stack([(fm.labels == c).astype(float) for c in classes])
-    pi = np.clip(onehot.mean(axis=0), 1e-6, None)
-    init = np.log(pi)
+    else:
+        init = np.log(np.clip(y.mean(axis=0), 1e-6, None))
     margins = np.tile(init, (len(X), 1))
     trees = []
     for _ in range(params.rounds):
-        shifted = margins - margins.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        proba = e / e.sum(axis=1, keepdims=True)
+        proba = _link(margins, binary)
         round_trees = []
-        for c in range(len(classes)):
-            pc = proba[:, c]
-            tree = _fit_tree(X, pc - onehot[:, c], pc * (1.0 - pc), params)
-            margins[:, c] += params.learning_rate * _predict_tree(tree, X)
+        for c in range(len(init)):
+            p = proba[:, c]
+            tree, fitted = _fit_tree(X, p - y[:, c], p * (1.0 - p), params)
+            margins[:, c] += params.learning_rate * fitted
             round_trees.append(tree)
         trees.append(round_trees)
-    return GbtModel(classes=classes, n_features=X.shape[1], binary=False,
+    return GbtModel(classes=classes, n_features=X.shape[1], binary=binary,
                     init=init, trees=trees, params=params)
 
 

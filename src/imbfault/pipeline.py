@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -77,8 +77,7 @@ class PipelineConfig:
                              wavelet=self.wavelet)
 
     def gbt_params(self) -> GbtParams:
-        return GbtParams(rounds=self.rounds, learning_rate=self.learning_rate,
-                         max_depth=self.max_depth, min_leaf=self.min_leaf)
+        return GbtParams(**{f.name: getattr(self, f.name) for f in fields(GbtParams)})
 
 
 def stratified_folds(labels, n_folds: int, rng: Pcg32) -> list:

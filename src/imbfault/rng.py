@@ -71,14 +71,6 @@ class Pcg32:
             if v < limit:
                 return v % n
 
-    def choice(self, n: int, p=None) -> int:
-        """Index in [0, n), uniformly or according to probability vector p."""
-        if p is None:
-            return self.randint(n)
-        cum = np.cumsum(np.asarray(p, dtype=float))
-        u = self.random() * cum[-1]
-        return min(int(np.searchsorted(cum, u, side="right")), n - 1)
-
     def shuffle(self, arr: np.ndarray) -> None:
         """In-place Fisher-Yates shuffle."""
         for i in range(len(arr) - 1, 0, -1):

@@ -1,7 +1,13 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from imbfault.classifier import GbtModel, GbtParams, gbt_train, knn_classify
+from imbfault.classifier import (GbtModel, GbtParams, _fit_tree, _predict_tree, gbt_train,
+                                 knn_classify)
 from imbfault.core import FeatureMatrix
 from imbfault.errors import ConfigError, DataError
 from imbfault.rng import Pcg32
@@ -62,13 +68,52 @@ class TestGbtTrain:
         assert float(np.mean(model.predict(fm) == fm.labels)) == 1.0
 
     def test_loss_validation(self):
-        fm3 = _fm([[0.0], [1.0], [2.0]], ["a", "b", "c"])
-        with pytest.raises(ConfigError):
-            gbt_train(fm3, GbtParams(rounds=1, loss="logistic"))
         with pytest.raises(ConfigError):
             GbtParams(rounds=0)
         with pytest.raises(ConfigError):
             GbtParams(learning_rate=0.0)
+
+
+def _pinned_set(n_classes):
+    rng = Pcg32(40 + n_classes)
+    X = np.round(rng.normals(240).reshape(80, 3), 1)   # rounded: many tied values
+    score = X[:, 0] + 0.5 * X[:, 1] - 0.3 * X[:, 2] + 0.4 * rng.normals(80)
+    y = np.array(["a", "b", "c"])[np.digitize(score, [-0.4, 0.6][:n_classes - 1])]
+    return _fm(X, list(y))
+
+
+# sha256 of json.dumps(model.trees, sort_keys=True) and of predict_proba(...).tobytes().
+# Any change to split search, leaf values, boosting or the link functions moves them.
+PINNED = {
+    2: ("0a802ff6b26a39d0dc978ddff2668b0d0d9f576c1b9e33d311397ea872e73f56",
+        "7fa9792dc0adc1c9d41e200c9952264c4f89a9b25509f9f16b7df5c812378018"),
+    3: ("41e1ff162ddec6e09818c28e2aaa0d6c13440ede36b0bdd6190afc45eaa3e93a",
+        "e1cb349badd21cf0cc4903ab97381485c338ce62988b7e2bba7cbf7382e2a37a"),
+}
+
+
+class TestPinnedModels:
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_trees_and_proba_bytes(self, n_classes):
+        fm = _pinned_set(n_classes)
+        model = gbt_train(fm, GbtParams(rounds=6, learning_rate=0.3, max_depth=3, min_leaf=2))
+        assert model.binary is (n_classes == 2)
+        trees = json.dumps(model.trees, sort_keys=True).encode()
+        proba = model.predict_proba(fm).tobytes()
+        assert (hashlib.sha256(trees).hexdigest(),
+                hashlib.sha256(proba).hexdigest()) == PINNED[n_classes]
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 40), cols=st.integers(1, 3), levels=st.integers(1, 5),
+           min_leaf=st.integers(1, 4), max_depth=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_fitted_matches_predict_tree(self, rows, cols, levels, min_leaf, max_depth, seed):
+        rng = Pcg32(seed)
+        X = np.floor(rng.uniforms(rows * cols) * levels).reshape(rows, cols)   # ties
+        g = rng.normals(rows)
+        h = rng.uniforms(rows) + 0.01
+        tree, fitted = _fit_tree(X, g, h, GbtParams(max_depth=max_depth, min_leaf=min_leaf))
+        assert fitted.tobytes() == _predict_tree(tree, X).tobytes()
 
 
 class TestPredictProba:
@@ -167,6 +212,138 @@ class TestModelInvariants:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(DataError):
             GbtModel.load(path)
+
+
+def _set(key, value):
+    def mutate(blob):
+        blob[key] = value
+    return mutate
+
+
+def _set_node(field, nid, value):
+    def mutate(blob):
+        blob["trees"][0][0][field][nid] = value
+    return mutate
+
+
+def _drop_key(key):
+    return lambda blob: blob.pop(key)
+
+
+def _one_ensemble(**changes):
+    """Keep the first ensemble only: a well-formed model, but for `changes`."""
+    def mutate(blob):
+        blob.update(init=[0.0], trees=[round_trees[:1] for round_trees in blob["trees"]],
+                    **changes)
+    return mutate
+
+
+def _truncate_round(blob):
+    blob["trees"][1] = blob["trees"][1][:2]
+
+
+def _shorten_list(blob):
+    blob["trees"][0][0]["value"].pop()
+
+
+def _empty_tree(blob):
+    blob["trees"][0][1] = {key: [] for key in blob["trees"][0][1]}
+
+
+MALFORMED = {
+    "no_trees": _drop_key("trees"),
+    "no_classes": _drop_key("classes"),
+    "no_init": _drop_key("init"),
+    "no_rounds": _drop_key("rounds"),
+    "no_n_features": _drop_key("n_features"),
+    "no_binary": _drop_key("binary"),
+    "binary_three_classes": _one_ensemble(binary=True),
+    "one_class": _one_ensemble(classes=["a"]),
+    "init_too_short": _set("init", [0.0, 0.0]),
+    "init_too_long": _set("init", [0.0, 0.0, 0.0, 0.0]),
+    "init_nan": _set("init", [0.0, float("nan"), 0.0]),
+    "round_too_few_trees": _truncate_round,
+    "lists_unequal": _shorten_list,
+    "lists_empty": _empty_tree,
+    "feature_eq_n_features": _set_node("feature", 0, 2),
+    "feature_far_out": _set_node("feature", 0, 99),
+    "feature_float": _set_node("feature", 0, 1.0),
+    "feature_string": _set_node("feature", 0, "0"),
+    "left_self": _set_node("left", 0, 0),   # predict would cycle on node 0 forever
+    "right_self": _set_node("right", 0, 0),
+    "left_negative": _set_node("left", 0, -1),
+    "right_past_end": _set_node("right", 0, 10_000),
+    "left_float": _set_node("left", 0, 1.5),
+    "threshold_nan": _set_node("threshold", 0, float("nan")),
+    "threshold_inf": _set_node("threshold", 0, float("inf")),
+    "value_neg_inf": _set_node("value", -1, float("-inf")),
+    "value_null": _set_node("value", -1, None),
+    "learning_rate_zero": _set("learning_rate", 0.0),
+}
+
+
+class TestModelFileValidation:
+    """`GbtModel.load` rejects every file whose trees could not be evaluated."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        rng = Pcg32(14)
+        X = rng.normals(90).reshape(45, 2)
+        fm = _fm(X, ["a", "b", "c"] * 15)
+        model = gbt_train(fm, GbtParams(rounds=3, max_depth=2))
+        path = tmp_path / "model.json"
+        model.save(path)
+        blob = json.loads(path.read_text())
+        assert len(blob["trees"][0][0]["feature"]) > 1   # the root is an internal node
+        return model, fm, path, blob
+
+    def _rewrite(self, path, blob):
+        path.write_text(json.dumps(blob))
+        return path
+
+    def test_valid_file_loads(self, saved):
+        model, fm, path, _ = saved
+        loaded = GbtModel.load(path)
+        assert loaded.predict_proba(fm).tobytes() == model.predict_proba(fm).tobytes()
+
+    @pytest.mark.parametrize("raw", [b"not json at all", b'{"format": ', b"\xff\xfe",
+                                     b"[1, 2]", b"3", b"null", b'"imbfault-gbt"'])
+    def test_not_a_json_object(self, tmp_path, raw):
+        path = tmp_path / "garbage.json"
+        path.write_bytes(raw)
+        with pytest.raises(DataError, match="garbage.json"):
+            GbtModel.load(path)
+
+    @pytest.mark.parametrize("mutate", list(MALFORMED.values()), ids=list(MALFORMED))
+    def test_malformed(self, saved, mutate):
+        _, _, path, blob = saved
+        mutate(blob)
+        with pytest.raises(DataError, match="model.json"):
+            GbtModel.load(self._rewrite(path, blob))
+
+    def test_files_with_a_loss_key_still_load(self, tmp_path):
+        """Files written before the loss followed the class count carry a "loss"
+        key; a 2-class "softmax" file holds one tree per class per round."""
+        leaf = {"feature": [-1], "threshold": [0.0], "left": [0], "right": [0],
+                "value": [0.5]}
+        stump = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, 0, 0],
+                 "right": [2, 0, 0], "value": [0.0, -1.0, 1.0]}
+        blob = {"format": "imbfault-gbt", "version": 1, "classes": ["a", "b"],
+                "n_features": 1, "binary": False, "init": [0.0, 0.0], "learning_rate": 1.0,
+                "rounds": 1, "max_depth": 1, "min_leaf": 1, "loss": "softmax",
+                "trees": [[leaf, stump]]}
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(blob))
+        model = GbtModel.load(path)
+        assert model.binary is False
+        proba = model.predict_proba(np.array([[0.0], [1.0]]))
+        e = np.exp([[0.5, -1.0], [0.5, 1.0]])
+        np.testing.assert_allclose(proba, e / e.sum(axis=1, keepdims=True), rtol=1e-15)
+        blob.update(binary=True, loss="logistic", init=[0.0], trees=[[stump]])
+        path.write_text(json.dumps(blob))
+        p = 1.0 / (1.0 + np.exp([1.0, -1.0]))
+        np.testing.assert_allclose(GbtModel.load(path).predict_proba([[0.0], [1.0]]),
+                                   np.column_stack([1 - p, p]), rtol=1e-15)
 
 
 class TestKnnClassify:

@@ -14,7 +14,9 @@ from imbfault.ingestion import (label_timestamps, read_feature_csv, read_interva
                                 write_labeled_csv)
 from imbfault.pipeline import (PipelineConfig, apply_transforms, fit_fold, run_crossval,
                                run_predict_events, run_resample, stratified_folds)
+from imbfault.reduction import pca_transform
 from imbfault.rng import Pcg32
+from imbfault.sampling import resample_multiclass
 from imbfault.synthgen import gaussian_blobs, synthetic_timeseries
 
 
@@ -78,6 +80,22 @@ class TestFitFoldLeakage:
         assert fold_a.standardizer.scale_.tobytes() == fold_b.standardizer.scale_.tobytes()
         assert fold_a.reducer.components.tobytes() == fold_b.reducer.components.tobytes()
         assert fold_a.train_resampled.data.tobytes() == fold_b.train_resampled.data.tobytes()
+
+    def test_resample_before_reduce(self):
+        fm = gaussian_blobs([((0, 0, 0), 1.0, 90, "N"), ((2.5, 0, 0), 1.0, 20, "F"),
+                             ((0, 2.5, 0), 1.0, 12, "G")], seed=6)
+        cfg = small_cfg(sampler="ewmote", reduce="pca", resample_stage="before_reduce")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fold = fit_fold(fm, cfg, Pcg32(2))
+            resampled = resample_multiclass(fm.with_data(fold.standardizer.transform(fm.data)),
+                                            "ewmote", cfg.sampler_params, Pcg32(2))
+        work = fold.train_resampled
+        assert work.feature_names and all(n.startswith("pc") for n in work.feature_names)
+        assert class_distribution(work.labels).counts == {"N": 90, "F": 90, "G": 90}
+        # the projection is fitted on the oversampled rows, not on the 122 originals
+        np.testing.assert_allclose(fold.reducer.mean, resampled.data.mean(axis=0), atol=1e-12)
+        assert work.data.tobytes() == pca_transform(fold.reducer, resampled).data.tobytes()
 
     def test_apply_transforms_shape(self):
         fm = _blobs(seed=4)
@@ -315,6 +333,21 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         payload = json.loads(lines[0][len("error: "):])
         assert payload["type"] == error and detail in payload["message"]
+
+    @pytest.mark.parametrize("text", ["not a model", '{"format": "imbfault-gbt", "version": 1}'])
+    def test_predict_events_bad_model_in_error_line(self, tmp_path, capsys, text):
+        series_path, ivs_path = self._write_series(tmp_path, seed=85)
+        model = tmp_path / "model.json"
+        model.write_text(text)
+        rc = main(["predict-events", "--train-series", str(series_path),
+                   "--train-intervals", str(ivs_path), "--test-series", str(series_path),
+                   "--window-len", "20", "--slide-len", "10", "--standardize", "false",
+                   "--model-in", str(model), "--out-dir", str(tmp_path / "pe")])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        payload = json.loads(lines[0][len("error: "):])
+        assert payload["type"] == "DataError" and "model.json" in payload["message"]
 
     def test_synthgen_timeseries_cli(self, tmp_path):
         ivs_path = tmp_path / "ivs.csv"
