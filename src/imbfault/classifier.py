@@ -1,11 +1,12 @@
 """Gradient-boosted decision trees plus a k-NN baseline.
 
-Trees are fit with exact greedy split search over sorted feature values and
-second-order leaf weights (-G/H); min_leaf is the only regularizer beyond
-depth. The loss follows the class count: two classes use the logistic loss
-with one tree per round, more use softmax with one tree per class per round.
-Both run through one boosting loop and one link function. Nothing is
-randomized, so identical data and parameters give identical models.
+Trees are fit with exact greedy split search over feature values sorted
+once per training set, and second-order leaf weights (-G/H); min_leaf is the
+only regularizer beyond depth. The loss follows the class count: two classes
+use the logistic loss with one tree per round, more use softmax with one tree
+per class per round. Both run through one boosting loop and one link
+function. Nothing is randomized, so identical data and parameters give
+identical models.
 """
 
 from __future__ import annotations
@@ -43,51 +44,74 @@ class GbtParams:
             raise ConfigError("min_leaf must be >= 1")
 
 
-def _fit_tree(X: np.ndarray, g: np.ndarray, h: np.ndarray, params: GbtParams):
+def _fit_tree(X: np.ndarray, g: np.ndarray, h: np.ndarray, params: GbtParams,
+              orders: np.ndarray):
     """Fit one tree; returns `(tree, fitted)`, where `fitted[i]` is the value
-    of the leaf training row i reaches."""
+    of the leaf training row i reaches.
+
+    `orders[f]` lists the rows by feature f's value, ties by row index: the
+    stable argsort of each column, which gbt_train computes once per
+    training set. Each node scans every feature in one 2-d pass over its
+    own rows in that order, and hands each child its side's rows, still in
+    order."""
     tree = {key: [] for key in _TREE_KEYS}
     fitted = np.empty(len(X))
+    goes_left = np.empty(len(X), dtype=bool)
+    cols = np.arange(X.shape[1])[:, None]
 
-    def build(idx: np.ndarray, depth: int) -> int:
+    def splittable(m: int, depth: int) -> bool:
+        return depth < params.max_depth and m >= 2 * params.min_leaf
+
+    def build(idx: np.ndarray, order: np.ndarray | None, depth: int) -> int:
+        # idx: the node's rows in increasing order; order: their per-feature
+        # orders, or None when the node cannot split.
         nid = len(tree["feature"])
         for key, default in zip(_TREE_KEYS, (-1, 0.0, 0, 0, 0.0)):
             tree[key].append(default)
         G = float(g[idx].sum())
         H = float(h[idx].sum())
         best_gain, best_feature, best_threshold = 0.0, -1, 0.0
-        if depth < params.max_depth and len(idx) >= 2 * params.min_leaf:
+        if order is not None:
+            m = len(idx)
             parent = G * G / max(H, _EPS)
-            for f in range(X.shape[1]):
-                xs = X[idx, f]
-                order = np.argsort(xs, kind="stable")
-                xs_sorted = xs[order]
-                gl = np.cumsum(g[idx][order])[:-1]
-                hl = np.cumsum(h[idx][order])[:-1]
-                counts = np.arange(1, len(idx))
-                valid = (xs_sorted[:-1] < xs_sorted[1:])
-                valid &= (counts >= params.min_leaf) & (len(idx) - counts >= params.min_leaf)
-                if not valid.any():
-                    continue
-                gains = (gl * gl / np.maximum(hl, _EPS)
-                         + (G - gl) ** 2 / np.maximum(H - hl, _EPS) - parent)
-                gains[~valid] = -np.inf
-                p = int(np.argmax(gains))
-                if gains[p] > best_gain + 1e-12:
-                    best_gain = float(gains[p])
-                    best_feature = f
-                    best_threshold = float((xs_sorted[p] + xs_sorted[p + 1]) / 2.0)
+            xs = X[order, cols]
+            gl = np.cumsum(g[order], axis=1)[:, :-1]
+            hl = np.cumsum(h[order], axis=1)[:, :-1]
+            counts = np.arange(1, m)
+            valid = xs[:, :-1] < xs[:, 1:]
+            valid &= (counts >= params.min_leaf) & (m - counts >= params.min_leaf)
+            gains = (gl * gl / np.maximum(hl, _EPS)
+                     + (G - gl) ** 2 / np.maximum(H - hl, _EPS) - parent)
+            gains[~valid] = -np.inf
+            ps = np.argmax(gains, axis=1)
+            for f, (p, gain) in enumerate(zip(ps.tolist(), gains[cols[:, 0], ps].tolist())):
+                if gain > best_gain + 1e-12:
+                    best_gain, best_feature = gain, f
+                    best_threshold = float((xs[f, p] + xs[f, p + 1]) / 2.0)
+            del xs, gl, hl, valid, gains   # (d, m) scratch: not held while children build
         if best_feature < 0:
             tree["value"][nid] = fitted[idx] = -G / max(H, _EPS)
             return nid
         mask = X[idx, best_feature] <= best_threshold
-        left = build(idx[mask], depth + 1)
-        right = build(idx[~mask], depth + 1)
+        sides = (idx[mask], idx[~mask])
+        child_orders = [None, None]
+        if any(splittable(len(side), depth + 1) for side in sides):
+            goes_left[idx] = mask
+            sel = goes_left[order]
+            child_orders = [order[keep].reshape(len(order), -1)
+                            if splittable(len(side), depth + 1) else None
+                            for side, keep in zip(sides, (sel, ~sel))]
+        # Only the path being built keeps orders alive: each parent drops its
+        # own, and a child's leave the list as the child is built.
+        order = sel = None
+        left = build(sides[0], child_orders.pop(0), depth + 1)
+        right = build(sides[1], child_orders.pop(0), depth + 1)
         for key, v in zip(_TREE_KEYS, (best_feature, best_threshold, left, right)):
             tree[key][nid] = v
         return nid
 
-    build(np.arange(len(X)), 0)
+    n = len(X)
+    build(np.arange(n), orders if splittable(n, 0) else None, 0)
     build = None   # break the build <-> closure cycle: g and h are freed now, not by gc
     return tree, fitted
 
@@ -234,13 +258,14 @@ def gbt_train(fm: FeatureMatrix, params: GbtParams | None = None) -> GbtModel:
     else:
         init = np.log(np.clip(y.mean(axis=0), 1e-6, None))
     margins = np.tile(init, (len(X), 1))
+    orders = np.argsort(X, axis=0, kind="stable").T
     trees = []
     for _ in range(params.rounds):
         proba = _link(margins, binary)
         round_trees = []
         for c in range(len(init)):
             p = proba[:, c]
-            tree, fitted = _fit_tree(X, p - y[:, c], p * (1.0 - p), params)
+            tree, fitted = _fit_tree(X, p - y[:, c], p * (1.0 - p), params, orders)
             margins[:, c] += params.learning_rate * fitted
             round_trees.append(tree)
         trees.append(round_trees)

@@ -76,25 +76,28 @@ def _split_indices(model: GaussianModel, missing) -> tuple:
 
 
 def _conditional(model: GaussianModel, x: np.ndarray, miss, obs):
+    """Conditional mean of the missing coordinates of x, one row (d,) or a
+    batch (n, d); a batch is one solve with n right-hand sides."""
     cov = model.covariance
     sig_oo = cov[np.ix_(obs, obs)] + model.ridge * np.eye(obs.size)
     sig_mo = cov[np.ix_(miss, obs)]
-    sol = np.linalg.solve(sig_oo, x[obs] - model.mean[obs])
-    cond_mean = model.mean[miss] + sig_mo @ sol
+    sol = np.linalg.solve(sig_oo, (x[..., obs] - model.mean[obs]).T)
+    cond_mean = model.mean[miss] + (sig_mo @ sol).T
     return cond_mean, sig_oo, sig_mo
 
 
 def impute_conditional(model: GaussianModel, x, missing) -> np.ndarray:
     """Fill x at the missing indices with the conditional mean.
 
+    x is one row (d,) or a batch of rows (n, d) that share the missing set.
     Observed coordinates are returned untouched; the result is deterministic.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (model.dim,):
-        raise DataError("vector length does not match the model")
+    if x.ndim not in (1, 2) or x.shape[-1] != model.dim:
+        raise DataError("rows must have shape (d,) or (n, d) with d matching the model")
     miss, obs = _split_indices(model, missing)
     out = x.copy()
-    out[miss], _, _ = _conditional(model, x, miss, obs)
+    out[..., miss], _, _ = _conditional(model, x, miss, obs)
     return out
 
 

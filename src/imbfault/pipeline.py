@@ -257,10 +257,6 @@ def run_predict_events(train_series: LabeledSeries, test_series: LabeledSeries,
     fconfig = cfg.feature_config()
     root = Pcg32(cfg.seed)
 
-    test_windows = segment(test_series, cfg.window_len, cfg.slide_len,
-                           cfg.label_rule, cfg.default_label)
-    test_fm = featurize(test_windows, fconfig)
-
     if model_in is not None:
         if cfg.standardize or cfg.reduce != "none":
             raise ConfigError("--model-in requires standardize=false and reduce=none")
@@ -274,6 +270,9 @@ def run_predict_events(train_series: LabeledSeries, test_series: LabeledSeries,
         if model_out is not None:
             fold.model.save(model_out)
 
+    test_windows = segment(test_series, cfg.window_len, cfg.slide_len,
+                           cfg.label_rule, cfg.default_label)
+    test_fm = featurize(test_windows, fconfig)
     pred = fold.model.predict(apply_transforms(fold, test_fm))
     starts = [w.start_index for w in test_windows]
     events = merge_events(windows_to_events(

@@ -279,10 +279,20 @@ def agglomerative_clusters(points, cp: float) -> np.ndarray:
     return labels
 
 
-def _draw_base(cum: np.ndarray, rng: Pcg32) -> int:
-    """Inverse-CDF draw of one index from cumulative selection probabilities."""
-    u = rng.random() * cum[-1]
-    return min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
+def _draw_base(cum: np.ndarray, u):
+    """Inverse-CDF index (or array of indices) for uniform draw(s) u from
+    cumulative selection probabilities."""
+    return np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), len(cum) - 1)
+
+
+def _impute_each(model, rows: np.ndarray, attrs: np.ndarray) -> np.ndarray:
+    """rows[t] with attribute attrs[t] imputed: one batched conditional-mean
+    call per distinct attribute."""
+    out = np.empty_like(rows)
+    for a in np.unique(attrs):
+        sel = attrs == a
+        out[sel] = impute_conditional(model, rows[sel], [a])
+    return out
 
 
 def mwmote(s_min, s_maj, n: int, params: SamplerParams, rng: Pcg32) -> np.ndarray:
@@ -305,7 +315,7 @@ def mwmote(s_min, s_maj, n: int, params: SamplerParams, rng: Pcg32) -> np.ndarra
     cum = np.cumsum(wset.probabilities)
     out = np.empty((n, d))
     for t in range(n):
-        base_pos = int(wset.imin_in_minf[_draw_base(cum, rng)])
+        base_pos = int(wset.imin_in_minf[_draw_base(cum, rng.random())])
         pool = np.flatnonzero(clusters == clusters[base_pos])
         partner = int(pool[rng.randint(len(pool))])
         x = s_minf[base_pos]
@@ -325,12 +335,10 @@ def emicil(s_min, s_maj, n: int, params: SamplerParams, rng: Pcg32) -> np.ndarra
         warnings.warn("emicil needs >= 2 rows and >= 2 attributes; falling back to random duplication")
         return random_oversample(s_min, s_maj, n, params, rng)
     model = fit_gaussian(s_min, params.emi_ridge)
-    out = np.empty((n, d))
-    for t in range(n):
-        i = rng.randint(len(s_min))
-        attr = rng.randint(d)
-        out[t] = impute_conditional(model, s_min[i], [attr])
-    return out
+    # Per row: the base row, then the masked attribute; all drawn before imputing.
+    bases, attrs = map(np.array, zip(*[(rng.randint(len(s_min)), rng.randint(d))
+                                       for _ in range(n)]))
+    return _impute_each(model, s_min[bases], attrs)
 
 
 def ewmote(s_min, s_maj, n: int, params: SamplerParams, rng: Pcg32) -> np.ndarray:
@@ -354,13 +362,8 @@ def ewmote(s_min, s_maj, n: int, params: SamplerParams, rng: Pcg32) -> np.ndarra
         warnings.warn("ewmote found no informative minority rows; falling back to emicil")
         return emicil(s_min, s_maj, n, params, rng)
     model = fit_gaussian(s_min, params.emi_ridge)
-    cum = np.cumsum(wset.probabilities)
-    out = np.empty((n, d))
-    for t in range(n):
-        b = _draw_base(cum, rng)
-        attr = rng.randint(d)
-        out[t] = impute_conditional(model, wset.s_imin[b], [attr])
-    return out
+    u, attrs = map(np.array, zip(*[(rng.random(), rng.randint(d)) for _ in range(n)]))
+    return _impute_each(model, wset.s_imin[_draw_base(np.cumsum(wset.probabilities), u)], attrs)
 
 
 SAMPLERS = {"random": random_oversample, "smote": smote, "emicil": emicil,

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imbfault.classifier import (GbtModel, GbtParams, _fit_tree, _predict_tree, gbt_train,
-                                 knn_classify)
+from imbfault.classifier import (_EPS, _TREE_KEYS, GbtModel, GbtParams, _fit_tree,
+                                 _predict_tree, gbt_train, knn_classify)
 from imbfault.core import FeatureMatrix
 from imbfault.errors import ConfigError, DataError
 from imbfault.rng import Pcg32
@@ -92,6 +92,54 @@ PINNED = {
 }
 
 
+def fit_tree_oracle(X, g, h, params):
+    """Scalar reference for `_fit_tree`: every node argsorts every feature of
+    its own rows and scans them one feature at a time."""
+    tree = {key: [] for key in _TREE_KEYS}
+    fitted = np.empty(len(X))
+
+    def build(idx, depth):
+        nid = len(tree["feature"])
+        for key, default in zip(_TREE_KEYS, (-1, 0.0, 0, 0, 0.0)):
+            tree[key].append(default)
+        G = float(g[idx].sum())
+        H = float(h[idx].sum())
+        best_gain, best_feature, best_threshold = 0.0, -1, 0.0
+        if depth < params.max_depth and len(idx) >= 2 * params.min_leaf:
+            parent = G * G / max(H, _EPS)
+            for f in range(X.shape[1]):
+                xs = X[idx, f]
+                order = np.argsort(xs, kind="stable")
+                xs_sorted = xs[order]
+                gl = np.cumsum(g[idx][order])[:-1]
+                hl = np.cumsum(h[idx][order])[:-1]
+                counts = np.arange(1, len(idx))
+                valid = (xs_sorted[:-1] < xs_sorted[1:])
+                valid &= (counts >= params.min_leaf) & (len(idx) - counts >= params.min_leaf)
+                if not valid.any():
+                    continue
+                gains = (gl * gl / np.maximum(hl, _EPS)
+                         + (G - gl) ** 2 / np.maximum(H - hl, _EPS) - parent)
+                gains[~valid] = -np.inf
+                p = int(np.argmax(gains))
+                if gains[p] > best_gain + 1e-12:
+                    best_gain = float(gains[p])
+                    best_feature = f
+                    best_threshold = float((xs_sorted[p] + xs_sorted[p + 1]) / 2.0)
+        if best_feature < 0:
+            tree["value"][nid] = fitted[idx] = -G / max(H, _EPS)
+            return nid
+        mask = X[idx, best_feature] <= best_threshold
+        left = build(idx[mask], depth + 1)
+        right = build(idx[~mask], depth + 1)
+        for key, v in zip(_TREE_KEYS, (best_feature, best_threshold, left, right)):
+            tree[key][nid] = v
+        return nid
+
+    build(np.arange(len(X)), 0)
+    return tree, fitted
+
+
 class TestPinnedModels:
     @pytest.mark.parametrize("n_classes", [2, 3])
     def test_trees_and_proba_bytes(self, n_classes):
@@ -112,8 +160,31 @@ class TestPinnedModels:
         X = np.floor(rng.uniforms(rows * cols) * levels).reshape(rows, cols)   # ties
         g = rng.normals(rows)
         h = rng.uniforms(rows) + 0.01
-        tree, fitted = _fit_tree(X, g, h, GbtParams(max_depth=max_depth, min_leaf=min_leaf))
+        tree, fitted = _fit_tree(X, g, h, GbtParams(max_depth=max_depth, min_leaf=min_leaf),
+                                 np.argsort(X, axis=0, kind="stable").T)
         assert fitted.tobytes() == _predict_tree(tree, X).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.integers(1, 60), cols=st.integers(1, 5),
+           levels=st.sampled_from([1, 2, 3, 5, 10, 2**30]),
+           column=st.sampled_from(["as drawn", "constant", "duplicate"]),
+           min_leaf=st.integers(1, 4), max_depth=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_presorted_split_search_matches_oracle(self, rows, cols, levels, column,
+                                                   min_leaf, max_depth, seed):
+        rng = Pcg32(seed)
+        X = np.floor(rng.uniforms(rows * cols) * levels).reshape(rows, cols) / levels
+        if column == "constant":
+            X[:, rng.randint(cols)] = 0.5
+        elif column == "duplicate":    # equal gains: the first feature must win
+            X[:, rng.randint(cols)] = X[:, rng.randint(cols)]
+        g = rng.normals(rows)
+        h = rng.uniforms(rows) + 0.01
+        params = GbtParams(max_depth=max_depth, min_leaf=min_leaf)
+        tree, fitted = _fit_tree(X, g, h, params, np.argsort(X, axis=0, kind="stable").T)
+        want_tree, want_fitted = fit_tree_oracle(X, g, h, params)
+        assert json.dumps(tree) == json.dumps(want_tree)
+        assert fitted.tobytes() == want_fitted.tobytes()
 
 
 class TestPredictProba:

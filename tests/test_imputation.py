@@ -119,6 +119,38 @@ class TestImputeConditional:
             impute_conditional(model, [1.0, 2.0], [5])
 
 
+class TestImputeConditionalBatch:
+    def _model(self, d, seed):
+        rng = Pcg32(seed)
+        return fit_gaussian(rng.normals(4 * d * d).reshape(4 * d, d)), rng
+
+    @pytest.mark.parametrize("d", [2, 3, 6, 17])
+    def test_batch_equals_row_by_row(self, d):
+        model, rng = self._model(d, d)
+        rows = rng.normals(25 * d).reshape(25, d) * 3.0
+        for missing in ([0], [d - 1], sorted({rng.randint(d), rng.randint(d)})):
+            if len(missing) == d:
+                continue
+            got = impute_conditional(model, rows, missing)
+            want = np.array([impute_conditional(model, x, missing) for x in rows])
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+            observed = np.setdiff1d(np.arange(d), missing)
+            assert got[:, observed].tobytes() == rows[:, observed].tobytes()
+
+    def test_empty_and_single_row_batches(self):
+        model, rng = self._model(4, 0)
+        assert impute_conditional(model, np.empty((0, 4)), [1]).shape == (0, 4)
+        x = rng.normals(4)
+        np.testing.assert_allclose(impute_conditional(model, x[None, :], [2])[0],
+                                   impute_conditional(model, x, [2]), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (5, 3), (5,), (4, 5), ()])
+    def test_bad_shapes(self, shape):
+        model, _ = self._model(4, 1)
+        with pytest.raises(DataError):
+            impute_conditional(model, np.zeros(shape), [0])
+
+
 class TestImputeStochastic:
     def test_zero_conditional_covariance_is_deterministic(self):
         model = GaussianModel(np.zeros(2), np.array([[1.0, 1.0], [1.0, 1.0]]), 0.0)

@@ -5,10 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
+from imbfault import pipeline
 from imbfault.classifier import GbtModel
 from imbfault.cli import main
 from imbfault.core import FaultInterval, FeatureMatrix, class_distribution
-from imbfault.errors import ConfigError
+from imbfault.errors import ConfigError, DataError
 from imbfault.ingestion import (label_timestamps, read_feature_csv, read_intervals_csv,
                                 write_feature_csv, write_intervals_csv,
                                 write_labeled_csv)
@@ -211,6 +212,18 @@ class TestRunPredictEvents:
         cfg = small_cfg(window_len=20, slide_len=5, standardize=True)
         with pytest.raises(ConfigError):
             run_predict_events(train, test, cfg, tmp_path, model_in="whatever.json")
+
+    @pytest.mark.parametrize("reduce, error", [("none", DataError), ("pca", ConfigError)])
+    def test_model_in_fails_before_featurizing(self, tmp_path, monkeypatch, reduce, error):
+        train, test, _ = self._series_pair(40)
+        cfg = small_cfg(window_len=20, slide_len=5, standardize=False, reduce=reduce)
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json")
+        calls = []
+        monkeypatch.setattr(pipeline, "featurize", lambda *a, **k: calls.append(a))
+        with pytest.raises(error):
+            run_predict_events(train, test, cfg, tmp_path, model_in=bad)
+        assert calls == []
 
 
 class TestCli:

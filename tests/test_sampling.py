@@ -6,6 +6,7 @@ import pytest
 from imbfault.core import FeatureMatrix, SamplerParams, class_distribution
 from imbfault.errors import ConfigError, DataError
 from imbfault.features import Standardizer
+from imbfault.imputation import fit_gaussian, impute_conditional
 from imbfault.rng import Pcg32
 from imbfault.sampling import (METHODS, SAMPLERS, agglomerative_clusters,
                                borderline_majority, emicil, ewmote, filtered_minority,
@@ -87,6 +88,31 @@ def average_linkage_oracle(points, cp):
         clusters[a] |= clusters[b]
         del clusters[b]
     return clusters
+
+
+def emicil_oracle(s_min, n, params, rng):
+    """Draw a row and an attribute, impute that one row, repeat."""
+    model = fit_gaussian(s_min, params.emi_ridge)
+    out = np.empty((n, s_min.shape[1]))
+    for t in range(n):
+        i = rng.randint(len(s_min))
+        out[t] = impute_conditional(model, s_min[i], [rng.randint(s_min.shape[1])])
+    return out
+
+
+def ewmote_oracle(s_min, s_maj, n, params, rng):
+    """Per row: one inverse-CDF base draw, one attribute draw, one imputation."""
+    wset = selection_probabilities(s_min, s_maj, params)
+    if wset.is_empty:
+        return emicil_oracle(s_min, n, params, rng)
+    model = fit_gaussian(s_min, params.emi_ridge)
+    cum = np.cumsum(wset.probabilities)
+    out = np.empty((n, s_min.shape[1]))
+    for t in range(n):
+        u = rng.random() * cum[-1]
+        b = min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
+        out[t] = impute_conditional(model, wset.s_imin[b], [rng.randint(s_min.shape[1])])
+    return out
 
 
 class TestKnn:
@@ -512,6 +538,22 @@ class TestEwmote:
         a = ewmote(s_min, s_maj, 25, SamplerParams(), Pcg32(9))
         b = ewmote(s_min, s_maj, 25, SamplerParams(), Pcg32(9))
         assert a.tobytes() == b.tobytes()
+
+
+class TestBatchedImputationSamplers:
+    @pytest.mark.parametrize("method", ["emicil", "ewmote"])
+    @pytest.mark.parametrize("d", [2, 3, 6, 12])
+    def test_matches_row_by_row_oracle(self, method, d):
+        for seed in range(4):
+            rng = Pcg32(100 * d + seed)
+            s_min = rng.normals(5 * d * d).reshape(5 * d, d)
+            s_maj = rng.normals(15 * d * d).reshape(15 * d, d) + 1.5
+            got_rng, want_rng = Pcg32(seed), Pcg32(seed)
+            got = SAMPLERS[method](s_min, s_maj, 60, P, got_rng)
+            want = (emicil_oracle(s_min, 60, P, want_rng) if method == "emicil"
+                    else ewmote_oracle(s_min, s_maj, 60, P, want_rng))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+            assert got_rng.random() == want_rng.random()
 
 
 class TestSamplerContract:
