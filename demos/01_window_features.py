@@ -18,7 +18,7 @@ print(f"series: {frame.n_channels} channels x {frame.n_ticks} ticks")
 # Slice into windows of 20 ticks advanced by 5; a window straddling a fault
 # boundary takes the majority label with ties going to the fault.
 windows = ib.segment(series, window_len=20, slide_len=5, rule="majority")
-dist = ib.class_distribution([w.label for w in windows])
+dist = ib.class_distribution(windows.labels)
 print(f"windows: {len(windows)} total, counts {dist.counts}, "
       f"imbalance 1:{dist.ratios['fault']:.1f}")
 

@@ -4,12 +4,12 @@ minority oversampling, boosted-tree classification, fault-event
 reconstruction and imbalance-aware evaluation."""
 
 from .core import (ClassDistribution, FaultEvent, FaultInterval, FeatureMatrix,
-                   SamplerParams, TimeSeriesFrame, WindowInstance, class_distribution)
+                   SamplerParams, TimeSeriesFrame, WindowBatch, class_distribution)
 from .rng import Pcg32, seeded_rng
 from .ingestion import (LabeledSeries, label_timestamps, read_feature_csv,
                         read_intervals_csv, read_timeseries_csv, write_feature_csv,
                         write_intervals_csv)
-from .segmentation import segment, window_label
+from .segmentation import segment
 from .features import (FeatureConfig, Standardizer, featurize, fft_magnitude,
                        freq_stats, time_stats, wpt_decompose, wpt_stats)
 from .reduction import LdaModel, PcaModel, lda_fit, lda_transform, pca_fit, pca_transform

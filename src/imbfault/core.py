@@ -1,7 +1,7 @@
 """Shared domain types and class-distribution utilities.
 
-All container types copy their array arguments and mark them read-only, so
-instances are immutable after construction and safe to share across threads.
+All container types copy their array arguments into read-only C-ordered
+arrays, so instances are immutable and safe to share across threads.
 Class labels are opaque strings; wherever an ordering is needed (majority
 tie-breaks, classifier column order, dense ids) it is lexicographic.
 """
@@ -17,7 +17,10 @@ from .errors import DataError
 
 
 def _frozen_array(values, dtype=float, ndim=None) -> np.ndarray:
-    arr = np.array(values, dtype=dtype, copy=True)
+    try:
+        arr = np.array(values, dtype=dtype, copy=True, order="C")
+    except ValueError as exc:
+        raise DataError(f"not a rectangular array: {exc}") from None
     if ndim is not None and arr.ndim != ndim:
         raise DataError(f"expected a {ndim}-d array, got shape {arr.shape}")
     arr.setflags(write=False)
@@ -84,19 +87,27 @@ FaultEvent = FaultInterval
 
 
 @dataclass(frozen=True)
-class WindowInstance:
-    """One sliding-window slice: `values` is (n_channels, window_len)."""
+class WindowBatch:
+    """Sliding windows of one series: window i starts at tick `starts[i]`, holds
+    the (n_channels, window_len) slice `values[i]` and is labeled `labels[i]`."""
 
-    start_index: int
+    starts: np.ndarray
     values: np.ndarray
-    label: str
+    labels: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_array(self.values, ndim=2))
-        if 0 in self.values.shape:
+        object.__setattr__(self, "starts", _frozen_array(self.starts, dtype=int, ndim=1))
+        object.__setattr__(self, "values", _frozen_array(self.values, ndim=3))
+        object.__setattr__(self, "labels", _frozen_array(self.labels, dtype=object, ndim=1))
+        if 0 in self.values.shape[1:]:
             raise DataError("a window needs at least one channel and one tick")
+        if not len(self.starts) == len(self.values) == len(self.labels):
+            raise DataError("window starts, values and labels do not align")
         if not np.all(np.isfinite(self.values)):
             raise DataError("window values must be finite")
+
+    def __len__(self) -> int:
+        return len(self.starts)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,8 @@ def windows_to_events(predictions, window_starts, window_len: int, timestamps,
     timestamps = np.asarray(timestamps, dtype=float)
     if len(predictions) != len(window_starts):
         raise DataError("predictions and window starts differ in length")
+    if window_len < 1 or (len(window_starts) and window_starts.min() < 0):
+        raise DataError(f"window length {window_len} must be >= 1 and starts non-negative")
     if len(window_starts) and window_starts.max() + window_len - 1 >= len(timestamps):
         raise DataError("window extends past the end of the timestamps")
     events = []
@@ -43,29 +45,22 @@ def merge_events(events) -> list:
     """Combine overlapping same-label events until no such pair remains.
 
     Overlap is inclusive (s1 <= e2 and s2 <= e1). Events are bucketed by
-    label and sorted by start so each sweep only needs to compare neighbours;
-    sweeps repeat until stable, which reaches the same fixpoint as pairwise
-    merging in any order. Output is sorted by (t_start, t_end, label).
+    label and sorted by start, so one sweep that extends the last kept event
+    or starts a new one yields the same union as pairwise merging in any
+    order. Output is sorted by (t_start, t_end, label).
     """
     by_label = defaultdict(list)
     for ev in events:
         by_label[ev.label].append((float(ev.t_start), float(ev.t_end)))
     merged = []
     for label in sorted(by_label):
-        current = sorted(by_label[label])
-        while True:
-            out = []
-            changed = False
-            for s, e in current:
-                if out and s <= out[-1][1]:
-                    out[-1] = (out[-1][0], max(out[-1][1], e))
-                    changed = True
-                else:
-                    out.append((s, e))
-            current = out
-            if not changed:
-                break
-        merged += [FaultEvent(s, e, label) for s, e in current]
+        out = []
+        for s, e in sorted(by_label[label]):
+            if out and s <= out[-1][1]:
+                out[-1] = (out[-1][0], max(out[-1][1], e))
+            else:
+                out.append((s, e))
+        merged += [FaultEvent(s, e, label) for s, e in out]
     return sorted(merged, key=lambda ev: (ev.t_start, ev.t_end, ev.label))
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FeatureMatrix
+from .core import FeatureMatrix, WindowBatch
 from .errors import ConfigError, DataError
 
 STAT_NAMES = ("mean", "rms", "max", "min", "median", "range", "crest", "impulse", "margin")
@@ -184,19 +184,16 @@ def _domain_block(x: np.ndarray, domain: str, config: FeatureConfig):
             [f"wpt{b}.{s}" for b in range(2 ** config.wpt_depth) for s in STAT_NAMES])
 
 
-def featurize(windows, config: FeatureConfig) -> FeatureMatrix:
+def featurize(windows: WindowBatch, config: FeatureConfig) -> FeatureMatrix:
     """One FeatureMatrix row per window; channel-major feature layout with
     deterministic names like ``ch3.time.rms``."""
-    if not windows:
+    if len(windows) == 0:
         raise DataError("no windows to featurize")
-    shape = windows[0].values.shape
-    if any(w.values.shape != shape for w in windows):
-        raise DataError("windows must share channel count and length")
-    x = np.stack([w.values for w in windows])
+    x = windows.values
     blocks, names = zip(*(_domain_block(x, d, config) for d in config.domains))
-    feature_names = [f"ch{ch}.{n}" for ch in range(shape[0]) for block in names for n in block]
+    feature_names = [f"ch{ch}.{n}" for ch in range(x.shape[1]) for block in names for n in block]
     data = np.concatenate(blocks, axis=-1).reshape(len(windows), -1)
-    return FeatureMatrix(data, [w.label for w in windows], feature_names)
+    return FeatureMatrix(data, windows.labels, feature_names)
 
 
 @dataclass

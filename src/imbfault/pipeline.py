@@ -274,9 +274,8 @@ def run_predict_events(train_series: LabeledSeries, test_series: LabeledSeries,
                            cfg.label_rule, cfg.default_label)
     test_fm = featurize(test_windows, fconfig)
     pred = fold.model.predict(apply_transforms(fold, test_fm))
-    starts = [w.start_index for w in test_windows]
     events = merge_events(windows_to_events(
-        pred, starts, cfg.window_len, test_series.frame.timestamps, cfg.default_label))
+        pred, test_windows.starts, cfg.window_len, test_series.frame.timestamps, cfg.default_label))
     events_path = os.path.join(out_dir, "events.csv")
     write_intervals_csv(events, events_path)
 

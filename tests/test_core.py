@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from imbfault.core import (ClassDistribution, FaultInterval, FeatureMatrix,
-                           SamplerParams, TimeSeriesFrame, WindowInstance,
+                           SamplerParams, TimeSeriesFrame, WindowBatch,
                            class_distribution)
 from imbfault.errors import DataError
 from imbfault.rng import Pcg32, seeded_rng
@@ -129,14 +129,32 @@ class TestCoreTypes:
         with pytest.raises(DataError, match="non-finite"):
             FaultInterval(*bounds, "F")
 
-    @pytest.mark.parametrize("shape", [(0, 4), (2, 0)])
+    @pytest.mark.parametrize("shape", [(1, 0, 4), (1, 2, 0)])
     def test_window_rejects_empty(self, shape):
         with pytest.raises(DataError, match="at least one channel and one tick"):
-            WindowInstance(0, np.zeros(shape), "N")
+            WindowBatch([0], np.zeros(shape), ["N"])
 
     def test_window_rejects_nan(self):
-        with pytest.raises(DataError):
-            WindowInstance(0, [[np.nan, 1.0]], "N")
+        with pytest.raises(DataError, match="finite"):
+            WindowBatch([0], [[[np.nan, 1.0]]], ["N"])
+
+    def test_window_rejects_2d_values(self):
+        with pytest.raises(DataError, match="3-d"):
+            WindowBatch([0], np.zeros((2, 4)), ["N"])
+
+    @pytest.mark.parametrize("starts,labels", [([0], ["N", "N"]), ([0, 1, 2], ["N", "N"]),
+                                               ([0, 1], ["N"])])
+    def test_window_rejects_misaligned_lengths(self, starts, labels):
+        with pytest.raises(DataError, match="do not align"):
+            WindowBatch(starts, np.zeros((2, 1, 4)), labels)
+
+    def test_window_batch_copies_and_freezes(self):
+        values = np.zeros((2, 3, 1)).swapaxes(1, 2)     # a strided view
+        batch = WindowBatch([0, 3], values, ["N", "F"])
+        values[0, 0, 0] = 1.0
+        assert len(batch) == 2 and batch.values[0, 0, 0] == 0.0
+        assert batch.values.flags.c_contiguous
+        assert not any(a.flags.writeable for a in (batch.starts, batch.values, batch.labels))
 
     def test_feature_matrix_invariants(self):
         fm = FeatureMatrix([[1.0, 2.0]], ["a"], ("x", "y"))

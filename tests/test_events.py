@@ -74,6 +74,19 @@ class TestWindowsToEvents:
         with pytest.raises(DataError):
             windows_to_events(["F"], [15], 10, np.arange(20))
 
+    def test_negative_start_errors(self):
+        # a negative start used to wrap around to the end of the series
+        with pytest.raises(DataError, match="starts non-negative"):
+            windows_to_events(["F"], [-3], 2, np.arange(10))
+        with pytest.raises(DataError, match="starts non-negative"):
+            windows_to_events(["normal", "normal"], [0, -1], 2, np.arange(10))
+
+    @pytest.mark.parametrize("window_len", [0, -2])
+    def test_window_len_below_one_errors(self, window_len):
+        # window_len=0 used to emit one event covering the whole series
+        with pytest.raises(DataError, match="must be >= 1"):
+            windows_to_events(["F"], [0], window_len, np.arange(10))
+
     def test_timestamp_values_used(self):
         ts = np.arange(50) * 2.5 + 100.0
         out = windows_to_events(["F"], [4], 8, ts)

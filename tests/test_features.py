@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imbfault.core import WindowInstance
+from imbfault.core import WindowBatch
 from imbfault.errors import ConfigError, DataError
 from imbfault.features import (DOMAINS, STAT_NAMES, FeatureConfig, Standardizer,
                                featurize, fft_magnitude, freq_stats, time_stats,
@@ -239,11 +239,10 @@ class TestWpt:
 class TestFeaturize:
     def _windows(self, n_windows, channels, length, seed=0):
         rng = Pcg32(seed)
-        return [
-            WindowInstance(i, rng.normals(channels * length).reshape(channels, length),
-                           "N" if i % 2 else "F")
-            for i in range(n_windows)
-        ]
+        values = [rng.normals(channels * length).reshape(channels, length)
+                  for _ in range(n_windows)]
+        return WindowBatch(np.arange(n_windows), values,
+                           ["N" if i % 2 else "F" for i in range(n_windows)])
 
     def test_28_channels_time_only(self):
         fm = featurize(self._windows(3, 28, 10), FeatureConfig(domains=("time",)))
@@ -269,14 +268,13 @@ class TestFeaturize:
 
     def test_inconsistent_channels_error(self):
         rng = Pcg32(0)
-        windows = [WindowInstance(0, rng.normals(8).reshape(2, 4), "N"),
-                   WindowInstance(1, rng.normals(12).reshape(3, 4), "N")]
-        with pytest.raises(DataError):
-            featurize(windows, FeatureConfig())
+        with pytest.raises(DataError, match="rectangular"):
+            WindowBatch([0, 1], [rng.normals(8).reshape(2, 4), rng.normals(12).reshape(3, 4)],
+                        ["N", "N"])
 
     def test_empty_windows_error(self):
-        with pytest.raises(DataError):
-            featurize([], FeatureConfig())
+        with pytest.raises(DataError, match="no windows"):
+            featurize(WindowBatch([], np.zeros((0, 2, 4)), []), FeatureConfig())
 
     def test_unknown_domain(self):
         with pytest.raises(ConfigError):
@@ -299,7 +297,7 @@ class TestFeaturize:
             values = rng.normals(n_windows * channels * length).reshape(shape) * (1 + seed % 7)
         else:
             values = np.full(shape, 0.0 if kind == "zero" else constant)
-        windows = [WindowInstance(i, values[i], "N") for i in range(n_windows)]
+        windows = WindowBatch(np.arange(n_windows), values, ["N"] * n_windows)
         if "timefreq" in config.domains and length < 2 ** depth:
             with pytest.raises(DataError, match="too short"):
                 featurize(windows, config)
