@@ -13,12 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from .core import SamplerParams
 from .errors import ConfigError, DataError
-from .ingestion import (LabeledSeries, label_timestamps, read_feature_csv, read_header,
+from .ingestion import (LabeledSeries, label_timestamps, read_feature_csv,
                         read_intervals_csv, read_timeseries_csv, write_feature_csv,
                         write_intervals_csv, write_labeled_csv)
 from .features import featurize
@@ -27,8 +28,6 @@ from .segmentation import segment
 from .synthgen import (fig2a_noisy_scenario, fig2b_split_cluster_scenario,
                        gaussian_blobs, synthetic_timeseries)
 
-_UNSET = "__unset__"
-
 
 def _bool(text: str) -> bool:
     value = text.strip().lower()
@@ -36,51 +35,56 @@ def _bool(text: str) -> bool:
         return True
     if value in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    raise ValueError("expected a boolean")
 
 
 def _domains(text: str) -> tuple:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-# name, converter, default, help  (name doubles as config key with dashes)
+# flag, converter, help. The flag doubles as the config-file key and, with
+# dashes turned into underscores (--lr aside), names the PipelineConfig or
+# SamplerParams field it sets; a setting not given keeps that field's default.
 _PIPELINE_FLAGS = [
-    ("window-len", int, 20, "sliding window length in ticks"),
-    ("slide-len", int, 5, "window stride in ticks"),
-    ("label-rule", str, "majority", "window labeling rule: majority|any_fault|midpoint"),
-    ("default-label", str, "normal", "label assigned outside fault intervals"),
-    ("domains", _domains, ("time",), "feature domains, comma separated"),
-    ("wpt-depth", int, 3, "wavelet packet depth for the timefreq domain"),
-    ("wavelet", str, "haar", "wavelet identifier"),
-    ("standardize", _bool, True, "z-score features on the training fold"),
-    ("reduce", str, "none", "feature reduction: none|pca|lda"),
-    ("pca-dims", int, None, "fixed PCA dimension"),
-    ("pca-variance", float, None, "PCA explained-variance target in (0,1]"),
-    ("lda-dims", int, None, "LDA dimension (capped at classes-1)"),
-    ("sampler", str, "none", "oversampler: none|random|smote|emicil|mwmote|ewmote"),
-    ("k", int, 5, "SMOTE neighbor count"),
-    ("k1", int, 5, "neighbors for the noisy-minority filter"),
-    ("k2", int, 3, "majority neighbors for the borderline set"),
-    ("k3", int, None, "minority neighbors for the informative set (default |S_min|/2)"),
-    ("cp", float, 3.0, "cluster size tuning constant"),
-    ("cf-th", float, 5.0, "closeness cutoff"),
-    ("cmax", float, 2.0, "closeness scale"),
-    ("emi-ridge", float, 1e-6, "ridge scale for the imputation Gaussian"),
-    ("resample-stage", str, "after_reduce", "after_reduce|before_reduce"),
-    ("rounds", int, 300, "boosting rounds"),
-    ("lr", float, 0.3, "boosting learning rate"),
-    ("max-depth", int, 6, "tree depth limit"),
-    ("min-leaf", int, 1, "minimum rows per leaf"),
-    ("folds", int, 10, "cross-validation folds"),
-    ("seed", int, 0, "random seed"),
+    ("window-len", int, "sliding window length in ticks"),
+    ("slide-len", int, "window stride in ticks"),
+    ("label-rule", str, "window labeling rule: majority|any_fault|midpoint"),
+    ("default-label", str, "label assigned outside fault intervals"),
+    ("domains", _domains, "feature domains, comma separated"),
+    ("wpt-depth", int, "wavelet packet depth for the timefreq domain"),
+    ("wavelet", str, "wavelet identifier"),
+    ("standardize", _bool, "z-score features on the training fold"),
+    ("reduce", str, "feature reduction: none|pca|lda"),
+    ("pca-dims", int, "fixed PCA dimension"),
+    ("pca-variance", float, "PCA explained-variance target in (0,1]"),
+    ("lda-dims", int, "LDA dimension (capped at classes-1)"),
+    ("sampler", str, "oversampler: none|random|smote|emicil|mwmote|ewmote"),
+    ("k", int, "SMOTE neighbor count"),
+    ("k1", int, "neighbors for the noisy-minority filter"),
+    ("k2", int, "majority neighbors for the borderline set"),
+    ("k3", int, "minority neighbors for the informative set (default |S_min|/2)"),
+    ("cp", float, "cluster size tuning constant"),
+    ("cf-th", float, "closeness cutoff"),
+    ("cmax", float, "closeness scale"),
+    ("emi-ridge", float, "ridge scale for the imputation Gaussian"),
+    ("resample-stage", str, "after_reduce|before_reduce"),
+    ("rounds", int, "boosting rounds"),
+    ("lr", float, "boosting learning rate"),
+    ("max-depth", int, "tree depth limit"),
+    ("min-leaf", int, "minimum rows per leaf"),
+    ("folds", int, "cross-validation folds"),
+    ("seed", int, "random seed"),
 ]
-_FLAG_TABLE = {name: (conv, default) for name, conv, default, _ in _PIPELINE_FLAGS}
+_SAMPLER_FIELDS = {f.name for f in fields(SamplerParams)}
+
+
+def _field(flag: str) -> str:
+    return "learning_rate" if flag == "lr" else flag.replace("-", "_")
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
-    for name, _conv, _default, help_text in _PIPELINE_FLAGS:
-        parser.add_argument(f"--{name}", dest=name.replace("-", "_"),
-                            default=_UNSET, help=help_text)
+    for flag, _conv, help_text in _PIPELINE_FLAGS:
+        parser.add_argument(f"--{flag}", help=help_text)
 
 
 def _load_config_file(path) -> dict:
@@ -101,55 +105,35 @@ def _load_config_file(path) -> dict:
     return values
 
 
-def _resolve_options(args: argparse.Namespace) -> dict:
-    """defaults -> config file -> explicit flags, with type coercion."""
-    from_file = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    unknown = set(from_file) - set(_FLAG_TABLE)
+def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
+    """The config file's settings, overridden by the explicit flags; a setting
+    given in neither keeps its PipelineConfig or SamplerParams default."""
+    from_file = _load_config_file(args.config) if args.config else {}
+    unknown = set(from_file) - {flag for flag, _, _ in _PIPELINE_FLAGS}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    resolved = {}
-    for name, (conv, default) in _FLAG_TABLE.items():
-        value = getattr(args, name.replace("-", "_"), _UNSET)
-        if value == _UNSET:
-            value = from_file.get(name, _UNSET)
-        if value == _UNSET:
-            resolved[name.replace("-", "_")] = default
-        else:
-            resolved[name.replace("-", "_")] = conv(value) if isinstance(value, str) else value
-    return resolved
+    sampler, pipeline = {}, {}
+    for flag, conv, _help in _PIPELINE_FLAGS:
+        text = getattr(args, flag.replace("-", "_"))
+        if text is None:
+            text = from_file.get(flag)
+        if text is None:
+            continue
+        try:
+            value = conv(text)
+        except ValueError as exc:
+            raise ConfigError(f"invalid --{flag} value {text!r}: {exc}") from None
+        name = _field(flag)
+        (sampler if name in _SAMPLER_FIELDS else pipeline)[name] = value
+    return PipelineConfig(sampler_params=SamplerParams(**sampler), **pipeline)
 
 
-def _pipeline_config(opts: dict) -> PipelineConfig:
-    params = SamplerParams(k=opts["k"], k1=opts["k1"], k2=opts["k2"], k3=opts["k3"],
-                           cp=opts["cp"], cf_th=opts["cf_th"], cmax=opts["cmax"],
-                           emi_ridge=opts["emi_ridge"])
-    return PipelineConfig(
-        window_len=opts["window_len"], slide_len=opts["slide_len"],
-        label_rule=opts["label_rule"], default_label=opts["default_label"],
-        domains=opts["domains"], wpt_depth=opts["wpt_depth"], wavelet=opts["wavelet"],
-        standardize=opts["standardize"], reduce=opts["reduce"],
-        pca_dims=opts["pca_dims"], pca_variance=opts["pca_variance"],
-        lda_dims=opts["lda_dims"], sampler=opts["sampler"], sampler_params=params,
-        resample_stage=opts["resample_stage"], rounds=opts["rounds"],
-        learning_rate=opts["lr"], max_depth=opts["max_depth"],
-        min_leaf=opts["min_leaf"], folds=opts["folds"], seed=opts["seed"],
-    )
-
-
-def _read_series(args, opts) -> "LabeledSeries":
-    channels = _infer_channels(args.series, args.timestamp_col, args.channels)
-    frame = read_timeseries_csv(args.series, args.timestamp_col, channels)
-    intervals = read_intervals_csv(args.intervals) if args.intervals else []
-    return label_timestamps(frame, intervals, opts["default_label"])
-
-
-def _infer_channels(path, timestamp_col: str, channels_arg) -> list:
-    if channels_arg:
-        return [c.strip() for c in channels_arg.split(",") if c.strip()]
-    import csv as _csv
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = read_header(_csv.reader(fh), path)
-    return [c for c in header if c not in (timestamp_col, "label")]
+def _read_series(path, intervals_path, args, cfg: PipelineConfig) -> LabeledSeries:
+    channels = ([c.strip() for c in args.channels.split(",") if c.strip()]
+                if args.channels else None)
+    frame = read_timeseries_csv(path, args.timestamp_col, channels)
+    intervals = read_intervals_csv(intervals_path) if intervals_path else []
+    return label_timestamps(frame, intervals, cfg.default_label)
 
 
 def _featurize_series(series: LabeledSeries, cfg: PipelineConfig):
@@ -159,40 +143,37 @@ def _featurize_series(series: LabeledSeries, cfg: PipelineConfig):
 
 
 def cmd_ingest(args) -> int:
-    opts = _resolve_options(args)
-    series = _read_series(args, opts)
+    cfg = _pipeline_config(args)
+    series = _read_series(args.series, args.intervals, args, cfg)
     write_labeled_csv(series, args.out, args.timestamp_col)
     print(f"wrote {series.frame.n_ticks} labeled ticks to {args.out}")
     return 0
 
 
 def cmd_synthgen(args) -> int:
-    opts = _resolve_options(args)
-    seed = opts["seed"]
+    cfg = _pipeline_config(args)
     if args.kind == "blobs":
-        specs = []
-        for part in args.counts.split(","):
-            label, _, count = part.partition(":")
-            if not count:
-                raise ConfigError("--counts wants label:count[,label:count...]")
-            specs.append((label.strip(), int(count)))
-        dim = args.dim
         class_specs = []
-        for i, (label, count) in enumerate(specs):
-            mean = np.zeros(dim)
+        for i, part in enumerate(args.counts.split(",")):
+            label, _, count = part.partition(":")
+            try:
+                count = int(count)
+            except ValueError:
+                raise ConfigError("--counts wants label:count[,label:count...], "
+                                  f"got {part!r}") from None
+            mean = np.zeros(args.dim)
             mean[0] = i * args.distance
-            class_specs.append((mean, 1.0, count, label))
-        fm = gaussian_blobs(class_specs, seed)
-        write_feature_csv(fm, args.out)
+            class_specs.append((mean, 1.0, count, label.strip()))
+        write_feature_csv(gaussian_blobs(class_specs, cfg.seed), args.out)
     elif args.kind == "fig2a":
-        write_feature_csv(fig2a_noisy_scenario(seed).matrix, args.out)
+        write_feature_csv(fig2a_noisy_scenario(cfg.seed).matrix, args.out)
     elif args.kind == "fig2b":
-        write_feature_csv(fig2b_split_cluster_scenario(seed).matrix, args.out)
+        write_feature_csv(fig2b_split_cluster_scenario(cfg.seed).matrix, args.out)
     elif args.kind == "timeseries":
         intervals = read_intervals_csv(args.intervals) if args.intervals else []
         frame, intervals = synthetic_timeseries(args.ticks, intervals,
-                                                args.n_channels, args.shift, seed)
-        series = label_timestamps(frame, intervals, opts["default_label"])
+                                                args.n_channels, args.shift, cfg.seed)
+        series = label_timestamps(frame, intervals, cfg.default_label)
         write_labeled_csv(series, args.out)
         if args.out_intervals:
             write_intervals_csv(intervals, args.out_intervals)
@@ -203,17 +184,15 @@ def cmd_synthgen(args) -> int:
 
 
 def cmd_featurize(args) -> int:
-    opts = _resolve_options(args)
-    cfg = _pipeline_config(opts)
-    fm = _featurize_series(_read_series(args, opts), cfg)
+    cfg = _pipeline_config(args)
+    fm = _featurize_series(_read_series(args.series, args.intervals, args, cfg), cfg)
     write_feature_csv(fm, args.out)
     print(f"wrote {fm.n_rows} x {fm.n_features} features to {args.out}")
     return 0
 
 
 def cmd_resample(args) -> int:
-    opts = _resolve_options(args)
-    cfg = _pipeline_config(opts)
+    cfg = _pipeline_config(args)
     fm = read_feature_csv(args.features)
     out = run_resample(fm, cfg, args.out)
     print(f"resampled {fm.n_rows} -> {out.n_rows} rows ({cfg.sampler}) to {args.out}")
@@ -221,12 +200,11 @@ def cmd_resample(args) -> int:
 
 
 def cmd_crossval(args) -> int:
-    opts = _resolve_options(args)
-    cfg = _pipeline_config(opts)
+    cfg = _pipeline_config(args)
     if args.features:
         fm = read_feature_csv(args.features)
     elif args.series:
-        fm = _featurize_series(_read_series(args, opts), cfg)
+        fm = _featurize_series(_read_series(args.series, args.intervals, args, cfg), cfg)
     else:
         raise ConfigError("crossval needs --features or --series")
     result = run_crossval(fm, cfg, args.out_dir)
@@ -238,15 +216,11 @@ def cmd_crossval(args) -> int:
 
 
 def cmd_predict_events(args) -> int:
-    opts = _resolve_options(args)
-    cfg = _pipeline_config(opts)
-    train_channels = _infer_channels(args.train_series, args.timestamp_col, args.channels)
-    train_frame = read_timeseries_csv(args.train_series, args.timestamp_col, train_channels)
-    train_intervals = read_intervals_csv(args.train_intervals) if args.train_intervals else []
-    train_series = label_timestamps(train_frame, train_intervals, opts["default_label"])
-    test_frame = read_timeseries_csv(args.test_series, args.timestamp_col, train_channels)
-    test_series = LabeledSeries(
-        test_frame, [opts["default_label"]] * test_frame.n_ticks)
+    cfg = _pipeline_config(args)
+    train_series = _read_series(args.train_series, args.train_intervals, args, cfg)
+    test_frame = read_timeseries_csv(args.test_series, args.timestamp_col,
+                                     train_series.frame.channel_names)
+    test_series = LabeledSeries(test_frame, [cfg.default_label] * test_frame.n_ticks)
     true_intervals = read_intervals_csv(args.test_intervals) if args.test_intervals else None
     result = run_predict_events(train_series, test_series, cfg, args.out_dir,
                                 true_intervals=true_intervals,
@@ -269,11 +243,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="flat key-value config file")
         _add_pipeline_flags(p)
 
+    def series_input(p, required=True, series_help=None):
+        p.add_argument("--series", required=required, help=series_help)
+        p.add_argument("--timestamp-col", default="timestamp")
+        p.add_argument("--channels", default=None,
+                       help="comma list; default: all non-timestamp columns")
+        p.add_argument("--intervals", default=None)
+
     p = sub.add_parser("ingest", help="read, validate and label a time-series CSV")
-    p.add_argument("--series", required=True)
-    p.add_argument("--timestamp-col", default="timestamp")
-    p.add_argument("--channels", default=None, help="comma list; default: all non-timestamp columns")
-    p.add_argument("--intervals", default=None)
+    series_input(p)
     p.add_argument("--out", required=True)
     common(p)
     p.set_defaults(func=cmd_ingest)
@@ -293,10 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synthgen)
 
     p = sub.add_parser("featurize", help="segment a series and extract window features")
-    p.add_argument("--series", required=True)
-    p.add_argument("--timestamp-col", default="timestamp")
-    p.add_argument("--channels", default=None)
-    p.add_argument("--intervals", default=None)
+    series_input(p)
     p.add_argument("--out", required=True)
     common(p)
     p.set_defaults(func=cmd_featurize)
@@ -309,10 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crossval", help="stratified k-fold evaluation with reports")
     p.add_argument("--features", default=None, help="featurized CSV input")
-    p.add_argument("--series", default=None, help="or: raw series to featurize")
-    p.add_argument("--timestamp-col", default="timestamp")
-    p.add_argument("--channels", default=None)
-    p.add_argument("--intervals", default=None)
+    series_input(p, required=False, series_help="or: raw series to featurize")
     p.add_argument("--out-dir", required=True)
     common(p)
     p.set_defaults(func=cmd_crossval)

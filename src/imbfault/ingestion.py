@@ -62,16 +62,19 @@ def _data_rows(reader, width: int, path):
         yield row_num, row
 
 
-def read_timeseries_csv(path, timestamp_col: str, channel_cols) -> TimeSeriesFrame:
+def read_timeseries_csv(path, timestamp_col: str, channel_cols=None) -> TimeSeriesFrame:
     """Read a multichannel series; rows are sorted by timestamp.
 
-    Channels are parsed in the declared order. Duplicate timestamps are an
-    error because the sliced windows would be ambiguous.
+    Channels are parsed in the declared order; `None` means every header
+    column but the timestamp and `label`, in header order. Duplicate
+    timestamps are an error because the sliced windows would be ambiguous.
     """
-    channel_cols = list(channel_cols)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = read_header(reader, path)
+        if channel_cols is None:
+            channel_cols = [c for c in header if c not in (timestamp_col, "label")]
+        channel_cols = list(channel_cols)
         missing = [c for c in [timestamp_col] + channel_cols if c not in header]
         if missing:
             raise SchemaError(f"{path}: missing columns {missing}")

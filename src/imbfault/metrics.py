@@ -78,15 +78,26 @@ def precision_recall_f(cm: ConfusionMatrix, positive: str) -> tuple:
     return precision, recall, f
 
 
+def _ranking_input(y_true, scores, positive: str, what: str) -> tuple:
+    """(scores, positive mask, n_pos, n_neg). One score per label and both
+    classes are required, and finite scores: NaN has no order and equal
+    infinities differ by NaN, so the two rankings would disagree."""
+    scores = np.asarray(scores, dtype=float)
+    pos = _as_labels(y_true) == positive
+    if scores.shape != pos.shape:
+        raise DataError(f"{what}: {scores.size} scores for {pos.size} labels")
+    n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+    if n_pos == 0 or n_neg == 0:
+        raise DataError(f"{what} needs both positive and negative instances")
+    if not np.all(np.isfinite(scores)):
+        raise DataError(f"{what} needs finite scores")
+    return scores, pos, n_pos, n_neg
+
+
 def roc_points(y_true, scores, positive: str) -> np.ndarray:
     """(FPR, TPR) at every distinct score threshold, descending, with the
     (0, 0) and (1, 1) endpoints included."""
-    y_true = _as_labels(y_true)
-    scores = np.asarray(scores, dtype=float)
-    pos = y_true == positive
-    n_pos, n_neg = int(pos.sum()), int((~pos).sum())
-    if n_pos == 0 or n_neg == 0:
-        raise DataError("ROC needs both positive and negative instances")
+    scores, pos, n_pos, n_neg = _ranking_input(y_true, scores, positive, "ROC")
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
     tp_cum = np.cumsum(pos[order])
@@ -101,12 +112,7 @@ def roc_points(y_true, scores, positive: str) -> np.ndarray:
 def auc(y_true, scores, positive: str) -> float:
     """Mann-Whitney AUC with half credit for tied scores; equals the
     trapezoidal area under roc_points."""
-    y_true = _as_labels(y_true)
-    scores = np.asarray(scores, dtype=float)
-    pos = y_true == positive
-    n_pos, n_neg = int(pos.sum()), int((~pos).sum())
-    if n_pos == 0 or n_neg == 0:
-        raise DataError("AUC needs both positive and negative instances")
+    scores, pos, n_pos, n_neg = _ranking_input(y_true, scores, positive, "AUC")
     order = np.argsort(scores, kind="stable")
     ranks = np.empty(len(scores))
     sorted_scores = scores[order]

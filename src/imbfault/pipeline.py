@@ -40,9 +40,9 @@ class PipelineConfig:
     label_rule: str = "majority"
     default_label: str = "normal"
     # features
-    domains: tuple = ("time",)
-    wpt_depth: int = 3
-    wavelet: str = "haar"
+    domains: tuple = FeatureConfig.domains
+    wpt_depth: int = FeatureConfig.wpt_depth
+    wavelet: str = FeatureConfig.wavelet
     standardize: bool = True
     # reduction
     reduce: str = "none"
@@ -54,10 +54,10 @@ class PipelineConfig:
     sampler_params: SamplerParams = field(default_factory=SamplerParams)
     resample_stage: str = "after_reduce"
     # classifier
-    rounds: int = 300
-    learning_rate: float = 0.3
-    max_depth: int = 6
-    min_leaf: int = 1
+    rounds: int = GbtParams.rounds
+    learning_rate: float = GbtParams.learning_rate
+    max_depth: int = GbtParams.max_depth
+    min_leaf: int = GbtParams.min_leaf
     # protocol
     folds: int = 10
     seed: int = 0
@@ -71,6 +71,8 @@ class PipelineConfig:
             raise ConfigError(f"unknown resample stage {self.resample_stage!r}")
         if self.folds < 2:
             raise ConfigError("folds must be >= 2")
+        self.feature_config()   # bad feature or boosting settings fail before any input is read
+        self.gbt_params()
 
     def feature_config(self) -> FeatureConfig:
         return FeatureConfig(domains=self.domains, wpt_depth=self.wpt_depth,

@@ -42,6 +42,8 @@ def gaussian_blobs(class_specs, seed: int) -> FeatureMatrix:
     dim = np.asarray(class_specs[0][0], dtype=float).size
     blocks, labels = [], []
     for mean, cov, count, label in class_specs:
+        if count < 1:
+            raise DataError(f"class {label!r}: count must be >= 1, got {count}")
         blocks.append(_mvn(rng, mean, cov, count))
         labels += [str(label)] * count
     return FeatureMatrix(np.vstack(blocks), labels,

@@ -48,6 +48,12 @@ class TestReadTimeseries:
         with pytest.raises(ParseError, match="short row.*row 3"):
             read_timeseries_csv(p, "timestamp", ["a", "b"])
 
+    def test_channels_default_to_every_other_column(self, tmp_path):
+        p = _write(tmp_path / "s.csv", "b,t,label,a\n3,1,N,4\n1,0,F,2\n")
+        frame = read_timeseries_csv(p, "t")
+        assert frame.channel_names == ("b", "a")
+        assert np.array_equal(frame.values, [[1, 3], [2, 4]])
+
     def test_no_channels_rejected(self, tmp_path):
         p = _write(tmp_path / "s.csv", "t\n0\n1\n2\n")
         with pytest.raises(DataError, match="at least one channel"):

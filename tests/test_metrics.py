@@ -140,6 +140,19 @@ class TestRoc:
             roc_points(["p", "p"], [0.1, 0.2], "p")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("fn", [roc_points, auc])
+def test_non_finite_scores_rejected(fn, bad):
+    with pytest.raises(DataError, match="finite scores"):
+        fn(["p", "q", "q"], [bad, 0.5, 0.2], "p")
+
+
+@pytest.mark.parametrize("fn", [roc_points, auc])
+def test_score_count_must_match_labels(fn):
+    with pytest.raises(DataError, match="3 scores for 2 labels"):
+        fn(["p", "q"], [0.1, 0.2, 0.3], "p")
+
+
 class TestAuc:
     def test_perfect_and_reversed(self):
         y = ["n", "n", "p", "p"]

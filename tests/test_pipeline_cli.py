@@ -1,14 +1,15 @@
 import json
 import os
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from imbfault import pipeline
+from imbfault import cli, pipeline
 from imbfault.classifier import GbtModel
-from imbfault.cli import main
-from imbfault.core import FaultInterval, FeatureMatrix, class_distribution
+from imbfault.cli import build_parser, main
+from imbfault.core import FaultInterval, FeatureMatrix, SamplerParams, class_distribution
 from imbfault.errors import ConfigError, DataError
 from imbfault.ingestion import (label_timestamps, read_feature_csv, read_intervals_csv,
                                 write_feature_csv, write_intervals_csv,
@@ -362,6 +363,46 @@ class TestCli:
         payload = json.loads(lines[0][len("error: "):])
         assert payload["type"] == "DataError" and "model.json" in payload["message"]
 
+    @pytest.mark.parametrize("argv, config_text, error, detail", [
+        (["crossval", "--features", "f.csv", "--rounds", "abc", "--out-dir", "o"], None,
+         "ConfigError", "--rounds"),
+        (["crossval", "--features", "f.csv", "--lr", "x", "--out-dir", "o"], None,
+         "ConfigError", "--lr"),
+        (["crossval", "--features", "f.csv", "--config", "run.cfg", "--out-dir", "o"],
+         "rounds abc\n", "ConfigError", "--rounds"),
+        (["synthgen", "--kind", "blobs", "--counts", "N:abc", "--out", "b.csv"], None,
+         "ConfigError", "--counts"),
+        (["synthgen", "--kind", "blobs", "--counts", "N:-3,F:2", "--out", "b.csv"], None,
+         "DataError", "count must be >= 1"),
+        (["ingest", "--series", "s.csv", "--out", "o.csv", "--rounds", "0"], None,
+         "ConfigError", "rounds must be >= 1"),
+        (["synthgen", "--kind", "fig2a", "--out", "o.csv", "--domains", "bogus"], None,
+         "ConfigError", "unknown feature domains"),
+    ])
+    def test_bad_setting_error_line(self, tmp_path, monkeypatch, capsys, argv, config_text,
+                                    error, detail):
+        monkeypatch.chdir(tmp_path)
+        if config_text:
+            (tmp_path / "run.cfg").write_text(config_text)
+        rc = main(argv)
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        payload = json.loads(lines[0][len("error: "):])
+        assert payload["type"] == error and detail in payload["message"]
+        assert not (tmp_path / "b.csv").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--rounds", "0"), ("--domains", "bogus")])
+    def test_bad_settings_fail_before_reading(self, tmp_path, monkeypatch, flag, value):
+        feat = tmp_path / "f.csv"
+        write_feature_csv(_blobs(), feat)
+        calls = []
+        monkeypatch.setattr(cli, "read_feature_csv", lambda *a, **k: calls.append(a))
+        rc = main(["crossval", "--features", str(feat), flag, value,
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert calls == []
+
     def test_synthgen_timeseries_cli(self, tmp_path):
         ivs_path = tmp_path / "ivs.csv"
         write_intervals_csv([FaultInterval(50, 120, "F")], ivs_path)
@@ -372,3 +413,32 @@ class TestCli:
                    "--out", str(out), "--out-intervals", str(out_ivs), "--seed", "1"])
         assert rc == 0
         assert read_intervals_csv(out_ivs) == [FaultInterval(50, 120, "F")]
+
+
+MINIMAL_ARGV = {
+    "ingest": ["--series", "s.csv", "--out", "o.csv"],
+    "synthgen": ["--kind", "fig2a", "--out", "o.csv"],
+    "featurize": ["--series", "s.csv", "--out", "o.csv"],
+    "resample": ["--features", "f.csv", "--out", "o.csv"],
+    "crossval": ["--out-dir", "o"],
+    "predict-events": ["--train-series", "a.csv", "--test-series", "b.csv", "--out-dir", "o"],
+}
+
+
+class TestPipelineConfigFromFlags:
+    @pytest.mark.parametrize("command", sorted(MINIMAL_ARGV))
+    def test_no_flags_gives_dataclass_defaults(self, command):
+        args = build_parser().parse_args([command, *MINIMAL_ARGV[command]])
+        assert cli._pipeline_config(args) == PipelineConfig()
+
+    def test_every_setting_has_exactly_one_flag(self):
+        names = sorted(cli._field(flag) for flag, _, _ in cli._PIPELINE_FLAGS)
+        settable = [f.name for f in fields(PipelineConfig) if f.name != "sampler_params"]
+        settable += [f.name for f in fields(SamplerParams) if f.name != "n_synthetic"]
+        assert names == sorted(settable)
+
+    def test_lr_sets_learning_rate(self):
+        args = build_parser().parse_args(["crossval", *MINIMAL_ARGV["crossval"],
+                                          "--lr", "0.05", "--k1", "7"])
+        assert cli._pipeline_config(args) == PipelineConfig(
+            learning_rate=0.05, sampler_params=SamplerParams(k1=7))

@@ -42,6 +42,11 @@ class TestGaussianBlobs:
         with pytest.raises(DataError):
             gaussian_blobs([], seed=0)
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_one_error(self, count):
+        with pytest.raises(DataError, match="count must be >= 1"):
+            gaussian_blobs([((0, 0), 1.0, count, "N"), ((2, 0), 1.0, 2, "F")], seed=0)
+
 
 class TestFig2aScenario:
     def test_noise_rows_are_minority(self):
