@@ -44,20 +44,112 @@ class GbtParams:
             raise ConfigError("min_leaf must be >= 1")
 
 
-def _fit_tree(X: np.ndarray, g: np.ndarray, h: np.ndarray, params: GbtParams,
-              orders: np.ndarray):
-    """Fit one tree; returns `(tree, fitted)`, where `fitted[i]` is the value
-    of the leaf training row i reaches.
+class _SplitScan:
+    """Exact greedy split search over one training set, shared by every tree
+    fit on it.
 
     `orders[f]` lists the rows by feature f's value, ties by row index: the
-    stable argsort of each column, which gbt_train computes once per
-    training set. Each node scans every feature in one 2-d pass over its
-    own rows in that order, and hands each child its side's rows, still in
-    order."""
+    stable argsort of each column. `cols` is X column-major, so one flat
+    `take` gathers a node's sorted values of every feature; the root's are
+    the same for every tree, so where they tie is found once. A node's
+    gradients and hessians travel together as one complex vector: one
+    gather and one in-place cumsum give both prefix sums, and since real and
+    imaginary parts add independently each equals its own real cumsum bit
+    for bit. The scratch buffers are sized for the root and reused by every
+    node, because each node finishes its scan before its children start."""
+
+    def __init__(self, X: np.ndarray):
+        n, d = X.shape
+        self.cols = np.ascontiguousarray(X.T)
+        self.orders = np.argsort(self.cols, axis=1, kind="stable")
+        self.offsets = np.arange(0, d * n, n)[:, None]
+        self.features = np.arange(d)
+        self.gh = np.empty(n, dtype=complex)
+        self.prefix = np.empty(d * n, dtype=complex)
+        self.work = np.empty((2, d * n))
+        self.mask = np.empty(d * n, dtype=bool)
+        self.goes_left = np.empty(n, dtype=bool)
+        self.below = np.empty(d * n, dtype=np.intp)
+        self.root_ties = self._ties(self.orders, 0, n - 1).copy()
+
+    def _ties(self, order: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Where each feature's sorted value at position p equals the next
+        one, for lo <= p < hi: no split can fall between them. The values
+        are sorted and finite, so `>=` here is `==` and `not <`."""
+        d, m = order.shape
+        at = self.work[1].view(np.intp)[:d * m].reshape(d, m)
+        xs = self.work[0, :d * m].reshape(d, m)
+        np.add(order, self.offsets, out=at)
+        self.cols.take(at, out=xs, mode="clip")
+        return np.greater_equal(xs[:, lo:hi], xs[:, lo + 1:hi + 1],
+                                out=self.mask[:d * (hi - lo)].reshape(d, hi - lo))
+
+    def best_split(self, order: np.ndarray, G: float, H: float, min_leaf: int):
+        """Return `(feature, threshold)` of the node whose rows are `order`
+        per feature, or `(-1, 0.0)` when no split gains more than 1e-12: the
+        split after each feature's sorted position p, min_leaf - 1 <= p <
+        m - min_leaf, between distinct values, scored by the second-order
+        gain; the first feature wins equal gains."""
+        d, m = order.shape
+        lo, hi = min_leaf - 1, m - min_leaf
+        k = hi - lo
+        ties = self.root_ties[:, lo:hi] if order is self.orders else self._ties(order, lo, hi)
+        prefix = self.prefix[:d * m].reshape(d, m)
+        self.gh.take(order, out=prefix, mode="clip")
+        np.cumsum(prefix, axis=1, out=prefix)
+        gl, hl = prefix.real[:, lo:hi], prefix.imag[:, lo:hi]
+        gains, right = self.work[0, :d * k].reshape(d, k), self.work[1, :d * k].reshape(d, k)
+        # gl²/max(hl, eps) + (G - gl)²/max(H - hl, eps) - G²/max(H, eps), one step
+        # at a time in place; hl's slot takes H - hl once hl has been read.
+        np.multiply(gl, gl, out=gains)
+        np.maximum(hl, _EPS, out=right)
+        np.divide(gains, right, out=gains)
+        np.subtract(G, gl, out=right)
+        np.square(right, out=right)
+        np.subtract(H, hl, out=hl)
+        np.maximum(hl, _EPS, out=hl)
+        np.divide(right, hl, out=right)
+        np.add(gains, right, out=gains)
+        np.subtract(gains, G * G / max(H, _EPS), out=gains)
+        np.copyto(gains, -np.inf, where=ties)
+        ps = np.argmax(gains, axis=1)
+        best_gain, best_feature, best_threshold = 0.0, -1, 0.0
+        for f, (p, gain) in enumerate(zip(ps.tolist(), gains[self.features, ps].tolist())):
+            if gain > best_gain + 1e-12:
+                best_gain, best_feature = gain, f
+                a, b = self.cols[f].take(order[f, lo + p:lo + p + 2]).tolist()
+                best_threshold = (a + b) / 2.0
+        return best_feature, best_threshold
+
+    def partition(self, order: np.ndarray, rows: np.ndarray, left: np.ndarray):
+        """The per-feature orders of both children of the node whose rows
+        are `rows` (by index) and `order` (per feature), `left` marking the
+        rows that go left. They are written over the node's own slot of
+        `below` (the root's slot is its start), which only the node's
+        descendants use, so the orders of a whole tree take no more room
+        than the root's."""
+        d, m = order.shape
+        flat = order.ravel()
+        self.goes_left[rows] = left
+        sel = self.goes_left.take(flat, out=self.mask[:d * m], mode="clip")
+        lo, hi = flat.compress(sel), flat.compress(np.logical_not(sel, out=sel))
+        slot = self.below[:d * m] if order is self.orders else flat
+        slot[:lo.size] = lo
+        slot[lo.size:] = hi
+        return slot[:lo.size].reshape(d, -1), slot[lo.size:].reshape(d, -1)
+
+
+def _fit_tree(scan: _SplitScan, g: np.ndarray, h: np.ndarray, params: GbtParams):
+    """Fit one tree on the training set of `scan`; returns `(tree, fitted)`,
+    where `fitted[i]` is the value of the leaf training row i reaches.
+
+    Each node scans every feature in one pass over its own rows in each
+    feature's order, and hands each child its side's rows, still in order."""
+    n = len(g)
     tree = {key: [] for key in _TREE_KEYS}
-    fitted = np.empty(len(X))
-    goes_left = np.empty(len(X), dtype=bool)
-    cols = np.arange(X.shape[1])[:, None]
+    fitted = np.empty(n)
+    scan.gh.real = g
+    scan.gh.imag = h
 
     def splittable(m: int, depth: int) -> bool:
         return depth < params.max_depth and m >= 2 * params.min_leaf
@@ -70,48 +162,25 @@ def _fit_tree(X: np.ndarray, g: np.ndarray, h: np.ndarray, params: GbtParams,
             tree[key].append(default)
         G = float(g[idx].sum())
         H = float(h[idx].sum())
-        best_gain, best_feature, best_threshold = 0.0, -1, 0.0
+        best_feature, best_threshold = -1, 0.0
         if order is not None:
-            m = len(idx)
-            parent = G * G / max(H, _EPS)
-            xs = X[order, cols]
-            gl = np.cumsum(g[order], axis=1)[:, :-1]
-            hl = np.cumsum(h[order], axis=1)[:, :-1]
-            counts = np.arange(1, m)
-            valid = xs[:, :-1] < xs[:, 1:]
-            valid &= (counts >= params.min_leaf) & (m - counts >= params.min_leaf)
-            gains = (gl * gl / np.maximum(hl, _EPS)
-                     + (G - gl) ** 2 / np.maximum(H - hl, _EPS) - parent)
-            gains[~valid] = -np.inf
-            ps = np.argmax(gains, axis=1)
-            for f, (p, gain) in enumerate(zip(ps.tolist(), gains[cols[:, 0], ps].tolist())):
-                if gain > best_gain + 1e-12:
-                    best_gain, best_feature = gain, f
-                    best_threshold = float((xs[f, p] + xs[f, p + 1]) / 2.0)
-            del xs, gl, hl, valid, gains   # (d, m) scratch: not held while children build
+            best_feature, best_threshold = scan.best_split(order, G, H, params.min_leaf)
         if best_feature < 0:
             tree["value"][nid] = fitted[idx] = -G / max(H, _EPS)
             return nid
-        mask = X[idx, best_feature] <= best_threshold
-        sides = (idx[mask], idx[~mask])
-        child_orders = [None, None]
+        mask = scan.cols[best_feature].take(idx) <= best_threshold
+        sides = (idx.compress(mask), idx.compress(~mask))
+        child_orders = (None, None)
         if any(splittable(len(side), depth + 1) for side in sides):
-            goes_left[idx] = mask
-            sel = goes_left[order]
-            child_orders = [order[keep].reshape(len(order), -1)
-                            if splittable(len(side), depth + 1) else None
-                            for side, keep in zip(sides, (sel, ~sel))]
-        # Only the path being built keeps orders alive: each parent drops its
-        # own, and a child's leave the list as the child is built.
-        order = sel = None
-        left = build(sides[0], child_orders.pop(0), depth + 1)
-        right = build(sides[1], child_orders.pop(0), depth + 1)
+            child_orders = [o if splittable(len(side), depth + 1) else None
+                            for side, o in zip(sides, scan.partition(order, idx, mask))]
+        left = build(sides[0], child_orders[0], depth + 1)
+        right = build(sides[1], child_orders[1], depth + 1)
         for key, v in zip(_TREE_KEYS, (best_feature, best_threshold, left, right)):
             tree[key][nid] = v
         return nid
 
-    n = len(X)
-    build(np.arange(n), orders if splittable(n, 0) else None, 0)
+    build(np.arange(n), scan.orders if splittable(n, 0) else None, 0)
     build = None   # break the build <-> closure cycle: g and h are freed now, not by gc
     return tree, fitted
 
@@ -258,14 +327,14 @@ def gbt_train(fm: FeatureMatrix, params: GbtParams | None = None) -> GbtModel:
     else:
         init = np.log(np.clip(y.mean(axis=0), 1e-6, None))
     margins = np.tile(init, (len(X), 1))
-    orders = np.argsort(X, axis=0, kind="stable").T
+    scan = _SplitScan(X)
     trees = []
     for _ in range(params.rounds):
         proba = _link(margins, binary)
         round_trees = []
         for c in range(len(init)):
             p = proba[:, c]
-            tree, fitted = _fit_tree(X, p - y[:, c], p * (1.0 - p), params, orders)
+            tree, fitted = _fit_tree(scan, p - y[:, c], p * (1.0 - p), params)
             margins[:, c] += params.learning_rate * fitted
             round_trees.append(tree)
         trees.append(round_trees)

@@ -25,7 +25,7 @@ from .events import event_confusion, merge_events, windows_to_events
 from .reduction import lda_fit, lda_transform, pca_fit, pca_transform
 from .rng import Pcg32
 from .sampling import METHODS, resample_multiclass
-from .segmentation import segment
+from .segmentation import LABEL_RULES, segment
 
 REDUCERS = ("none", "pca", "lda")
 RESAMPLE_STAGES = ("after_reduce", "before_reduce")
@@ -63,12 +63,25 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.window_len < 1 or self.slide_len < 1:
+            raise ConfigError("window_len and slide_len must be >= 1")
+        if self.label_rule not in LABEL_RULES:
+            raise ConfigError(f"unknown window labeling rule {self.label_rule!r}; "
+                              f"available: {LABEL_RULES}")
         if self.reduce not in REDUCERS:
             raise ConfigError(f"unknown reducer {self.reduce!r}; available: {REDUCERS}")
         if self.sampler not in METHODS:
             raise ConfigError(f"unknown sampler {self.sampler!r}; available: {METHODS}")
         if self.resample_stage not in RESAMPLE_STAGES:
             raise ConfigError(f"unknown resample stage {self.resample_stage!r}")
+        if self.pca_dims is not None and self.pca_variance is not None:
+            raise ConfigError("give at most one of pca_dims and pca_variance")
+        if self.pca_variance is not None and not 0 < self.pca_variance <= 1:
+            raise ConfigError("pca_variance must be in (0, 1]")
+        if self.pca_dims is not None and self.pca_dims < 0:
+            raise ConfigError("pca_dims must be >= 0")
+        if self.lda_dims is not None and self.lda_dims < 1:
+            raise ConfigError("lda_dims must be >= 1")   # lda_fit rejects 0 components too
         if self.folds < 2:
             raise ConfigError("folds must be >= 2")
         self.feature_config()   # bad feature or boosting settings fail before any input is read

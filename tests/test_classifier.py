@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imbfault.classifier import (_EPS, _TREE_KEYS, GbtModel, GbtParams, _fit_tree,
-                                 _predict_tree, gbt_train, knn_classify)
+                                 _predict_tree, _SplitScan, gbt_train, knn_classify)
 from imbfault.core import FeatureMatrix
 from imbfault.errors import ConfigError, DataError
 from imbfault.rng import Pcg32
@@ -160,8 +160,8 @@ class TestPinnedModels:
         X = np.floor(rng.uniforms(rows * cols) * levels).reshape(rows, cols)   # ties
         g = rng.normals(rows)
         h = rng.uniforms(rows) + 0.01
-        tree, fitted = _fit_tree(X, g, h, GbtParams(max_depth=max_depth, min_leaf=min_leaf),
-                                 np.argsort(X, axis=0, kind="stable").T)
+        tree, fitted = _fit_tree(_SplitScan(X), g, h,
+                                 GbtParams(max_depth=max_depth, min_leaf=min_leaf))
         assert fitted.tobytes() == _predict_tree(tree, X).tobytes()
 
     @settings(max_examples=300, deadline=None)
@@ -181,10 +181,53 @@ class TestPinnedModels:
         g = rng.normals(rows)
         h = rng.uniforms(rows) + 0.01
         params = GbtParams(max_depth=max_depth, min_leaf=min_leaf)
-        tree, fitted = _fit_tree(X, g, h, params, np.argsort(X, axis=0, kind="stable").T)
+        tree, fitted = _fit_tree(_SplitScan(X), g, h, params)
         want_tree, want_fitted = fit_tree_oracle(X, g, h, params)
         assert json.dumps(tree) == json.dumps(want_tree)
         assert fitted.tobytes() == want_fitted.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.integers(1, 60), cols=st.integers(1, 4), levels=st.sampled_from([2, 5, 2**30]),
+           hessian=st.sampled_from(["some zero", "all zero", "underflowed"]),
+           min_leaf=st.integers(1, 4), max_depth=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_zero_and_underflowed_hessians_match_oracle(self, rows, cols, levels, hessian,
+                                                        min_leaf, max_depth, seed):
+        """p(1 - p) is 0 where a probability has saturated, and subnormal near it."""
+        rng = Pcg32(seed)
+        X = np.floor(rng.uniforms(rows * cols) * levels).reshape(rows, cols) / levels
+        g = rng.normals(rows)
+        h = rng.uniforms(rows)
+        if hessian == "some zero":
+            h[h < 0.5] = 0.0
+        elif hessian == "all zero":
+            h[:] = 0.0
+        else:
+            h = np.ldexp(h, -1070)   # subnormal, some rounded to 0
+        params = GbtParams(max_depth=max_depth, min_leaf=min_leaf)
+        tree, fitted = _fit_tree(_SplitScan(X), g, h, params)
+        want_tree, want_fitted = fit_tree_oracle(X, g, h, params)
+        assert json.dumps(tree) == json.dumps(want_tree)
+        assert fitted.tobytes() == want_fitted.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 60), cols=st.integers(1, 4), levels=st.sampled_from([2, 5, 2**30]),
+           trees=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+    def test_trees_sharing_one_scan_match_fresh_fits(self, rows, cols, levels, trees, seed):
+        """Scratch left by one tree must not reach the next, whatever its
+        gradients, hessians, depth or min_leaf."""
+        rng = Pcg32(seed)
+        X = np.floor(rng.uniforms(rows * cols) * levels).reshape(rows, cols) / levels
+        shared = _SplitScan(X)
+        for _ in range(trees):
+            g = rng.normals(rows)
+            h = rng.uniforms(rows) + 0.01
+            params = GbtParams(max_depth=1 + rng.randint(4), min_leaf=1 + rng.randint(4))
+            tree, fitted = _fit_tree(shared, g, h, params)
+            fresh_tree, fresh_fitted = _fit_tree(_SplitScan(X), g, h, params)
+            want_tree, want_fitted = fit_tree_oracle(X, g, h, params)
+            assert json.dumps(tree) == json.dumps(fresh_tree) == json.dumps(want_tree)
+            assert fitted.tobytes() == fresh_fitted.tobytes() == want_fitted.tobytes()
 
 
 class TestPredictProba:

@@ -378,6 +378,10 @@ class TestCli:
          "ConfigError", "rounds must be >= 1"),
         (["synthgen", "--kind", "fig2a", "--out", "o.csv", "--domains", "bogus"], None,
          "ConfigError", "unknown feature domains"),
+        (["featurize", "--series", "missing.csv", "--label-rule", "bogus", "--out", "o.csv"],
+         None, "ConfigError", "'bogus'"),
+        (["crossval", "--features", "missing.csv", "--reduce", "pca", "--pca-variance", "2",
+          "--out-dir", "o"], None, "ConfigError", "pca_variance"),
     ])
     def test_bad_setting_error_line(self, tmp_path, monkeypatch, capsys, argv, config_text,
                                     error, detail):
@@ -436,6 +440,26 @@ class TestPipelineConfigFromFlags:
         settable = [f.name for f in fields(PipelineConfig) if f.name != "sampler_params"]
         settable += [f.name for f in fields(SamplerParams) if f.name != "n_synthetic"]
         assert names == sorted(settable)
+
+    @pytest.mark.parametrize("settings, detail", [
+        ({"window_len": 0}, "window_len"),
+        ({"slide_len": -1}, "slide_len"),
+        ({"label_rule": "bogus"}, "'bogus'"),
+        ({"pca_dims": 2, "pca_variance": 0.9}, "at most one"),
+        ({"pca_variance": 0.0}, "pca_variance"),
+        ({"pca_variance": 1.5}, "pca_variance"),
+        ({"pca_variance": float("nan")}, "pca_variance"),
+        ({"pca_dims": -1}, "pca_dims"),
+        ({"lda_dims": -2}, "lda_dims"),
+        ({"lda_dims": 0}, "lda_dims"),
+    ])
+    def test_bad_setting_fails_on_construction(self, settings, detail):
+        with pytest.raises(ConfigError, match=detail):
+            PipelineConfig(**settings)
+
+    def test_edge_settings_construct(self):
+        PipelineConfig(window_len=1, slide_len=1, label_rule="midpoint", pca_dims=0)
+        PipelineConfig(pca_variance=1.0, lda_dims=1)
 
     def test_lr_sets_learning_rate(self):
         args = build_parser().parse_args(["crossval", *MINIMAL_ARGV["crossval"],
