@@ -13,12 +13,12 @@ from .segmentation import segment
 from .features import (FeatureConfig, Standardizer, featurize, fft_magnitude,
                        freq_stats, time_stats, wpt_decompose, wpt_stats)
 from .reduction import LdaModel, PcaModel, lda_fit, lda_transform, pca_fit, pca_transform
-from .imputation import GaussianModel, fit_gaussian, impute_conditional, impute_stochastic
+from .imputation import GaussianModel, fit_gaussian, impute_conditional
 from .sampling import (SAMPLERS, WeightedMinoritySet, agglomerative_clusters,
-                       borderline_majority, emicil, ewmote, filtered_minority,
-                       informative_minority, knn, mwmote, random_oversample,
-                       resample_multiclass, selection_probabilities, smote)
-from .classifier import GbtModel, GbtParams, gbt_train, knn_classify
+                       borderline_majority, emicil, ewmote, filtered_minority, knn,
+                       mwmote, random_oversample, resample_multiclass,
+                       selection_probabilities, smote)
+from .classifier import GbtModel, GbtParams, gbt_train
 from .metrics import (ConfusionMatrix, auc, confusion, fam, macro_metrics, mcc,
                       precision_recall_f, roc_points)
 from .events import event_confusion, merge_events, windows_to_events

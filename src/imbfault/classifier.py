@@ -1,4 +1,4 @@
-"""Gradient-boosted decision trees plus a k-NN baseline.
+"""Gradient-boosted decision trees.
 
 Trees are fit with exact greedy split search over feature values sorted
 once per training set, and second-order leaf weights (-G/H); min_leaf is the
@@ -340,22 +340,3 @@ def gbt_train(fm: FeatureMatrix, params: GbtParams | None = None) -> GbtModel:
         trees.append(round_trees)
     return GbtModel(classes=classes, n_features=X.shape[1], binary=binary,
                     init=init, trees=trees, params=params)
-
-
-def knn_classify(train: FeatureMatrix, queries, k: int) -> np.ndarray:
-    """Majority vote among the k nearest training rows; distance ties go to
-    the lower row index, vote ties to the lower class id."""
-    if k < 1 or k > train.n_rows:
-        raise DataError(f"k={k} outside [1, {train.n_rows}]")
-    data = _as_data(queries, train.n_features)
-    classes = train.classes()
-    class_ids = {c: i for i, c in enumerate(classes)}
-    y = np.array([class_ids[c] for c in train.labels])
-    out = np.empty(len(data), dtype=object)
-    for i, q in enumerate(data):
-        diff = train.data - q
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        nearest = np.argsort(d2, kind="stable")[:k]
-        votes = np.bincount(y[nearest], minlength=len(classes))
-        out[i] = classes[int(np.argmax(votes))]
-    return out

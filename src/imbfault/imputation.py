@@ -3,8 +3,7 @@
 The minority training rows are complete, so the maximum-likelihood mean and
 covariance are already the fixed point of the usual iterative estimator and
 no iteration is needed. Masked attributes are filled with the conditional
-Gaussian expectation given the observed ones; a stochastic variant adds a
-draw from the conditional covariance for variance-preserving generation.
+Gaussian expectation given the observed ones.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .rng import Pcg32
 
 
 @dataclass(frozen=True)
@@ -82,8 +80,7 @@ def _conditional(model: GaussianModel, x: np.ndarray, miss, obs):
     sig_oo = cov[np.ix_(obs, obs)] + model.ridge * np.eye(obs.size)
     sig_mo = cov[np.ix_(miss, obs)]
     sol = np.linalg.solve(sig_oo, (x[..., obs] - model.mean[obs]).T)
-    cond_mean = model.mean[miss] + (sig_mo @ sol).T
-    return cond_mean, sig_oo, sig_mo
+    return model.mean[miss] + (sig_mo @ sol).T
 
 
 def impute_conditional(model: GaussianModel, x, missing) -> np.ndarray:
@@ -97,23 +94,5 @@ def impute_conditional(model: GaussianModel, x, missing) -> np.ndarray:
         raise DataError("rows must have shape (d,) or (n, d) with d matching the model")
     miss, obs = _split_indices(model, missing)
     out = x.copy()
-    out[..., miss], _, _ = _conditional(model, x, miss, obs)
-    return out
-
-
-def impute_stochastic(model: GaussianModel, x, missing, rng: Pcg32) -> np.ndarray:
-    """Conditional mean plus a draw from the conditional covariance."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.dim,):
-        raise DataError("vector length does not match the model")
-    miss, obs = _split_indices(model, missing)
-    cond_mean, sig_oo, sig_mo = _conditional(model, x, miss, obs)
-    sig_mm = model.covariance[np.ix_(miss, miss)]
-    cond_cov = sig_mm - sig_mo @ np.linalg.solve(sig_oo, sig_mo.T)
-    cond_cov = (cond_cov + cond_cov.T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(cond_cov)
-    eigvals = np.clip(eigvals, 0.0, None)
-    z = rng.normals(miss.size)
-    out = x.copy()
-    out[miss] = cond_mean + eigvecs @ (np.sqrt(eigvals) * z)
+    out[..., miss] = _conditional(model, x, miss, obs)
     return out

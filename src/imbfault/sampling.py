@@ -5,8 +5,11 @@ imputation-based generation (emicil), weighted cluster interpolation
 (mwmote) and the weighted imputation sampler (ewmote) that combines the
 selection weights of mwmote with the Gaussian imputation generator.
 
-All neighbour searches are brute-force exact, with distance ties broken by
-lower row index, so results are deterministic given (inputs, seed).
+Every neighbour search runs through one brute-force exact search: ties of the
+computed squared distance go to the lower row index, so results are
+deterministic given (inputs, seed). The squared distances come from the
+quadratic expansion, so exact duplicate rows can differ in their last bits
+and rank in either order.
 Degenerate inputs fall back down a documented ladder instead of failing:
 ewmote -> emicil -> random duplication, mwmote -> smote -> random.
 
@@ -28,10 +31,13 @@ from .errors import ConfigError, DataError
 from .imputation import fit_gaussian, impute_conditional
 from .rng import Pcg32
 
-def _rows(x, name: str) -> np.ndarray:
+def _rows(x, name: str, width: int | None = None) -> np.ndarray:
+    """x as a 2-d float row array; with `width`, its rows must be that wide."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 2:
         raise DataError(f"{name} must be a 2-d row array")
+    if width is not None and arr.shape[1] != width:
+        raise DataError(f"{name} rows have width {arr.shape[1]}, expected {width}")
     return arr
 
 
@@ -47,26 +53,36 @@ def _cross_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip(d2, 0.0, None, out=d2)
 
 
+def _nearest(queries: np.ndarray, pool: np.ndarray, k: int,
+             skip_self: bool = False) -> np.ndarray:
+    """Indices of each query's k nearest pool rows, shape (len(queries), k),
+    nearest first; ties of the computed squared distance go to the lower
+    index. With skip_self, query i is pool row i and is never its own
+    neighbour."""
+    d2 = _cross_sq_dists(queries, pool)
+    if skip_self:
+        own = np.arange(len(queries))
+        d2[own, own] = np.inf
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
 def knn(query, pool, k: int) -> np.ndarray:
-    """Indices of the k nearest pool rows; exact ties go to the lower index.
+    """Indices of the k nearest pool rows to one query row, nearest first;
+    ties of the computed squared distance go to the lower index.
 
     The query must not itself be a pool member when searching within its own
     set; callers exclude it before the call.
     """
     pool = _rows(pool, "pool")
     query = np.asarray(query, dtype=float)
+    if query.shape != (pool.shape[1],):
+        raise DataError(f"query must be one row of width {pool.shape[1]}, "
+                        f"got shape {query.shape}")
     if k < 1:
         raise DataError("k must be >= 1")
     if k > len(pool):
         raise DataError(f"k={k} exceeds pool size {len(pool)}")
-    d2 = np.einsum("ij,ij->i", pool - query, pool - query)
-    return np.argsort(d2, kind="stable")[:k]
-
-
-def _knn_rows(queries: np.ndarray, pool: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise k nearest pool indices for many queries (stable ties)."""
-    d2 = _cross_sq_dists(queries, pool)
-    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return _nearest(query[None, :], pool, k)[0]
 
 
 def random_oversample(s_min, s_maj, n: int, params: SamplerParams, rng: Pcg32) -> np.ndarray:
@@ -92,9 +108,7 @@ def smote(s_min, s_maj, n: int, params: SamplerParams, rng: Pcg32) -> np.ndarray
     k_eff = min(params.k, len(s_min) - 1)
     if k_eff < params.k:
         warnings.warn(f"smote k clipped from {params.k} to {k_eff}")
-    d2 = _cross_sq_dists(s_min, s_min)
-    np.fill_diagonal(d2, np.inf)
-    nbrs = np.argsort(d2, axis=1, kind="stable")[:, :k_eff]
+    nbrs = _nearest(s_min, s_min, k_eff, skip_self=True)
     out = np.empty((n, s_min.shape[1]))
     for t in range(n):
         i = rng.randint(len(s_min))
@@ -108,43 +122,26 @@ def filtered_minority(s_min, s_maj, k1: int) -> np.ndarray:
     """Indices of minority rows that keep at least one minority row among
     their k1 nearest neighbours in the pooled set (self excluded)."""
     s_min = _rows(s_min, "s_min")
-    s_maj = _rows(s_maj, "s_maj")
-    n_min = len(s_min)
+    s_maj = _rows(s_maj, "s_maj", s_min.shape[1])
     pooled = np.vstack([s_min, s_maj]) if len(s_maj) else s_min
     k1_eff = min(k1, len(pooled) - 1)
     if k1_eff < 1:
         return np.empty(0, dtype=int)
-    d2 = _cross_sq_dists(s_min, pooled)
-    d2[np.arange(n_min), np.arange(n_min)] = np.inf    # minority i sits at pooled position i
-    nbrs = np.argsort(d2, axis=1, kind="stable")[:, :k1_eff]
-    keep = np.any(nbrs < n_min, axis=1)
-    return np.flatnonzero(keep)
+    nbrs = _nearest(s_min, pooled, k1_eff, skip_self=True)   # minority i is pooled row i
+    return np.flatnonzero(np.any(nbrs < len(s_min), axis=1))
 
 
 def borderline_majority(s_minf, s_maj, k2: int) -> np.ndarray:
     """Sorted unique indices (into s_maj) of the k2 nearest majority rows of
     each filtered minority row."""
     s_minf = _rows(s_minf, "s_minf")
-    s_maj = _rows(s_maj, "s_maj")
+    s_maj = _rows(s_maj, "s_maj", s_minf.shape[1])
     if len(s_minf) == 0 or len(s_maj) == 0:
         return np.empty(0, dtype=int)
     k2_eff = min(k2, len(s_maj))
     if k2_eff < k2:
         warnings.warn(f"k2 clipped from {k2} to {k2_eff}")
-    return np.unique(_knn_rows(s_minf, s_maj, k2_eff))
-
-
-def informative_minority(s_bmaj, s_minf, k3: int) -> np.ndarray:
-    """Sorted unique indices (into s_minf) of the k3 nearest filtered-minority
-    rows of each borderline majority row."""
-    s_bmaj = _rows(s_bmaj, "s_bmaj")
-    s_minf = _rows(s_minf, "s_minf")
-    if len(s_bmaj) == 0 or len(s_minf) == 0:
-        return np.empty(0, dtype=int)
-    k3_eff = min(k3, len(s_minf))
-    if k3_eff < k3:
-        warnings.warn(f"k3 clipped from {k3} to {k3_eff}")
-    return np.unique(_knn_rows(s_bmaj, s_minf, k3_eff))
+    return np.unique(_nearest(s_minf, s_maj, k2_eff))
 
 
 @dataclass(frozen=True)
@@ -192,8 +189,8 @@ def selection_probabilities(s_min, s_maj, params: SamplerParams) -> WeightedMino
     majority rows, collect the informative minority set and normalize its
     summed information weights into selection probabilities."""
     s_min = _rows(s_min, "s_min")
-    s_maj = _rows(s_maj, "s_maj")
     d = s_min.shape[1]
+    s_maj = _rows(s_maj, "s_maj", d)
 
     minf_idx = filtered_minority(s_min, s_maj, params.k1)
     if len(minf_idx) == 0:
@@ -207,7 +204,7 @@ def selection_probabilities(s_min, s_maj, params: SamplerParams) -> WeightedMino
 
     k3 = params.k3 if params.k3 is not None else math.ceil(len(s_min) / 2)
     k3_eff = min(k3, len(s_minf))
-    nmin = _knn_rows(s_bmaj, s_minf, k3_eff)           # (n_bmaj, k3) into s_minf
+    nmin = _nearest(s_bmaj, s_minf, k3_eff)            # (n_bmaj, k3) into s_minf
     imin_in_minf = np.unique(nmin)
     s_imin = s_minf[imin_in_minf]
 
@@ -299,8 +296,8 @@ def mwmote(s_min, s_maj, n: int, params: SamplerParams, rng: Pcg32) -> np.ndarra
     """n synthetic rows interpolated between a weighted base sample and a
     uniform partner from the base's filtered-minority cluster."""
     s_min = _rows(s_min, "s_min")
-    s_maj = _rows(s_maj, "s_maj")
     d = s_min.shape[1]
+    s_maj = _rows(s_maj, "s_maj", d)
     if n == 0:
         return np.empty((0, d))
     if len(s_min) < 2:
@@ -350,8 +347,8 @@ def ewmote(s_min, s_maj, n: int, params: SamplerParams, rng: Pcg32) -> np.ndarra
     the masked attribute. The Gaussian is fitted on the whole minority set.
     """
     s_min = _rows(s_min, "s_min")
-    s_maj = _rows(s_maj, "s_maj")
     d = s_min.shape[1]
+    s_maj = _rows(s_maj, "s_maj", d)
     if n == 0:
         return np.empty((0, d))
     if len(s_min) < 2 or d < 2:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imbfault.classifier import (_EPS, _TREE_KEYS, GbtModel, GbtParams, _fit_tree,
-                                 _predict_tree, _SplitScan, gbt_train, knn_classify)
+                                 _predict_tree, _SplitScan, gbt_train)
 from imbfault.core import FeatureMatrix
 from imbfault.errors import ConfigError, DataError
 from imbfault.rng import Pcg32
@@ -458,36 +458,3 @@ class TestModelFileValidation:
         p = 1.0 / (1.0 + np.exp([1.0, -1.0]))
         np.testing.assert_allclose(GbtModel.load(path).predict_proba([[0.0], [1.0]]),
                                    np.column_stack([1 - p, p]), rtol=1e-15)
-
-
-class TestKnnClassify:
-    def test_k1_recalls_training_labels(self):
-        fm = _separable_1d(seed=12)
-        assert np.array_equal(knn_classify(fm, fm.data, 1), fm.labels)
-
-    def test_k_equals_m_gives_majority(self):
-        fm = _fm([[0.0], [1.0], [2.0], [10.0]], ["a", "a", "a", "b"])
-        out = knn_classify(fm, [[5.0], [-3.0]], 4)
-        assert list(out) == ["a", "a"]
-
-    def test_vs_vote_oracle(self):
-        rng = Pcg32(13)
-        X = rng.normals(60).reshape(30, 2)
-        y = ["a" if i % 3 else "b" for i in range(30)]
-        fm = _fm(X, y)
-        queries = rng.normals(10).reshape(5, 2)
-        got = knn_classify(fm, queries, 5)
-        for q, g in zip(queries, got):
-            scored = sorted((np.linalg.norm(x - q), i) for i, x in enumerate(X))
-            votes = {}
-            for _, i in scored[:5]:
-                votes[y[i]] = votes.get(y[i], 0) + 1
-            best = min(votes, key=lambda c: (-votes[c], c))
-            assert g == best
-
-    def test_k_bounds(self):
-        fm = _fm([[0.0], [1.0]], ["a", "b"])
-        with pytest.raises(DataError):
-            knn_classify(fm, [[0.0]], 3)
-        with pytest.raises(DataError):
-            knn_classify(fm, [[0.0]], 0)

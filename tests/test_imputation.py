@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from imbfault.errors import DataError
-from imbfault.imputation import (GaussianModel, fit_gaussian, impute_conditional,
-                                 impute_stochastic)
+from imbfault.imputation import GaussianModel, fit_gaussian, impute_conditional
 from imbfault.rng import Pcg32
 from imbfault.synthgen import gaussian_blobs
 
@@ -149,26 +148,3 @@ class TestImputeConditionalBatch:
         model, _ = self._model(4, 1)
         with pytest.raises(DataError):
             impute_conditional(model, np.zeros(shape), [0])
-
-
-class TestImputeStochastic:
-    def test_zero_conditional_covariance_is_deterministic(self):
-        model = GaussianModel(np.zeros(2), np.array([[1.0, 1.0], [1.0, 1.0]]), 0.0)
-        got = impute_stochastic(model, [2.0, 0.0], [1], Pcg32(0))
-        want = impute_conditional(model, [2.0, 0.0], [1])
-        np.testing.assert_allclose(got, want, atol=1e-12)
-
-    def test_mean_over_draws_matches_conditional(self):
-        model = GaussianModel(np.zeros(2), np.array([[1.0, 0.4], [0.4, 1.0]]), 0.0)
-        rng = Pcg32(1)
-        x = [1.5, 0.0]
-        draws = np.array([impute_stochastic(model, x, [1], rng)[1] for _ in range(10_000)])
-        target = impute_conditional(model, x, [1])[1]
-        assert draws.mean() == pytest.approx(target, abs=0.05)
-
-    def test_seeded_reproducible(self):
-        rng_a, rng_b = Pcg32(7), Pcg32(7)
-        model = GaussianModel(np.zeros(3), np.eye(3), 0.0)
-        a = impute_stochastic(model, [0.0, 1.0, 2.0], [0], rng_a)
-        b = impute_stochastic(model, [0.0, 1.0, 2.0], [0], rng_b)
-        np.testing.assert_array_equal(a, b)

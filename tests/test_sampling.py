@@ -8,10 +8,10 @@ from imbfault.errors import ConfigError, DataError
 from imbfault.features import Standardizer
 from imbfault.imputation import fit_gaussian, impute_conditional
 from imbfault.rng import Pcg32
-from imbfault.sampling import (METHODS, SAMPLERS, agglomerative_clusters,
+from imbfault.sampling import (METHODS, SAMPLERS, _nearest, agglomerative_clusters,
                                borderline_majority, emicil, ewmote, filtered_minority,
-                               informative_minority, knn, mwmote, random_oversample,
-                               resample_multiclass, selection_probabilities, smote)
+                               knn, mwmote, random_oversample, resample_multiclass,
+                               selection_probabilities, smote)
 
 P = SamplerParams()
 
@@ -35,6 +35,25 @@ def filtered_oracle(s_min, s_maj, k1):
         if any(j < len(s_min) for j in ranked):
             kept.append(i)
     return kept
+
+
+def smote_oracle(s_min, n, k, rng):
+    """Per row: a base, one of its k oracle neighbours (itself left out) and
+    an interpolation weight, drawn in that order."""
+    nbrs = [[j for j in knn_oracle(x, s_min, k + 1) if j != i][:k]
+            for i, x in enumerate(s_min)]
+    out = np.empty((n, s_min.shape[1]))
+    for t in range(n):
+        i = rng.randint(len(s_min))
+        z = s_min[nbrs[i][rng.randint(k)]]
+        out[t] = s_min[i] + rng.random() * (z - s_min[i])
+    return out
+
+
+def with_duplicates(rng, m, d, copies):
+    """m random rows followed by exact copies of the rows listed in `copies`."""
+    base = rng.normals(m * d).reshape(m, d) * (1 + rng.randint(3))
+    return np.vstack([base, base[copies]])
 
 
 def closeness_factor(y, x, cf_th, cmax):
@@ -139,6 +158,29 @@ class TestKnn:
             q = rng.normals(3)
             assert knn(q, pool, 5).tolist() == knn_oracle(q, pool, 5)
 
+    @pytest.mark.parametrize("query", [[0.0, 0.0, 0.0], [[0.0, 0.0]], [0.0], 0.0])
+    def test_query_must_be_one_row_of_pool_width(self, query):
+        with pytest.raises(DataError, match="query"):
+            knn(query, np.ones((4, 2)), 1)
+
+
+class TestNearest:
+    def test_skip_self_with_duplicate_rows(self):
+        # A duplicate sits at distance 0 and must be found; the row itself
+        # never is. Duplicates may rank in either order, so rows are compared.
+        rng = Pcg32(21)
+        for trial in range(40):
+            d = 1 + trial % 4
+            pool = with_duplicates(rng, 10, d, [0, 3, 3, 9])
+            nbrs = _nearest(pool, pool, 3, skip_self=True)
+            assert np.all(nbrs != np.arange(len(pool))[:, None])
+            want = [[j for j in knn_oracle(x, pool, 4) if j != i][:3]
+                    for i, x in enumerate(pool)]
+            assert pool[nbrs].tobytes() == pool[np.array(want)].tobytes()
+            for i, j in [(0, 10), (10, 0), (9, 13), (13, 9)]:
+                assert j in nbrs[i]
+            assert {11, 12} <= set(nbrs[3]) and {3, 12} <= set(nbrs[11])
+
 
 class TestRandomOversample:
     def test_zero(self):
@@ -191,6 +233,14 @@ class TestSmote:
             out = smote(s_min, no_maj(s_min), 3, P, Pcg32(0))
         assert np.array_equal(out, np.tile([1.0, 1.0], (3, 1)))
 
+    def test_duplicate_rows_vs_oracle(self):
+        rng = Pcg32(22)
+        for trial in range(20):
+            s_min = with_duplicates(rng, 8, 1 + trial % 3, [0, 2, 2, 7])
+            got = smote(s_min, no_maj(s_min), 60, SamplerParams(k=3), Pcg32(trial))
+            want = smote_oracle(s_min, 60, 3, Pcg32(trial))
+            assert got.tobytes() == want.tobytes()
+
 
 class TestFilteredMinority:
     def test_lone_minority_filtered(self):
@@ -211,6 +261,20 @@ class TestFilteredMinority:
             got = filtered_minority(s_min, s_maj, 5).tolist()
             assert got == filtered_oracle(s_min, s_maj, 5)
 
+    def test_duplicate_rows_vs_oracle(self):
+        rng = Pcg32(23)
+        for trial in range(20):
+            s_min = with_duplicates(rng, 6, 2, [1, 4, 4])
+            s_maj = with_duplicates(rng, 20, 2, [0, 5]) * 1.5
+            assert filtered_minority(s_min, s_maj, 5).tolist() == filtered_oracle(s_min, s_maj, 5)
+
+    def test_lone_duplicate_pair_kept(self):
+        # each copy's only minority neighbour is the other copy, at distance 0
+        s_min = np.array([[0.3, 0.7], [0.3, 0.7]])
+        s_maj = np.array([[0.1, 0.0], [0.0, 0.1], [-0.1, 0.0], [0.0, -0.1], [0.1, 0.1]])
+        assert filtered_minority(s_min, s_maj, 1).tolist() == [0, 1]
+        assert filtered_minority(s_min[:1], s_maj, 1).tolist() == []
+
     def test_restoring_a_neighbor(self):
         # a filtered point regains minority support when a neighbor appears
         s_maj = np.array([[0.1, 0.0], [0.0, 0.1], [-0.1, 0.0], [0.0, -0.1], [0.1, 0.1]])
@@ -226,15 +290,17 @@ class TestBorderlineInformative:
         s_maj = np.array([[3.0], [4.0], [10.0]])
         bm = borderline_majority(s_minf, s_maj, 2)
         assert bm.tolist() == [0, 1]
-        im = informative_minority(s_maj[bm], s_minf, 2)
-        assert im.tolist() == [1, 2]
+        wset = selection_probabilities(s_minf, s_maj, SamplerParams(k2=2, k3=2))
+        assert wset.bmaj_indices.tolist() == [0, 1]
+        assert wset.imin_in_minf.tolist() == [1, 2]
 
     def test_empty_inputs(self):
         empty = np.empty((0, 2))
         pts = np.ones((3, 2))
         assert borderline_majority(empty, pts, 2).tolist() == []
-        assert informative_minority(empty, pts, 2).tolist() == []
-        assert informative_minority(pts, empty, 2).tolist() == []
+        assert borderline_majority(pts, empty, 2).tolist() == []
+        assert selection_probabilities(empty, pts, P).is_empty
+        assert selection_probabilities(pts, empty, P).is_empty
 
     def test_vs_oracle(self):
         rng = Pcg32(4)
@@ -245,9 +311,24 @@ class TestBorderlineInformative:
             want = sorted({j for x in s_minf for j in knn_oracle(x, s_maj, 3)})
             assert got == want
             s_bmaj = s_maj[got]
-            got2 = informative_minority(s_bmaj, s_minf, 2).tolist()
-            want2 = sorted({j for y in s_bmaj for j in knn_oracle(y, s_minf, 2)})
-            assert got2 == want2
+            nmin = _nearest(s_bmaj, s_minf, 2)
+            assert nmin.tolist() == [knn_oracle(y, s_minf, 2) for y in s_bmaj]
+
+
+class TestWidthMismatch:
+    @pytest.mark.parametrize("search", [
+        lambda a, b: filtered_minority(a, b, 5),
+        lambda a, b: borderline_majority(a, b, 3),
+        lambda a, b: selection_probabilities(a, b, P),
+        lambda a, b: mwmote(a, b, 4, P, Pcg32(0)),
+        lambda a, b: ewmote(a, b, 4, P, Pcg32(0)),
+    ], ids=["filtered_minority", "borderline_majority", "selection_probabilities",
+            "mwmote", "ewmote"])
+    @pytest.mark.parametrize("n_maj", [5, 0])
+    def test_mismatched_widths_raise(self, search, n_maj):
+        rng = Pcg32(24)
+        with pytest.raises(DataError, match="width"):
+            search(rng.normals(12).reshape(6, 2), rng.normals(n_maj * 3).reshape(n_maj, 3))
 
 
 class TestInformationWeight:
