@@ -4,8 +4,8 @@ predict-events.
 Every flag can also be given in a flat key-value config file (``--config``),
 one ``key value`` or ``key = value`` per line, keys spelled like the flag
 without the leading dashes; explicit flags override the file. Exit code is 0
-on success; failures print one machine-readable ``error: {json}`` line to
-stderr and exit 2.
+on success; failures, usage errors included, print one machine-readable
+``error: {json}`` line to stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -232,8 +232,15 @@ def cmd_predict_events(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises ConfigError, which main reports as one line."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="imbfault",
         description="Class-imbalance learning pipeline for fault diagnostics and prognostics.",
     )
@@ -306,9 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (DataError, ConfigError, OSError, np.linalg.LinAlgError) as exc:
         payload = {"type": type(exc).__name__, "message": str(exc)}

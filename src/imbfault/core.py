@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 
 def _frozen_array(values, dtype=float, ndim=None) -> np.ndarray:
@@ -205,12 +205,12 @@ class SamplerParams:
 
     def __post_init__(self):
         if self.k < 1 or self.k1 < 1 or self.k2 < 1:
-            raise DataError("neighbor counts must be >= 1")
+            raise ConfigError("neighbor counts must be >= 1")
         if self.k3 is not None and self.k3 < 1:
-            raise DataError("k3 must be >= 1 when given")
-        if self.cp <= 0 or self.cf_th <= 0 or self.cmax <= 0:
-            raise DataError("cp, cf_th and cmax must be positive")
+            raise ConfigError("k3 must be >= 1 when given")
+        if not all(0 < v < np.inf for v in (self.cp, self.cf_th, self.cmax)):
+            raise ConfigError("cp, cf_th and cmax must be positive and finite")
         if self.n_synthetic is not None and self.n_synthetic < 0:
-            raise DataError("n_synthetic must be >= 0")
-        if self.emi_ridge < 0:
-            raise DataError("emi_ridge must be >= 0")
+            raise ConfigError("n_synthetic must be >= 0")
+        if not 0 <= self.emi_ridge < np.inf:
+            raise ConfigError("emi_ridge must be finite and >= 0")

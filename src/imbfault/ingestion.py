@@ -3,11 +3,19 @@
 Files are UTF-8, comma-separated, with a header row. Interval files carry
 exactly the columns ``t_start,t_end,label``. Floats are written with
 ``repr`` so a write/read round trip is bit-exact.
+
+The series, labeled and feature readers parse their float columns with
+numpy's C reader (``np.loadtxt``). Where it refuses a file, the row parser
+reads it again: that parser names the offending row in its ParseError,
+accepts every cell ``float()`` accepts (``1_000``, non-ASCII digits) and
+skips rows whose cells are all blank, so both paths accept the same files
+with the same values and reject the same files with the same error.
 """
 
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +70,58 @@ def _data_rows(reader, width: int, path):
         yield row_num, row
 
 
+def _rows_after_header(fh):
+    """A csv reader over fh's data rows: fh is rewound and its header row
+    read and dropped."""
+    fh.seek(0)
+    reader = csv.reader(fh)
+    next(reader)
+    return reader
+
+
+def _c_columns(fh, cols: list, dtype=float):
+    """Columns `cols` of fh's data rows as a (rows, len(cols)) array, parsed
+    by numpy's C reader; None when it refuses a row or finds none. Also None
+    for no `cols`: without a cell to parse it would count all-blank rows."""
+    if not cols:
+        return None
+    _rows_after_header(fh)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            cells = np.loadtxt(fh, dtype=dtype, delimiter=",", usecols=cols, comments=None,
+                               quotechar='"', ndmin=2)
+        except ValueError:
+            return None
+    return cells if len(cells) else None
+
+
+def _read_cells(fh, path, cols: list, names: list, label_col: int | None = None):
+    """The float cells of columns `cols` (named `names`) of every data row,
+    shape (rows, len(cols)), and the stripped cells of `label_col` (none
+    without one).
+
+    numpy's C reader parses the floats and, as Python strings, the labels.
+    When it refuses the file, the row parser reads it instead and raises
+    the ParseError or DataError that names the row."""
+    cells = _c_columns(fh, cols)
+    if cells is not None and label_col is None:
+        return cells, []
+    if cells is not None:
+        labels = _c_columns(fh, [label_col], object)
+        if labels is not None:
+            return cells, [label.strip() for label in labels[:, 0]]
+    width = max([*cols, -1 if label_col is None else label_col]) + 1
+    rows, labels = [], []
+    for row_num, row in _data_rows(_rows_after_header(fh), width, path):
+        rows.append([_parse_float(row[j], row_num, names[k]) for k, j in enumerate(cols)])
+        if label_col is not None:
+            labels.append(row[label_col].strip())
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return np.asarray(rows, dtype=float), labels
+
+
 def read_timeseries_csv(path, timestamp_col: str, channel_cols=None) -> TimeSeriesFrame:
     """Read a multichannel series; rows are sorted by timestamp.
 
@@ -70,25 +130,17 @@ def read_timeseries_csv(path, timestamp_col: str, channel_cols=None) -> TimeSeri
     timestamps are an error because the sliced windows would be ambiguous.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = read_header(reader, path)
+        header = read_header(csv.reader(fh), path)
         if channel_cols is None:
             channel_cols = [c for c in header if c not in (timestamp_col, "label")]
         channel_cols = list(channel_cols)
-        missing = [c for c in [timestamp_col] + channel_cols if c not in header]
+        names = [timestamp_col] + channel_cols
+        missing = [c for c in names if c not in header]
         if missing:
             raise SchemaError(f"{path}: missing columns {missing}")
-        col_idx = {c: header.index(c) for c in [timestamp_col] + channel_cols}
-        ts, rows = [], []
-        for row_num, row in _data_rows(reader, max(col_idx.values()) + 1, path):
-            ts.append(_parse_float(row[col_idx[timestamp_col]], row_num, timestamp_col))
-            rows.append([_parse_float(row[col_idx[c]], row_num, c) for c in channel_cols])
-    if not ts:
-        raise DataError(f"{path}: no data rows")
-    ts = np.asarray(ts, dtype=float)
-    values = np.asarray(rows, dtype=float).T
-    order = np.argsort(ts, kind="stable")
-    ts, values = ts[order], values[:, order]
+        cells, _ = _read_cells(fh, path, [header.index(c) for c in names], names)
+    order = np.argsort(cells[:, 0], kind="stable")
+    ts, values = cells[order, 0], cells[order, 1:].T
     if np.any(np.diff(ts) == 0):
         raise DataError(f"{path}: duplicate timestamps after sorting")
     return TimeSeriesFrame(timestamps=ts, channel_names=tuple(channel_cols), values=values)
@@ -161,21 +213,13 @@ def write_labeled_csv(series: LabeledSeries, path, timestamp_col: str = "timesta
 def read_labeled_csv(path, timestamp_col: str = "timestamp") -> LabeledSeries:
     """Inverse of write_labeled_csv; channel order is taken from the header."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = read_header(reader, path)
+        header = read_header(csv.reader(fh), path)
         if timestamp_col not in header or "label" not in header:
             raise SchemaError(f"{path}: need {timestamp_col!r} and 'label' columns")
-        channels = [c for c in header if c not in (timestamp_col, "label")]
-        t_i, l_i = header.index(timestamp_col), header.index("label")
-        ch_i = [header.index(c) for c in channels]
-        ts, rows, labels = [], [], []
-        for row_num, row in _data_rows(reader, max(t_i, l_i, *ch_i) + 1, path):
-            ts.append(_parse_float(row[t_i], row_num, timestamp_col))
-            rows.append([_parse_float(row[j], row_num, channels[k]) for k, j in enumerate(ch_i)])
-            labels.append(row[l_i].strip())
-    if not ts:
-        raise DataError(f"{path}: no data rows")
-    frame = TimeSeriesFrame(np.asarray(ts, float), tuple(channels), np.asarray(rows, float).T)
+        names = [timestamp_col] + [c for c in header if c not in (timestamp_col, "label")]
+        cells, labels = _read_cells(fh, path, [header.index(c) for c in names], names,
+                                    header.index("label"))
+    frame = TimeSeriesFrame(cells[:, 0], tuple(names[1:]), cells[:, 1:].T)
     return LabeledSeries(frame=frame, labels=np.asarray(labels, dtype=object))
 
 
@@ -200,16 +244,10 @@ def read_feature_csv(path):
     from .core import FeatureMatrix
 
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = read_header(reader, path)
+        header = read_header(csv.reader(fh), path)
         if "label" not in header:
             raise SchemaError(f"{path}: missing 'label' column")
         l_i = header.index("label")
         feature_names = header[:l_i]
-        data, labels = [], []
-        for row_num, row in _data_rows(reader, l_i + 1, path):
-            data.append([_parse_float(row[j], row_num, feature_names[j]) for j in range(l_i)])
-            labels.append(row[l_i].strip())
-    if not data:
-        raise DataError(f"{path}: no data rows")
-    return FeatureMatrix(np.asarray(data, float), labels, tuple(feature_names))
+        data, labels = _read_cells(fh, path, list(range(l_i)), feature_names, l_i)
+    return FeatureMatrix(data, labels, tuple(feature_names))

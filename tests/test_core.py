@@ -4,7 +4,7 @@ import pytest
 from imbfault.core import (ClassDistribution, FaultInterval, FeatureMatrix,
                            SamplerParams, TimeSeriesFrame, WindowBatch,
                            class_distribution)
-from imbfault.errors import DataError
+from imbfault.errors import ConfigError, DataError
 from imbfault.rng import Pcg32, seeded_rng
 
 
@@ -174,11 +174,9 @@ class TestCoreTypes:
 
     def test_sampler_params_validation(self):
         SamplerParams()
-        with pytest.raises(DataError):
-            SamplerParams(k=0)
-        with pytest.raises(DataError):
-            SamplerParams(cp=0)
-        with pytest.raises(DataError):
-            SamplerParams(k3=0)
-        with pytest.raises(DataError):
-            SamplerParams(n_synthetic=-1)
+        nan, inf = float("nan"), float("inf")
+        for bad in ({"k": 0}, {"cp": 0}, {"k3": 0}, {"n_synthetic": -1}, {"emi_ridge": -1e-6},
+                    {"emi_ridge": nan}, {"emi_ridge": inf}, {"cf_th": inf}, {"cmax": inf},
+                    {"cp": nan}, {"cf_th": -inf}):
+            with pytest.raises(ConfigError):
+                SamplerParams(**bad)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from imbfault import ingestion
 from imbfault.core import FaultInterval
 from imbfault.errors import DataError, LabelConflictError, ParseError, SchemaError
-from imbfault.ingestion import (LabeledSeries, label_timestamps, read_feature_csv,
-                                read_intervals_csv, read_labeled_csv,
+from imbfault.ingestion import (INTERVAL_COLUMNS, LabeledSeries, label_timestamps,
+                                read_feature_csv, read_intervals_csv, read_labeled_csv,
                                 read_timeseries_csv, write_feature_csv,
                                 write_intervals_csv, write_labeled_csv)
 from imbfault.core import FeatureMatrix, TimeSeriesFrame
@@ -189,3 +192,156 @@ class TestRoundTrips:
         back = read_feature_csv(p)
         assert back.feature_names == ("x",)
         assert back.n_rows == 2
+
+
+# Fuzzing. The series, labeled and feature readers parse floats with numpy's
+# C reader and hand a file it refuses to the row parser. Forcing the row
+# parser (np.loadtxt raising ValueError) gives the oracle: on any CSV text
+# both paths must give the same bytes or the same error type and message.
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["1e5", "-0.0", ".5", "1.", "+3", "1E-310", "1e400", "inf", "-nan"]),
+)
+# float() reads the first three, which numpy's C reader refuses.
+_ODD_NUMBERS = st.sampled_from(["1_000", "٣", "１", "0x10", "nan(1)", "1e"])
+_JUNK = st.sampled_from(["", "  ", "\t", "abc", "1 2", "1,5", '1"2', '"1"2', '"', '""',
+                         "\x00", "1\x00", "﻿1", "\xa01　", "\x1c", "\n", "\r", "\r\n"])
+_LABELS = st.sampled_from(["normal", "F1", " F2 ", "", "a b", "x,y", 'a"b', '"q', "\x00", "\t"])
+_COLUMNS = ("t", "a", "b", "label", "timestamp")
+
+
+def _quoted(text: str) -> str:
+    return '"' + text.replace('"', '""') + '"'
+
+
+@st.composite
+def _cell(draw, column, clean):
+    odds = 2 if clean else draw(st.integers(0, 9))
+    if column == "label":
+        text = draw(_LABELS)
+    else:
+        text = draw(_JUNK if odds == 0 else _ODD_NUMBERS if odds == 1 else _NUMBERS)
+    pad = st.sampled_from(["", "", " ", "\t"])
+    text = draw(pad) + text + draw(pad)
+    return _quoted(text) if draw(st.integers(0, 4)) == 0 else text
+
+
+@st.composite
+def _csv_text(draw, header):
+    """CSV text under `header`: numeric rows, some lengthened or blank and,
+    unless the file is drawn clean, some cut short or spoiled, with \\n,
+    \\r\\n or \\r line ends."""
+    header = list(header)
+    clean = draw(st.booleans())
+    kinds = ["row"] * 6 + ["long", "blank", "blanks"] + ([] if clean else ["short", "junk"])
+    if draw(st.integers(0, 9)) == 0:
+        header = draw(st.lists(st.sampled_from(_COLUMNS), max_size=4))
+    sep = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [",".join(header)] if header or draw(st.booleans()) else []
+    for row in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+            continue
+        if kind == "blanks":
+            lines.append(",".join(draw(st.lists(st.sampled_from(["", " ", '""']),
+                                                min_size=2, max_size=5))))
+            continue
+        cells = [str(row) if clean and column in ("t", "timestamp") else draw(_cell(column, clean))
+                 for column in header]
+        if kind == "short":
+            cells = cells[:draw(st.integers(0, max(len(cells) - 1, 0)))]
+        elif kind == "long":
+            cells += draw(st.lists(st.one_of(_NUMBERS, _JUNK, _LABELS), min_size=1, max_size=3))
+        elif kind == "junk" and cells:
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(_JUNK)
+        lines.append(",".join(cells))
+    return sep.join(lines) + (sep if draw(st.booleans()) else "")
+
+
+def _outcome(read, path):
+    """A reader's result as comparable bytes and strings, or its error."""
+    try:
+        out = read(path)
+    except Exception as exc:
+        return ("error", type(exc), str(exc))
+    frame = getattr(out, "frame", out)
+    if isinstance(frame, TimeSeriesFrame):
+        arrays = (frame.timestamps, frame.values)
+        names = frame.channel_names
+    else:
+        arrays, names = (out.data,), out.feature_names
+    labels = list(getattr(out, "labels", []))
+    return ("ok", [(a.shape, a.tobytes()) for a in arrays], names, labels)
+
+
+def _assert_same_as_row_parser(read, path, text):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+    got = _outcome(read, path)
+
+    def refuse(*args, **kwargs):
+        raise ValueError("refused")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingestion.np, "loadtxt", refuse)
+        want = _outcome(read, path)
+    assert got == want
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz") / "in.csv")
+
+
+_FUZZ = settings(max_examples=200, deadline=None)
+
+
+@pytest.mark.parametrize("channels", [None, ["a"], ["b", "a"]])
+@_FUZZ
+@given(text=_csv_text(("t", "a", "b")))
+def test_fuzz_timeseries_reader_matches_row_parser(fuzz_path, channels, text):
+    _assert_same_as_row_parser(lambda p: read_timeseries_csv(p, "t", channels), fuzz_path, text)
+
+
+@_FUZZ
+@given(text=_csv_text(("timestamp", "a", "label")))
+def test_fuzz_labeled_reader_matches_row_parser(fuzz_path, text):
+    _assert_same_as_row_parser(read_labeled_csv, fuzz_path, text)
+
+
+@_FUZZ
+@given(text=_csv_text(("a", "b", "label", "t")))
+def test_fuzz_feature_reader_matches_row_parser(fuzz_path, text):
+    _assert_same_as_row_parser(read_feature_csv, fuzz_path, text)
+
+
+@_FUZZ
+@given(text=st.one_of(_csv_text(INTERVAL_COLUMNS), st.text(max_size=40)))
+def test_fuzz_intervals_reader_returns_list_or_data_error(fuzz_path, text):
+    with open(fuzz_path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+    try:
+        out = read_intervals_csv(fuzz_path)
+    except DataError:
+        return
+    assert isinstance(out, list) and all(isinstance(iv, FaultInterval) for iv in out)
+
+
+def test_well_formed_files_skip_the_row_parser(tmp_path, monkeypatch):
+    """Quoted cells, padding, CRLF and blank lines are all the C reader's."""
+    text = 't,a,label\r\n\r\n" 1.5",1e3,"F,1"\r\n2 ,-0.0, N \r\n'
+    p = _write(tmp_path / "s.csv", text)
+    monkeypatch.setattr(ingestion, "_parse_float", None)
+    assert read_timeseries_csv(p, "t").values.tolist() == [[1000.0, -0.0]]
+    assert list(read_labeled_csv(p, "t").labels) == ["F,1", "N"]
+    fm = read_feature_csv(p)
+    assert fm.data.tolist() == [[1.5, 1000.0], [2.0, -0.0]] and list(fm.labels) == ["F,1", "N"]
+
+
+@pytest.mark.parametrize("cell", ["1_000", "٣"])
+def test_cells_only_float_accepts_are_read(tmp_path, cell):
+    p = _write(tmp_path / "s.csv", f"t,a\n0,{cell}\n1,2\n")
+    assert read_timeseries_csv(p, "t").values[0, 0] == float(cell)

@@ -382,6 +382,8 @@ class TestCli:
          None, "ConfigError", "'bogus'"),
         (["crossval", "--features", "missing.csv", "--reduce", "pca", "--pca-variance", "2",
           "--out-dir", "o"], None, "ConfigError", "pca_variance"),
+        (["resample", "--features", "missing.csv", "--emi-ridge", "nan", "--out", "o.csv"],
+         None, "ConfigError", "emi_ridge must be finite"),
     ])
     def test_bad_setting_error_line(self, tmp_path, monkeypatch, capsys, argv, config_text,
                                     error, detail):
@@ -395,6 +397,33 @@ class TestCli:
         payload = json.loads(lines[0][len("error: "):])
         assert payload["type"] == error and detail in payload["message"]
         assert not (tmp_path / "b.csv").exists()
+
+    @pytest.mark.parametrize("argv, detail", [
+        ([], "required: command"),
+        (["crossval", "--features", "x.csv"], "imbfault crossval: the following arguments "
+                                              "are required: --out-dir"),
+        (["crossval", "--features", "x.csv", "--out-dir", "o", "--bogus", "1"],
+         "unrecognized arguments: --bogus 1"),
+        (["synthgen", "--kind", "bogus", "--out", "o.csv"], "invalid choice: 'bogus'"),
+        (["synthgen", "--kind", "blobs", "--dim", "two", "--out", "o.csv"], "--dim"),
+        (["nosuchcommand"], "invalid choice: 'nosuchcommand'"),
+    ])
+    def test_usage_error_is_one_line(self, tmp_path, monkeypatch, capsys, argv, detail):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and captured.out == ""
+        payload = json.loads(lines[0][len("error: "):])
+        assert payload["type"] == "ConfigError" and detail in payload["message"]
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [["--help"], ["crossval", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: imbfault")
 
     @pytest.mark.parametrize("flag, value", [("--rounds", "0"), ("--domains", "bogus")])
     def test_bad_settings_fail_before_reading(self, tmp_path, monkeypatch, flag, value):
