@@ -48,6 +48,8 @@ class TimeSeriesFrame:
             raise DataError("empty time series")
         if len(self.channel_names) == 0:
             raise DataError("a time series needs at least one channel")
+        if not np.all(np.isfinite(self.timestamps)):
+            raise DataError("timestamps must be finite")
         if np.any(np.diff(self.timestamps) <= 0):
             raise DataError("timestamps must be strictly increasing")
         if not np.all(np.isfinite(self.values)):

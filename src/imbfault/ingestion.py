@@ -51,6 +51,18 @@ def _parse_float(cell: str, row_num: int, column: str) -> float:
         raise ParseError(f"non-numeric cell {cell!r} in column {column!r} at row {row_num}") from None
 
 
+def _csv_rows(fh, path):
+    """The csv module's rows of fh; a row it refuses, such as one with a cell
+    over its field size limit, is a ParseError naming the file and the row."""
+    row_num = 1
+    try:
+        for row in csv.reader(fh):
+            yield row
+            row_num += 1
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc} at row {row_num}") from None
+
+
 def read_header(reader, path) -> list:
     """The header row's stripped cells; an empty file is a SchemaError."""
     try:
@@ -70,22 +82,22 @@ def _data_rows(reader, width: int, path):
         yield row_num, row
 
 
-def _rows_after_header(fh):
-    """A csv reader over fh's data rows: fh is rewound and its header row
+def _rows_after_header(fh, path):
+    """An iterator over fh's data rows: fh is rewound and its header row
     read and dropped."""
     fh.seek(0)
-    reader = csv.reader(fh)
+    reader = _csv_rows(fh, path)
     next(reader)
     return reader
 
 
-def _c_columns(fh, cols: list, dtype=float):
+def _c_columns(fh, path, cols: list, dtype=float):
     """Columns `cols` of fh's data rows as a (rows, len(cols)) array, parsed
     by numpy's C reader; None when it refuses a row or finds none. Also None
     for no `cols`: without a cell to parse it would count all-blank rows."""
     if not cols:
         return None
-    _rows_after_header(fh)
+    _rows_after_header(fh, path)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
@@ -104,16 +116,16 @@ def _read_cells(fh, path, cols: list, names: list, label_col: int | None = None)
     numpy's C reader parses the floats and, as Python strings, the labels.
     When it refuses the file, the row parser reads it instead and raises
     the ParseError or DataError that names the row."""
-    cells = _c_columns(fh, cols)
+    cells = _c_columns(fh, path, cols)
     if cells is not None and label_col is None:
         return cells, []
     if cells is not None:
-        labels = _c_columns(fh, [label_col], object)
+        labels = _c_columns(fh, path, [label_col], object)
         if labels is not None:
             return cells, [label.strip() for label in labels[:, 0]]
     width = max([*cols, -1 if label_col is None else label_col]) + 1
     rows, labels = [], []
-    for row_num, row in _data_rows(_rows_after_header(fh), width, path):
+    for row_num, row in _data_rows(_rows_after_header(fh, path), width, path):
         rows.append([_parse_float(row[j], row_num, names[k]) for k, j in enumerate(cols)])
         if label_col is not None:
             labels.append(row[label_col].strip())
@@ -130,7 +142,7 @@ def read_timeseries_csv(path, timestamp_col: str, channel_cols=None) -> TimeSeri
     timestamps are an error because the sliced windows would be ambiguous.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        header = read_header(csv.reader(fh), path)
+        header = read_header(_csv_rows(fh, path), path)
         if channel_cols is None:
             channel_cols = [c for c in header if c not in (timestamp_col, "label")]
         channel_cols = list(channel_cols)
@@ -141,7 +153,7 @@ def read_timeseries_csv(path, timestamp_col: str, channel_cols=None) -> TimeSeri
         cells, _ = _read_cells(fh, path, [header.index(c) for c in names], names)
     order = np.argsort(cells[:, 0], kind="stable")
     ts, values = cells[order, 0], cells[order, 1:].T
-    if np.any(np.diff(ts) == 0):
+    if np.any(ts[1:] == ts[:-1]):
         raise DataError(f"{path}: duplicate timestamps after sorting")
     return TimeSeriesFrame(timestamps=ts, channel_names=tuple(channel_cols), values=values)
 
@@ -150,7 +162,7 @@ def read_intervals_csv(path) -> list:
     """Read fault intervals; a zero-byte file yields an empty list."""
     intervals = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh, path)
         try:
             header = next(reader)
         except StopIteration:
@@ -213,7 +225,7 @@ def write_labeled_csv(series: LabeledSeries, path, timestamp_col: str = "timesta
 def read_labeled_csv(path, timestamp_col: str = "timestamp") -> LabeledSeries:
     """Inverse of write_labeled_csv; channel order is taken from the header."""
     with open(path, newline="", encoding="utf-8") as fh:
-        header = read_header(csv.reader(fh), path)
+        header = read_header(_csv_rows(fh, path), path)
         if timestamp_col not in header or "label" not in header:
             raise SchemaError(f"{path}: need {timestamp_col!r} and 'label' columns")
         names = [timestamp_col] + [c for c in header if c not in (timestamp_col, "label")]
@@ -244,7 +256,7 @@ def read_feature_csv(path):
     from .core import FeatureMatrix
 
     with open(path, newline="", encoding="utf-8") as fh:
-        header = read_header(csv.reader(fh), path)
+        header = read_header(_csv_rows(fh, path), path)
         if "label" not in header:
             raise SchemaError(f"{path}: missing 'label' column")
         l_i = header.index("label")

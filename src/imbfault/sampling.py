@@ -90,10 +90,7 @@ def random_oversample(s_min, s_maj, n: int, params: SamplerParams, rng: Pcg32) -
     s_min = _rows(s_min, "s_min")
     if len(s_min) == 0:
         raise DataError("cannot oversample an empty minority set")
-    out = np.empty((n, s_min.shape[1]))
-    for t in range(n):
-        out[t] = s_min[rng.randint(len(s_min))]
-    return out
+    return s_min[rng.randints(np.full(n, len(s_min)))]
 
 
 def smote(s_min, s_maj, n: int, params: SamplerParams, rng: Pcg32) -> np.ndarray:
@@ -109,13 +106,9 @@ def smote(s_min, s_maj, n: int, params: SamplerParams, rng: Pcg32) -> np.ndarray
     if k_eff < params.k:
         warnings.warn(f"smote k clipped from {params.k} to {k_eff}")
     nbrs = _nearest(s_min, s_min, k_eff, skip_self=True)
-    out = np.empty((n, s_min.shape[1]))
-    for t in range(n):
-        i = rng.randint(len(s_min))
-        z = s_min[nbrs[i][rng.randint(k_eff)]]
-        alpha = rng.random()
-        out[t] = s_min[i] + alpha * (z - s_min[i])
-    return out
+    i, pick, alpha = rng.draws(n, len(s_min), k_eff, None)
+    x = s_min[i]
+    return x + alpha[:, None] * (s_min[nbrs[i, pick]] - x)
 
 
 def filtered_minority(s_min, s_maj, k1: int) -> np.ndarray:
@@ -310,15 +303,22 @@ def mwmote(s_min, s_maj, n: int, params: SamplerParams, rng: Pcg32) -> np.ndarra
     s_minf = s_min[wset.minf_indices]
     clusters = agglomerative_clusters(s_minf, params.cp)
     cum = np.cumsum(wset.probabilities)
-    out = np.empty((n, d))
-    for t in range(n):
-        base_pos = int(wset.imin_in_minf[_draw_base(cum, rng.random())])
-        pool = np.flatnonzero(clusters == clusters[base_pos])
-        partner = int(pool[rng.randint(len(pool))])
-        x = s_minf[base_pos]
-        z = s_minf[partner]
-        out[t] = x + rng.random() * (z - x)
-    return out
+    # Cluster members in index order, grouped by cluster: the partner pool
+    # of a base in cluster c is by_cluster[first[c]:first[c] + sizes[c]].
+    by_cluster = np.argsort(clusters, kind="stable")
+    sizes = np.bincount(clusters)
+    first = np.cumsum(sizes) - sizes
+
+    def base_of(u):
+        return wset.imin_in_minf[_draw_base(cum, u)]
+
+    # Per row: a uniform picks the base, a bounded draw its partner (none
+    # when the pool is the base alone), a uniform the interpolation point.
+    u, pick, alpha = rng.draws(n, None, lambda u: sizes[clusters[base_of(u)]], None)
+    base = base_of(u)
+    x = s_minf[base]
+    z = s_minf[by_cluster[first[clusters[base]] + pick]]
+    return x + alpha[:, None] * (z - x)
 
 
 def emicil(s_min, s_maj, n: int, params: SamplerParams, rng: Pcg32) -> np.ndarray:
@@ -333,8 +333,7 @@ def emicil(s_min, s_maj, n: int, params: SamplerParams, rng: Pcg32) -> np.ndarra
         return random_oversample(s_min, s_maj, n, params, rng)
     model = fit_gaussian(s_min, params.emi_ridge)
     # Per row: the base row, then the masked attribute; all drawn before imputing.
-    bases, attrs = map(np.array, zip(*[(rng.randint(len(s_min)), rng.randint(d))
-                                       for _ in range(n)]))
+    bases, attrs = rng.draws(n, len(s_min), d)
     return _impute_each(model, s_min[bases], attrs)
 
 
@@ -359,7 +358,7 @@ def ewmote(s_min, s_maj, n: int, params: SamplerParams, rng: Pcg32) -> np.ndarra
         warnings.warn("ewmote found no informative minority rows; falling back to emicil")
         return emicil(s_min, s_maj, n, params, rng)
     model = fit_gaussian(s_min, params.emi_ridge)
-    u, attrs = map(np.array, zip(*[(rng.random(), rng.randint(d)) for _ in range(n)]))
+    u, attrs = rng.draws(n, None, d)
     return _impute_each(model, wset.s_imin[_draw_base(np.cumsum(wset.probabilities), u)], attrs)
 
 

@@ -105,6 +105,13 @@ class TestCoreTypes:
         with pytest.raises(DataError):
             TimeSeriesFrame([0, 1, 1], ("a",), [[1.0, 2.0, 3.0]])
 
+    @pytest.mark.parametrize("ts", [[0, np.nan], [0, np.inf], [0, np.inf, np.inf], [-np.inf, 0]])
+    def test_frame_rejects_non_finite_timestamps(self, ts):
+        # NaN compares false to everything, and inf - inf is NaN with a
+        # RuntimeWarning, so the ordering check alone passes these.
+        with pytest.raises(DataError, match="finite"):
+            TimeSeriesFrame(ts, ("a",), [np.ones(len(ts))])
+
     def test_frame_shape_mismatch(self):
         with pytest.raises(DataError):
             TimeSeriesFrame([0, 1], ("a", "b"), [[1.0, 2.0]])

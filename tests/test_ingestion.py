@@ -77,6 +77,33 @@ class TestReadTimeseries:
             read_timeseries_csv(p2, "t", ["a"])
 
 
+    def test_nan_timestamp_rejected(self, tmp_path):
+        p = _write(tmp_path / "s.csv", "timestamp,a\n0,1\nnan,2\n")
+        with pytest.raises(DataError, match="finite"):
+            read_timeseries_csv(p, "timestamp")
+
+    def test_repeated_inf_timestamps_rejected(self, tmp_path):
+        p = _write(tmp_path / "s.csv", "timestamp,a\n0,1\ninf,2\ninf,3\n")
+        with pytest.raises(DataError, match="duplicate"):
+            read_timeseries_csv(p, "timestamp")
+
+
+BIG_CELL = "x" * 140_000        # over the csv module's 128 KiB field size limit
+
+
+@pytest.mark.parametrize("reader, text, row", [
+    (lambda p: read_timeseries_csv(p, "t"), f"t,a\n0,1\n1,{BIG_CELL}\n", 3),
+    (read_labeled_csv, f"timestamp,a,label\n0,1,n\n1,{BIG_CELL},n\n", 3),
+    (read_feature_csv, f"a,label\n{BIG_CELL},n\n", 2),
+    (read_intervals_csv, f"t_start,t_end,label\n0,1,F\n2,3,{BIG_CELL}\n", 3),
+    (read_intervals_csv, f"t_start,t_end,{BIG_CELL}\n", 1),
+], ids=["series", "labeled", "features", "intervals", "interval_header"])
+def test_oversized_cell_is_a_parse_error(tmp_path, reader, text, row):
+    p = _write(tmp_path / "big.csv", text)
+    with pytest.raises(ParseError, match=f"big.csv: .*field larger than field limit.* at row {row}$"):
+        reader(p)
+
+
 class TestIntervals:
     def test_one_row(self, tmp_path):
         p = _write(tmp_path / "i.csv", "t_start,t_end,label\n100,200,F\n")

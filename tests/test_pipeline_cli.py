@@ -337,6 +337,8 @@ class TestCli:
         ("timestamp,a,b\n0,1,2\n1,3\n", "ParseError", "row 3"),
         ("", "SchemaError", "empty file"),
         ("timestamp\n0\n1\n2\n", "DataError", "at least one channel"),
+        ("timestamp,a\n0,1\nnan,2\n", "DataError", "finite"),
+        ("timestamp,a\n0,1\ninf,2\ninf,3\n", "DataError", "duplicate"),
     ])
     def test_ingest_malformed_series_error_line(self, tmp_path, capsys, text, error, detail):
         series = tmp_path / "s.csv"
@@ -347,6 +349,16 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         payload = json.loads(lines[0][len("error: "):])
         assert payload["type"] == error and detail in payload["message"]
+
+    def test_ingest_oversized_cell_error_line(self, tmp_path, capsys):
+        series = tmp_path / "s.csv"
+        series.write_text("timestamp,a\n0,1\n1," + "x" * 140_000 + "\n")
+        rc = main(["ingest", "--series", str(series), "--out", str(tmp_path / "out.csv")])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        payload = json.loads(lines[0][len("error: "):])
+        assert payload["type"] == "ParseError" and "at row 3" in payload["message"]
 
     @pytest.mark.parametrize("text", ["not a model", '{"format": "imbfault-gbt", "version": 1}'])
     def test_predict_events_bad_model_in_error_line(self, tmp_path, capsys, text):

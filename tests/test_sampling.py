@@ -134,6 +134,29 @@ def ewmote_oracle(s_min, s_maj, n, params, rng):
     return out
 
 
+def random_oracle(s_min, n, rng):
+    """Per row: one uniformly chosen minority row."""
+    return np.array([s_min[rng.randint(len(s_min))] for _ in range(n)]).reshape(n, -1)
+
+
+def mwmote_oracle(s_min, s_maj, n, params, rng):
+    """Per row: a weighted base, a uniform partner from the base's cluster
+    (no draw when the cluster is the base alone) and an interpolation weight."""
+    wset = selection_probabilities(s_min, s_maj, params)
+    s_minf = s_min[wset.minf_indices]
+    clusters = agglomerative_clusters(s_minf, params.cp)
+    cum = np.cumsum(wset.probabilities)
+    out = np.empty((n, s_min.shape[1]))
+    for t in range(n):
+        u = rng.random() * cum[-1]
+        b = min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
+        base_pos = int(wset.imin_in_minf[b])
+        pool = np.flatnonzero(clusters == clusters[base_pos])
+        x, z = s_minf[base_pos], s_minf[pool[rng.randint(len(pool))]]
+        out[t] = x + rng.random() * (z - x)
+    return out
+
+
 class TestKnn:
     def test_hand_case(self):
         pool = np.array([[1.0, 0.0], [3.0, 0.0], [2.0, 0.0]])
@@ -635,6 +658,45 @@ class TestBatchedImputationSamplers:
                     else ewmote_oracle(s_min, s_maj, 60, P, want_rng))
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
             assert got_rng.random() == want_rng.random()
+
+
+class TestBatchedDrawSamplers:
+    """random, smote and mwmote draw all their rows in one batch; they must
+    give the bytes of the row-by-row loops they replace."""
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_and_smote(self, d, seed):
+        s_min = Pcg32(seed).normals(10 * d).reshape(10, d)
+        for k in (1, 3):
+            got_rng, want_rng = Pcg32(seed), Pcg32(seed)
+            got = smote(s_min, no_maj(s_min), 70, SamplerParams(k=k), got_rng)
+            want = smote_oracle(s_min, 70, k, want_rng)
+            assert got.tobytes() == want.tobytes()
+            assert got_rng.random() == want_rng.random()
+        got_rng, want_rng = Pcg32(seed), Pcg32(seed)
+        got = random_oversample(s_min, no_maj(s_min), 70, P, got_rng)
+        assert got.tobytes() == random_oracle(s_min, 70, want_rng).tobytes()
+        assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("cp", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mwmote(self, cp, seed):
+        # Classes mixed at one scale: most minority rows are informative,
+        # and a small cp leaves many of them in clusters of their own.
+        rng = Pcg32(seed)
+        s_min = rng.normals(24).reshape(12, 2) * 3
+        s_maj = rng.normals(120).reshape(60, 2) * 3
+        params = SamplerParams(cp=cp)
+        wset = selection_probabilities(s_min, s_maj, params)
+        clusters = agglomerative_clusters(s_min[wset.minf_indices], cp)
+        if cp == 1.0:
+            # Some bases a row may draw have no partner draw.
+            assert np.any(np.bincount(clusters)[clusters[wset.imin_in_minf]] == 1)
+        got_rng, want_rng = Pcg32(seed), Pcg32(seed)
+        got = mwmote(s_min, s_maj, 80, params, got_rng)
+        assert got.tobytes() == mwmote_oracle(s_min, s_maj, 80, params, want_rng).tobytes()
+        assert got_rng.random() == want_rng.random()
 
 
 class TestSamplerContract:
