@@ -44,19 +44,46 @@ class GbtParams:
             raise ConfigError("min_leaf must be >= 1")
 
 
+def _gain(gl, hl, G: float, H: float, gains, right):
+    """Write gl²/max(hl, eps) + (G - gl)²/max(H - hl, eps) - G²/max(H, eps)
+    into `gains`, one step at a time in place: `right` is scratch, and hl's
+    slot takes H - hl once hl has been read."""
+    np.multiply(gl, gl, out=gains)
+    np.maximum(hl, _EPS, out=right)
+    np.divide(gains, right, out=gains)
+    np.subtract(G, gl, out=right)
+    np.square(right, out=right)
+    np.subtract(H, hl, out=hl)
+    np.maximum(hl, _EPS, out=hl)
+    np.divide(right, hl, out=right)
+    np.add(gains, right, out=gains)
+    np.subtract(gains, G * G / max(H, _EPS), out=gains)
+
+
+def _between(a: float, b: float) -> float:
+    """A threshold t with a <= t < b, for a < b: their midpoint, or a where
+    that rounds up to b (adjacent floats). Halving first keeps it finite
+    near the largest floats."""
+    t = a / 2 + b / 2
+    return t if a <= t < b else a
+
+
 class _SplitScan:
     """Exact greedy split search over one training set, shared by every tree
     fit on it.
 
     `orders[f]` lists the rows by feature f's value, ties by row index: the
     stable argsort of each column. `cols` is X column-major, so one flat
-    `take` gathers a node's sorted values of every feature; the root's are
-    the same for every tree, so where they tie is found once. A node's
+    `take` gathers a node's sorted values of every feature. A node's
     gradients and hessians travel together as one complex vector: one
     gather and one in-place cumsum give both prefix sums, and since real and
     imaginary parts add independently each equals its own real cumsum bit
-    for bit. The scratch buffers are sized for the root and reused by every
-    node, because each node finishes its scan before its children start."""
+    for bit. Only positions between distinct values are scored. The root's
+    are the same for every tree, so they are found once; when the root has
+    no tied values no node has any, and every position is scored without
+    looking for ties. The scratch buffers are sized for the root and reused
+    by every node, because each node finishes its scan before its children
+    start."""
 
     def __init__(self, X: np.ndarray):
         n, d = X.shape
@@ -70,55 +97,72 @@ class _SplitScan:
         self.mask = np.empty(d * n, dtype=bool)
         self.goes_left = np.empty(n, dtype=bool)
         self.below = np.empty(d * n, dtype=np.intp)
-        self.root_ties = self._ties(self.orders, 0, n - 1).copy()
+        self.root_splits = self._splits(self.orders, 0, n - 1).copy()
+        self.tie_free = bool(self.root_splits[:, :n - 1].all())
 
-    def _ties(self, order: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Where each feature's sorted value at position p equals the next
-        one, for lo <= p < hi: no split can fall between them. The values
-        are sorted and finite, so `>=` here is `==` and `not <`."""
+    def _splits(self, order: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """A `(features, rows)` mask of the sorted positions p, lo <= p < hi,
+        where the value is below the next one: the splits between distinct
+        values. The values are sorted and finite, so `<` here is `!=`."""
         d, m = order.shape
         at = self.work[1].view(np.intp)[:d * m].reshape(d, m)
         xs = self.work[0, :d * m].reshape(d, m)
         np.add(order, self.offsets, out=at)
         self.cols.take(at, out=xs, mode="clip")
-        return np.greater_equal(xs[:, lo:hi], xs[:, lo + 1:hi + 1],
-                                out=self.mask[:d * (hi - lo)].reshape(d, hi - lo))
+        out = self.mask[:d * m].reshape(d, m)
+        out[:, :lo] = out[:, hi:] = False
+        np.less(xs[:, lo:hi], xs[:, lo + 1:hi + 1], out=out[:, lo:hi])
+        return out
 
     def best_split(self, order: np.ndarray, G: float, H: float, min_leaf: int):
         """Return `(feature, threshold)` of the node whose rows are `order`
         per feature, or `(-1, 0.0)` when no split gains more than 1e-12: the
         split after each feature's sorted position p, min_leaf - 1 <= p <
         m - min_leaf, between distinct values, scored by the second-order
-        gain; the first feature wins equal gains."""
+        gain; the first feature wins equal gains.
+
+        The prefix sums run over every row. Unless the training set is tie
+        free, only the split positions' sums are gathered into one compact
+        vector and scored, and their gains are put back into a `-inf` row
+        per feature, so each feature's argmax is the one a full scan gives."""
         d, m = order.shape
         lo, hi = min_leaf - 1, m - min_leaf
-        k = hi - lo
-        ties = self.root_ties[:, lo:hi] if order is self.orders else self._ties(order, lo, hi)
         prefix = self.prefix[:d * m].reshape(d, m)
         self.gh.take(order, out=prefix, mode="clip")
         np.cumsum(prefix, axis=1, out=prefix)
-        gl, hl = prefix.real[:, lo:hi], prefix.imag[:, lo:hi]
-        gains, right = self.work[0, :d * k].reshape(d, k), self.work[1, :d * k].reshape(d, k)
-        # gl²/max(hl, eps) + (G - gl)²/max(H - hl, eps) - G²/max(H, eps), one step
-        # at a time in place; hl's slot takes H - hl once hl has been read.
-        np.multiply(gl, gl, out=gains)
-        np.maximum(hl, _EPS, out=right)
-        np.divide(gains, right, out=gains)
-        np.subtract(G, gl, out=right)
-        np.square(right, out=right)
-        np.subtract(H, hl, out=hl)
-        np.maximum(hl, _EPS, out=hl)
-        np.divide(right, hl, out=right)
-        np.add(gains, right, out=gains)
-        np.subtract(gains, G * G / max(H, _EPS), out=gains)
-        np.copyto(gains, -np.inf, where=ties)
+        if self.tie_free:
+            k = hi - lo
+            gains = self.work[0, :d * k].reshape(d, k)
+            _gain(prefix.real[:, lo:hi], prefix.imag[:, lo:hi], G, H, gains,
+                  self.work[1, :d * k].reshape(d, k))
+            first = lo   # the position of gains' first column
+        else:
+            if order is not self.orders:
+                splits = self._splits(order, lo, hi)
+            elif lo == 0:
+                splits = self.root_splits
+            else:
+                splits = self.mask[:d * m].reshape(d, m)
+                np.copyto(splits, self.root_splits)
+                splits[:, :lo] = splits[:, hi:] = False
+            # The sums go to `work`, free once the mask is built, and the
+            # scores to `prefix`, which is not read again.
+            at = np.flatnonzero(splits)
+            s = at.size
+            sums = prefix.take(at, out=self.work.reshape(-1).view(complex)[:s], mode="clip")
+            scores = self.prefix.view(float)
+            _gain(sums.real, sums.imag, G, H, scores[:s], scores[s:2 * s])
+            row = self.work[0, :d * m]
+            row.fill(-np.inf)
+            row[at] = scores[:s]
+            gains, first = row.reshape(d, m), 0
         ps = np.argmax(gains, axis=1)
         best_gain, best_feature, best_threshold = 0.0, -1, 0.0
         for f, (p, gain) in enumerate(zip(ps.tolist(), gains[self.features, ps].tolist())):
             if gain > best_gain + 1e-12:
                 best_gain, best_feature = gain, f
-                a, b = self.cols[f].take(order[f, lo + p:lo + p + 2]).tolist()
-                best_threshold = (a + b) / 2.0
+                a, b = self.cols[f].take(order[f, first + p:first + p + 2]).tolist()
+                best_threshold = _between(a, b)
         return best_feature, best_threshold
 
     def partition(self, order: np.ndarray, rows: np.ndarray, left: np.ndarray):
@@ -204,10 +248,12 @@ def _predict_tree(tree: dict, X: np.ndarray) -> np.ndarray:
 
 def _link(margins: np.ndarray, binary: bool) -> np.ndarray:
     """Per-ensemble probabilities: the sigmoid of a binary model's single
-    ensemble, otherwise the max-shifted softmax across ensembles."""
-    if binary:
-        return 1.0 / (1.0 + np.exp(-margins))
-    e = np.exp(margins - margins.max(axis=1, keepdims=True))
+    ensemble, otherwise the max-shifted softmax across ensembles. A term
+    that overflows to inf gives its limit, 0, so no warning is raised."""
+    with np.errstate(over="ignore"):
+        if binary:
+            return 1.0 / (1.0 + np.exp(-margins))
+        e = np.exp(margins - margins.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 
 
@@ -276,19 +322,30 @@ class GbtModel:
             if not isinstance(blob, dict) or blob.get("format") != _FORMAT \
                     or blob.get("version") != _VERSION:
                 raise ValueError("wrong format or version")
+            if not isinstance(blob["classes"], list):
+                raise ValueError("classes must be a list")
             params = GbtParams(**{f.name: blob[f.name] for f in fields(GbtParams)})
             model = cls(classes=tuple(blob["classes"]), n_features=blob["n_features"],
                         binary=blob["binary"], init=np.asarray(blob["init"], dtype=float),
                         trees=blob["trees"], params=params)
             model._check()
-        except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
             raise DataError(f"{path}: not a valid {_FORMAT} v{_VERSION} model file "
                             f"({type(exc).__name__}: {exc})") from None
         return model
 
     def _check(self) -> None:
         """Raise ValueError unless every tree can be evaluated. Children are
-        numbered in preorder, so child ids above the parent's rule out cycles."""
+        numbered in preorder, so child ids above the parent's rule out cycles.
+        Each ensemble's margin is bounded by its init plus every round's
+        largest leaf; rounding is monotone, so a finite bound keeps every
+        margin finite."""
+        if type(self.n_features) is not int or self.n_features < 1:
+            raise ValueError(f"n_features must be an int >= 1, not {self.n_features!r}")
+        if type(self.binary) is not bool:
+            raise ValueError(f"binary must be true or false, not {self.binary!r}")
+        if len(set(self.classes)) != len(self.classes):
+            raise ValueError("classes must be distinct")
         if len(self.classes) < 2 or self.binary and len(self.classes) != 2:
             raise ValueError("need 2 classes for a binary model, at least 2 otherwise")
         n_ens = 1 if self.binary else len(self.classes)
@@ -301,10 +358,16 @@ class GbtModel:
             if n == 0 or any(len(col) != n for col in cols):
                 raise ValueError(f"tree {i}: node lists are empty or of unequal length")
             for nid, (f, t, left, right, v) in enumerate(zip(*cols)):
-                if not (math.isfinite(t) and math.isfinite(v)) or f >= 0 and not (
-                        type(f) is type(left) is type(right) is int
-                        and f < self.n_features and nid < left < n and nid < right < n):
+                if type(f) is not int or not (math.isfinite(t) and math.isfinite(v)) \
+                        or f >= 0 and not (type(left) is type(right) is int and f < self.n_features
+                                           and nid < left < n and nid < right < n):
                     raise ValueError(f"tree {i}: invalid node {nid}")
+        for c, start in enumerate(self.init.tolist()):
+            bound = abs(start)
+            for round_trees in self.trees:
+                bound += self.params.learning_rate * max(map(abs, round_trees[c]["value"]))
+            if not math.isfinite(bound):
+                raise ValueError(f"ensemble {c}: leaf values could overflow the margin")
 
 
 def gbt_train(fm: FeatureMatrix, params: GbtParams | None = None) -> GbtModel:

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from imbfault.classifier import (_EPS, _TREE_KEYS, GbtModel, GbtParams, _fit_tree,
@@ -67,6 +69,21 @@ class TestGbtTrain:
         assert model.binary is False
         assert float(np.mean(model.predict(fm) == fm.labels)) == 1.0
 
+    @pytest.mark.parametrize("a, b", [(1.0 + 2.0**-52, 1.0 + 2.0**-51), (1.5e308, 1.7e308)],
+                             ids=["adjacent_floats", "near_float_max"])
+    def test_threshold_falls_between_the_values(self, tmp_path, a, b):
+        """Their midpoint rounds up to b for the first pair and overflows for
+        the second; either would send every row left."""
+        fm = _fm([[a]] * 10 + [[b]] * 10, ["a"] * 10 + ["b"] * 10)
+        model = gbt_train(fm, GbtParams(rounds=5, max_depth=1))
+        threshold = model.trees[0][0]["threshold"][0]
+        assert a <= threshold < b
+        assert np.all(model.predict(fm) == fm.labels)
+        path = tmp_path / "model.json"
+        model.save(path)
+        loaded = GbtModel.load(path)
+        assert loaded.predict_proba(fm).tobytes() == model.predict_proba(fm).tobytes()
+
     def test_loss_validation(self):
         with pytest.raises(ConfigError):
             GbtParams(rounds=0)
@@ -125,7 +142,10 @@ def fit_tree_oracle(X, g, h, params):
                 if gains[p] > best_gain + 1e-12:
                     best_gain = float(gains[p])
                     best_feature = f
-                    best_threshold = float((xs_sorted[p] + xs_sorted[p + 1]) / 2.0)
+                    a, b = float(xs_sorted[p]), float(xs_sorted[p + 1])
+                    best_threshold = a / 2 + b / 2
+                    if not a <= best_threshold < b:   # adjacent floats: the midpoint is b
+                        best_threshold = a
         if best_feature < 0:
             tree["value"][nid] = fitted[idx] = -G / max(H, _EPS)
             return nid
@@ -228,6 +248,38 @@ class TestPinnedModels:
             want_tree, want_fitted = fit_tree_oracle(X, g, h, params)
             assert json.dumps(tree) == json.dumps(fresh_tree) == json.dumps(want_tree)
             assert fitted.tobytes() == fresh_fitted.tobytes() == want_fitted.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.integers(2, 60), cols=st.integers(1, 5),
+           pattern=st.sampled_from(["ewmote", "one column without ties", "every value tied",
+                                    "tie free"]),
+           min_leaf=st.integers(1, 5), trees=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_tie_patterns_match_oracle(self, rows, cols, pattern, min_leaf, trees, seed):
+        """Only the positions between distinct values are scored, whichever
+        positions those are, and trees sharing one scan see the same ones.
+        min_leaf > 1 starts the root's split positions after position 0."""
+        rng = Pcg32(seed)
+        X = np.floor(rng.uniforms(rows * cols) * 3).reshape(rows, cols)
+        j = rng.randint(cols)
+        if pattern == "ewmote":   # copies of a few base rows, each with one attribute redrawn
+            X = X[rng.randints([3] * rows) % rows]
+            X[np.arange(rows), rng.randints([cols] * rows)] = rng.uniforms(rows)
+        elif pattern == "one column without ties":
+            X[:, j] = np.argsort(rng.uniforms(rows), kind="stable")
+        elif pattern == "every value tied":   # each value at least twice
+            X[:, j] = rng.uniforms(rows // 2)[np.minimum(np.arange(rows) // 2, rows // 2 - 1)]
+        else:
+            X = np.argsort(rng.uniforms(rows * cols).reshape(cols, rows), axis=1).T / rows
+        shared = _SplitScan(X)
+        assert shared.tie_free == all(len(set(X[:, f])) == rows for f in range(cols))
+        for _ in range(trees):
+            g = rng.normals(rows)
+            h = rng.uniforms(rows) + 0.01
+            params = GbtParams(max_depth=1 + rng.randint(4), min_leaf=min_leaf)
+            tree, fitted = _fit_tree(shared, g, h, params)
+            want_tree, want_fitted = fit_tree_oracle(X, g, h, params)
+            assert json.dumps(tree) == json.dumps(want_tree)
+            assert fitted.tobytes() == want_fitted.tobytes()
 
 
 class TestPredictProba:
@@ -352,6 +404,21 @@ def _one_ensemble(**changes):
     return mutate
 
 
+def _all_leaves(n_features):
+    """No node of an all-leaf model reads n_features, so only the file check
+    can refuse a bad one; otherwise predict would blame its input."""
+    def mutate(blob):
+        leaf = {"feature": [-1], "threshold": [0.0], "left": [0], "right": [0], "value": [0.5]}
+        blob.update(n_features=n_features,
+                    trees=[[leaf] * len(round_trees) for round_trees in blob["trees"]])
+    return mutate
+
+
+def _overflowing_margin(blob):
+    blob.update(init=[1.7e308] * 3, learning_rate=1.0)
+    blob["trees"][0][0]["value"][-1] = 1.7e308
+
+
 def _truncate_round(blob):
     blob["trees"][1] = blob["trees"][1][:2]
 
@@ -393,6 +460,14 @@ MALFORMED = {
     "value_neg_inf": _set_node("value", -1, float("-inf")),
     "value_null": _set_node("value", -1, None),
     "learning_rate_zero": _set("learning_rate", 0.0),
+    "classes_repeated": _set("classes", ["a", "b", "a"]),
+    "classes_equal_numbers": _set("classes", [1, 1.0, 2]),
+    "classes_string": _set("classes", "abc"),
+    "value_int_too_big": _set_node("value", -1, 10**400),
+    "margin_overflow": _overflowing_margin,
+    **{f"all_leaves_n_features_{name}": _all_leaves(value) for name, value in
+       (("str", "1"), ("null", None), ("negative", -1), ("zero", 0), ("true", True),
+        ("float", 1.0))},
 }
 
 
@@ -458,3 +533,94 @@ class TestModelFileValidation:
         p = 1.0 / (1.0 + np.exp([1.0, -1.0]))
         np.testing.assert_allclose(GbtModel.load(path).predict_proba([[0.0], [1.0]]),
                                    np.column_stack([1 - p, p]), rtol=1e-15)
+
+    @pytest.mark.parametrize("margin", [-800.0, 800.0])
+    def test_saturated_margins_give_finite_probabilities(self, tmp_path, margin):
+        leaf = {"feature": [-1], "threshold": [0.0], "left": [0], "right": [0], "value": [0.5]}
+        blob = {"format": "imbfault-gbt", "version": 1, "classes": ["a", "b"], "n_features": 1,
+                "binary": True, "init": [margin], "learning_rate": 0.3, "rounds": 1,
+                "max_depth": 1, "min_leaf": 1, "trees": [[leaf]]}
+        proba = GbtModel.load(self._rewrite(tmp_path / "model.json", blob)).predict_proba([[0.0]])
+        assert np.isfinite(proba).all()
+        np.testing.assert_allclose(proba.sum(axis=1), 1.0)
+
+
+def _saved_blob(n_classes: int) -> str:
+    """The text `save` writes for a small trained model."""
+    rng = Pcg32(15 + n_classes)
+    X = rng.normals(60).reshape(30, 2)
+    model = gbt_train(_fm(X, ["a", "b", "c"][:n_classes] * (30 // n_classes)),
+                      GbtParams(rounds=2, max_depth=2))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        model.save(path)
+        return path.read_text()
+
+
+VALID_BLOBS = {n: _saved_blob(n) for n in (2, 3)}
+
+ODD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.integers(2**63, 2**1100),
+    st.floats(), st.sampled_from([1e308, -1e308, 1.7976931348623157e308, 5e-324]),
+    st.text(max_size=3), st.lists(st.integers(-1, 3), max_size=3), st.just({}))
+
+
+def _well_formed_trees(blob) -> list:
+    """Every tree dict of `blob` whose node lists are lists, or [] once a
+    mutation has broken the nesting."""
+    rounds = blob.get("trees")
+    if not isinstance(rounds, list) or not all(isinstance(r, list) for r in rounds):
+        return []
+    trees = [t for r in rounds for t in r]
+    ok = all(isinstance(t, dict) and all(isinstance(t.get(k), list) and t[k] for k in _TREE_KEYS)
+             for t in trees)
+    return trees if ok else []
+
+
+class TestModelFileFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), n_classes=st.sampled_from([2, 3]), mutations=st.integers(1, 3))
+    def test_mutated_file_loads_or_fails_typed(self, tmp_path_factory, data, n_classes,
+                                               mutations):
+        """A mutated model file either is refused with a DataError naming it,
+        or loads and gives finite probabilities on any finite input."""
+        blob = json.loads(VALID_BLOBS[n_classes])
+        for _ in range(mutations):
+            kind = data.draw(st.sampled_from(["drop", "set", "node", "cycle", "all leaf"]))
+            trees = _well_formed_trees(blob)
+            if kind == "drop" and blob:
+                del blob[data.draw(st.sampled_from(sorted(blob)))]
+            elif kind == "set":
+                key = data.draw(st.sampled_from(sorted(blob) + ["classes", "n_features"]))
+                blob[key] = data.draw(ODD_VALUES)
+            elif kind == "node" and trees:
+                node_list = data.draw(st.sampled_from(trees))[data.draw(st.sampled_from(_TREE_KEYS))]
+                node_list[data.draw(st.integers(0, len(node_list) - 1))] = data.draw(ODD_VALUES)
+            elif kind == "cycle" and trees:   # a child pointing at itself or an ancestor
+                tree = data.draw(st.sampled_from(trees))
+                nid = data.draw(st.integers(0, len(tree["left"]) - 1))
+                tree[data.draw(st.sampled_from(["left", "right"]))][nid] = \
+                    data.draw(st.integers(0, nid))
+            elif kind == "all leaf" and trees:
+                value = data.draw(st.one_of(st.floats(-1e308, 1e308), ODD_VALUES))
+                for tree in trees:
+                    tree.update(feature=[-1], threshold=[0.0], left=[0], right=[0],
+                                value=[value])
+        path = tmp_path_factory.getbasetemp() / "fuzzed-model.json"
+        path.write_text(json.dumps(blob))
+        try:
+            model = GbtModel.load(path)
+        except DataError as exc:
+            assert str(path) in str(exc)
+            event("refused")
+            return
+        event("loaded")
+        assert type(model.n_features) is int and model.n_features >= 1
+        if model.n_features > 64:   # too wide to evaluate here; loading was the check
+            return
+        rows = data.draw(st.integers(1, 5))
+        scale = data.draw(st.sampled_from([1.0, 1e300]))
+        X = Pcg32(rows).normals(rows * model.n_features).reshape(rows, -1) * scale
+        proba = model.predict_proba(X)
+        assert proba.shape == (rows, len(model.classes))
+        assert np.isfinite(proba).all()
