@@ -298,9 +298,10 @@ def run_predict_events(train_series: LabeledSeries, test_series: LabeledSeries,
     if true_intervals is not None:
         fn, fp = event_confusion(events, true_intervals, test_series.frame.timestamps)
         ts = test_series.frame.timestamps
-        faulty = 0
+        covered = np.zeros(len(ts), dtype=bool)   # the union: overlaps count once
         for iv in true_intervals:
-            faulty += int(np.sum((ts >= iv.t_start) & (ts <= iv.t_end)))
+            covered |= (ts >= iv.t_start) & (ts <= iv.t_end)
+        faulty = int(covered.sum())
         _write_csv(os.path.join(out_dir, "event_report.csv"),
                    ["fn_ticks", "fp_ticks", "true_faulty_ticks"],
                    [[fn, fp, faulty]])

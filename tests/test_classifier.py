@@ -111,7 +111,9 @@ PINNED = {
 
 def fit_tree_oracle(X, g, h, params):
     """Scalar reference for `_fit_tree`: every node argsorts every feature of
-    its own rows and scans them one feature at a time."""
+    its own rows and scans them one feature at a time. A node whose rows all
+    share one (g, h) pair with h >= eps is not scanned: each of its splits
+    gains exactly 0, so any split a scan took would be rounding noise."""
     tree = {key: [] for key in _TREE_KEYS}
     fitted = np.empty(len(X))
 
@@ -122,7 +124,9 @@ def fit_tree_oracle(X, g, h, params):
         G = float(g[idx].sum())
         H = float(h[idx].sum())
         best_gain, best_feature, best_threshold = 0.0, -1, 0.0
-        if depth < params.max_depth and len(idx) >= 2 * params.min_leaf:
+        uniform = len(idx) > 0 and h[idx[0]] >= _EPS \
+            and (g[idx] == g[idx[0]]).all() and (h[idx] == h[idx[0]]).all()
+        if depth < params.max_depth and len(idx) >= 2 * params.min_leaf and not uniform:
             parent = G * G / max(H, _EPS)
             for f in range(X.shape[1]):
                 xs = X[idx, f]
@@ -280,6 +284,79 @@ class TestPinnedModels:
             want_tree, want_fitted = fit_tree_oracle(X, g, h, params)
             assert json.dumps(tree) == json.dumps(want_tree)
             assert fitted.tobytes() == want_fitted.tobytes()
+
+
+def _spied_scan(X):
+    """A split scan that records each call of its best_split and partition."""
+    scan, calls = _SplitScan(X), []
+    for name in ("best_split", "partition"):
+        def spy(*args, _name=name, _method=getattr(scan, name)):
+            calls.append(_name)
+            return _method(*args)
+        setattr(scan, name, spy)
+    return scan, calls
+
+
+class TestUniformNodes:
+    def test_uniform_node_is_one_leaf(self):
+        """Every split of 2,000 rows sharing (0.9, 0.09) gains exactly 0,
+        but rounding in the prefix sums lifts some gains over the 1e-12
+        bar; the node must still be one leaf."""
+        n = 2000
+        X = np.arange(n, dtype=float)[:, None]
+        g, h = np.full(n, 0.9), np.full(n, 0.09)
+        scan, calls = _spied_scan(X)
+        tree, fitted = _fit_tree(scan, g, h, GbtParams(max_depth=2))
+        value = -float(g.sum()) / float(h.sum())
+        assert tree == {"feature": [-1], "threshold": [0.0], "left": [0], "right": [0],
+                        "value": [value]}
+        assert set(fitted.tolist()) == {value}
+        assert calls == []
+
+    @pytest.mark.parametrize("h0", [0.0, 1e-17])
+    def test_uniform_node_below_eps_is_scanned(self, h0):
+        """With h < eps the clamps act, the gains are not exactly 0, and the
+        node is scanned as any other."""
+        n = 64
+        X = np.floor(Pcg32(9).uniforms(n * 2) * 8).reshape(n, 2)
+        g, h = np.full(n, 0.4), np.full(n, h0)
+        params = GbtParams(max_depth=3)
+        scan, calls = _spied_scan(X)
+        tree, fitted = _fit_tree(scan, g, h, params)
+        want_tree, want_fitted = fit_tree_oracle(X, g, h, params)
+        assert calls[0] == "best_split"
+        assert json.dumps(tree) == json.dumps(want_tree)
+        assert fitted.tobytes() == want_fitted.tobytes()
+
+    def test_no_partition_when_no_child_is_scanned(self):
+        """The root separates two uniform halves: neither child is scanned,
+        so their per-feature orders are never formed."""
+        X = np.arange(40, dtype=float)[:, None]
+        g = np.repeat([-0.5, 0.5], 20)
+        scan, calls = _spied_scan(X)
+        tree, fitted = _fit_tree(scan, g, np.full(40, 0.25), GbtParams(max_depth=3))
+        assert calls == ["best_split"]
+        assert tree["feature"] == [0, -1, -1] and tree["threshold"][0] == 19.5
+        assert fitted.tolist() == [2.0] * 20 + [-2.0] * 20
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.integers(200, 2500), cols=st.integers(1, 3), pairs=st.integers(1, 3),
+           levels=st.sampled_from([2, 7, 2**30]), min_leaf=st.integers(1, 3),
+           max_depth=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_few_gradient_pairs_match_oracle(self, rows, cols, pairs, levels, min_leaf,
+                                             max_depth, seed):
+        """Boosting's first rounds give every row of a class one (g, h) pair,
+        so large nodes often hold a single pair."""
+        rng = Pcg32(seed)
+        X = np.floor(rng.uniforms(rows * cols) * levels).reshape(rows, cols)
+        p = rng.uniforms(pairs)
+        which = rng.randints([pairs] * rows)
+        g, h = (p - (np.arange(pairs) % 2))[which], (p * (1.0 - p))[which]
+        params = GbtParams(max_depth=max_depth, min_leaf=min_leaf)
+        tree, fitted = _fit_tree(_SplitScan(X), g, h, params)
+        want_tree, want_fitted = fit_tree_oracle(X, g, h, params)
+        assert json.dumps(tree) == json.dumps(want_tree)
+        assert fitted.tobytes() == want_fitted.tobytes()
 
 
 class TestPredictProba:

@@ -196,6 +196,18 @@ class TestRunPredictEvents:
         written = read_intervals_csv(result["events_path"])
         assert written == result["events"]
 
+    def test_overlapping_true_intervals_count_each_tick_once(self, tmp_path):
+        """Ticks 15-19 lie in both intervals; per-tick FN/FP use the union,
+        so the faulty-tick count does too."""
+        ivs = [FaultInterval(10, 19, "F"), FaultInterval(15, 24, "F")]
+        frame, _ = synthetic_timeseries(40, ivs, 2, 3.5, seed=5)
+        series = label_timestamps(frame, ivs, "normal")
+        cfg = small_cfg(window_len=5, slide_len=1, rounds=3)
+        result = run_predict_events(series, series, cfg, tmp_path, true_intervals=ivs)
+        assert result["true_faulty_ticks"] == 15
+        with open(tmp_path / "event_report.csv", encoding="utf-8") as fh:
+            assert fh.read().splitlines()[1].split(",")[2] == "15"
+
     def test_model_out_and_in(self, tmp_path):
         train, test, ivs = self._series_pair(30)
         cfg = PipelineConfig(window_len=20, slide_len=5, rounds=10, max_depth=2,
