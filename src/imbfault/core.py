@@ -27,6 +27,13 @@ def _frozen_array(values, dtype=float, ndim=None) -> np.ndarray:
     return arr
 
 
+def as_labels(values) -> np.ndarray:
+    """`values` flattened into a read-only 1-d object array of `str` labels."""
+    labels = np.array([str(v) for v in np.asarray(values).ravel()], dtype=object)
+    labels.setflags(write=False)
+    return labels
+
+
 @dataclass(frozen=True)
 class TimeSeriesFrame:
     """Multichannel time series: `values` is (n_channels, n_ticks)."""
@@ -80,8 +87,10 @@ class FaultInterval:
         if self.t_start > self.t_end:
             raise DataError(f"inverted interval ({self.t_start}, {self.t_end})")
 
-    def contains(self, t) -> bool:
-        return self.t_start <= t <= self.t_end
+    def covers(self, timestamps) -> np.ndarray:
+        """Mask of the timestamps inside the interval, both bounds included."""
+        timestamps = np.asarray(timestamps)
+        return (timestamps >= self.t_start) & (timestamps <= self.t_end)
 
 
 # Prognostic outputs share the interval shape; the alias keeps call sites readable.
@@ -122,9 +131,7 @@ class FeatureMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "data", _frozen_array(self.data, ndim=2))
-        labels = np.array([str(v) for v in np.asarray(self.labels).ravel()], dtype=object)
-        labels.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", as_labels(self.labels))
         object.__setattr__(self, "feature_names", tuple(str(n) for n in self.feature_names))
         if len(self.labels) != self.data.shape[0]:
             raise DataError("labels length must equal row count")
@@ -171,8 +178,8 @@ class ClassDistribution:
 def class_distribution(labels) -> ClassDistribution:
     """Count classes; majority is the largest count, ties going to the
     lexicographically first label."""
-    labels = [str(v) for v in np.asarray(labels).ravel()]
-    if not labels:
+    labels = as_labels(labels)
+    if not len(labels):
         raise DataError("empty label vector")
     counts = dict(Counter(labels))
     majority = min(counts, key=lambda c: (-counts[c], c))
@@ -191,7 +198,6 @@ class SamplerParams:
             ceil(|S_min| / 2), resolved at sampling time.
     cp      cluster-size tuning constant (threshold = cp * mean nn distance).
     cf_th   closeness cutoff; cmax  closeness scale.
-    n_synthetic  optional fixed per-class count overriding the balance rule.
     emi_ridge    ridge scale for the imputation Gaussian's covariance.
     """
 
@@ -202,7 +208,6 @@ class SamplerParams:
     cp: float = 3.0
     cf_th: float = 5.0
     cmax: float = 2.0
-    n_synthetic: int | None = None
     emi_ridge: float = 1e-6
 
     def __post_init__(self):
@@ -212,7 +217,5 @@ class SamplerParams:
             raise ConfigError("k3 must be >= 1 when given")
         if not all(0 < v < np.inf for v in (self.cp, self.cf_th, self.cmax)):
             raise ConfigError("cp, cf_th and cmax must be positive and finite")
-        if self.n_synthetic is not None and self.n_synthetic < 0:
-            raise ConfigError("n_synthetic must be >= 0")
         if not 0 <= self.emi_ridge < np.inf:
             raise ConfigError("emi_ridge must be finite and >= 0")

@@ -12,7 +12,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from .core import FaultEvent
+from .core import FaultEvent, as_labels
 from .errors import DataError
 
 
@@ -20,7 +20,7 @@ def windows_to_events(predictions, window_starts, window_len: int, timestamps,
                       normal_label: str = "normal") -> list:
     """One event per non-normal window, spanning the window's first and last
     timestamps; normal windows emit nothing."""
-    predictions = [str(p) for p in np.asarray(predictions).ravel()]
+    predictions = as_labels(predictions)
     window_starts = np.asarray(window_starts, dtype=int)
     timestamps = np.asarray(timestamps, dtype=float)
     if len(predictions) != len(window_starts):
@@ -75,16 +75,19 @@ def event_confusion(predicted, true_intervals, timestamps) -> tuple:
     labels = sorted({ev.label for ev in predicted} | {iv.label for iv in true_intervals})
     fn = fp = 0
     for label in labels:
-        true_mask = _coverage(true_intervals, label, timestamps)
-        pred_mask = _coverage(predicted, label, timestamps)
+        true_mask = coverage(true_intervals, timestamps, label)
+        pred_mask = coverage(predicted, timestamps, label)
         fn += int(np.sum(true_mask & ~pred_mask))
         fp += int(np.sum(pred_mask & ~true_mask))
     return fn, fp
 
 
-def _coverage(intervals, label: str, timestamps: np.ndarray) -> np.ndarray:
+def coverage(intervals, timestamps, label: str | None = None) -> np.ndarray:
+    """Mask of the timestamps that some interval covers, bounds included:
+    intervals of `label` only, or of every label for None. Overlapping
+    intervals cover a tick once."""
     mask = np.zeros(len(timestamps), dtype=bool)
     for iv in intervals:
-        if iv.label == label:
-            mask |= (timestamps >= iv.t_start) & (timestamps <= iv.t_end)
+        if label is None or iv.label == label:
+            mask |= iv.covers(timestamps)
     return mask

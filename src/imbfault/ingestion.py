@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FaultInterval, TimeSeriesFrame
+from .core import FaultInterval, TimeSeriesFrame, as_labels
 from .errors import DataError, LabelConflictError, ParseError, SchemaError
 
 INTERVAL_COLUMNS = ("t_start", "t_end", "label")
@@ -34,9 +34,7 @@ class LabeledSeries:
     labels: np.ndarray
 
     def __post_init__(self):
-        labels = np.array([str(v) for v in np.asarray(self.labels).ravel()], dtype=object)
-        labels.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", as_labels(self.labels))
         if len(self.labels) != self.frame.n_ticks:
             raise DataError("label vector length must equal timestamp count")
 
@@ -180,12 +178,18 @@ def read_intervals_csv(path) -> list:
     return intervals
 
 
-def write_intervals_csv(intervals, path) -> None:
+def write_csv(path, header, rows) -> None:
+    """Write a CSV table: the header row, then `rows`, whose cells are
+    already text."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(INTERVAL_COLUMNS)
-        for iv in intervals:
-            writer.writerow([repr(float(iv.t_start)), repr(float(iv.t_end)), iv.label])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_intervals_csv(intervals, path) -> None:
+    write_csv(path, INTERVAL_COLUMNS,
+              ([repr(float(iv.t_start)), repr(float(iv.t_end)), iv.label] for iv in intervals))
 
 
 def label_timestamps(frame: TimeSeriesFrame, intervals, default_label: str = "normal") -> LabeledSeries:
@@ -198,7 +202,7 @@ def label_timestamps(frame: TimeSeriesFrame, intervals, default_label: str = "no
     ts = frame.timestamps
     labels = np.array([default_label] * len(ts), dtype=object)
     for iv in intervals:
-        mask = (ts >= iv.t_start) & (ts <= iv.t_end)
+        mask = iv.covers(ts)
         clash = mask & (labels != default_label) & (labels != iv.label)
         if np.any(clash):
             t_bad = ts[clash][0]
@@ -212,14 +216,9 @@ def label_timestamps(frame: TimeSeriesFrame, intervals, default_label: str = "no
 def write_labeled_csv(series: LabeledSeries, path, timestamp_col: str = "timestamp") -> None:
     """Write timestamp, channels..., label. Floats use repr (round-trip exact)."""
     frame = series.frame
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([timestamp_col, *frame.channel_names, "label"])
-        for i in range(frame.n_ticks):
-            row = [repr(float(frame.timestamps[i]))]
-            row += [repr(float(v)) for v in frame.values[:, i]]
-            row.append(series.labels[i])
-            writer.writerow(row)
+    rows = ([repr(float(t)), *[repr(float(v)) for v in values], label]
+            for t, values, label in zip(frame.timestamps, frame.values.T, series.labels))
+    write_csv(path, [timestamp_col, *frame.channel_names, "label"], rows)
 
 
 def read_labeled_csv(path, timestamp_col: str = "timestamp") -> LabeledSeries:
@@ -241,14 +240,9 @@ def write_feature_csv(fm, path, extra_columns=None) -> None:
     extra_columns: optional dict name -> sequence (e.g. a synthetic flag).
     """
     extras = extra_columns or {}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*fm.feature_names, "label", *extras.keys()])
-        for i in range(fm.n_rows):
-            row = [repr(float(v)) for v in fm.data[i]]
-            row.append(fm.labels[i])
-            row += [str(col[i]) for col in extras.values()]
-            writer.writerow(row)
+    rows = ([*[repr(float(v)) for v in fm.data[i]], fm.labels[i],
+             *[str(col[i]) for col in extras.values()]] for i in range(fm.n_rows))
+    write_csv(path, [*fm.feature_names, "label", *extras.keys()], rows)
 
 
 def read_feature_csv(path):

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import as_labels
 from .errors import DataError
 
-
-def _as_labels(values) -> np.ndarray:
-    return np.array([str(v) for v in np.asarray(values).ravel()], dtype=object)
+METRIC_KEYS = ("precision", "recall", "f_measure", "auc", "mcc", "fam")
 
 
 @dataclass(frozen=True)
@@ -52,8 +51,8 @@ class ConfusionMatrix:
 
 
 def confusion(y_true, y_pred, classes=None) -> ConfusionMatrix:
-    y_true = _as_labels(y_true)
-    y_pred = _as_labels(y_pred)
+    y_true = as_labels(y_true)
+    y_pred = as_labels(y_pred)
     if len(y_true) != len(y_pred):
         raise DataError("label vectors differ in length")
     if classes is None:
@@ -83,7 +82,7 @@ def _ranking_input(y_true, scores, positive: str, what: str) -> tuple:
     classes are required, and finite scores: NaN has no order and equal
     infinities differ by NaN, so the two rankings would disagree."""
     scores = np.asarray(scores, dtype=float)
-    pos = _as_labels(y_true) == positive
+    pos = as_labels(y_true) == positive
     if scores.shape != pos.shape:
         raise DataError(f"{what}: {scores.size} scores for {pos.size} labels")
     n_pos, n_neg = int(pos.sum()), int((~pos).sum())
@@ -114,15 +113,11 @@ def auc(y_true, scores, positive: str) -> float:
     trapezoidal area under roc_points."""
     scores, pos, n_pos, n_neg = _ranking_input(y_true, scores, positive, "AUC")
     order = np.argsort(scores, kind="stable")
+    ends = np.flatnonzero(np.diff(scores[order]) != 0.0)   # last position of each tie run
+    starts = np.concatenate([[0], ends + 1])
+    ends = np.append(ends, len(scores) - 1)
     ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0   # average rank, 1-based
-        i = j + 1
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)   # average, 1-based
     rank_sum = ranks[pos].sum()
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
@@ -155,8 +150,8 @@ def macro_metrics(y_true, y_pred, scores, classes=None) -> dict:
     from y_true get AUC 0 and a degenerate flag rather than an error.
     Returns {"per_class": {label: {...}}, "macro": {...}}.
     """
-    y_true = _as_labels(y_true)
-    y_pred = _as_labels(y_pred)
+    y_true = as_labels(y_true)
+    y_pred = as_labels(y_pred)
     if classes is None:
         classes = sorted(set(y_true) | set(y_pred))
     classes = tuple(classes)
@@ -182,7 +177,6 @@ def macro_metrics(y_true, y_pred, scores, classes=None) -> dict:
             "fam": fam(f, auc_value, mcc_value),
             "degenerate": degenerate,
         }
-    keys = ("precision", "recall", "f_measure", "auc", "mcc", "fam")
-    macro = {k: float(np.mean([per_class[c][k] for c in classes])) for k in keys}
+    macro = {k: float(np.mean([per_class[c][k] for c in classes])) for k in METRIC_KEYS}
     macro["degenerate"] = any(per_class[c]["degenerate"] for c in classes)
     return {"per_class": per_class, "macro": macro, "confusion": cm}

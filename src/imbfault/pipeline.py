@@ -8,7 +8,6 @@ run seed, so a run is reproducible byte for byte.
 
 from __future__ import annotations
 
-import csv
 import os
 import warnings
 from dataclasses import dataclass, field, fields
@@ -16,12 +15,12 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .classifier import GbtModel, GbtParams, gbt_train
-from .core import FeatureMatrix, SamplerParams
+from .core import FeatureMatrix, SamplerParams, as_labels
 from .errors import ConfigError, DataError
 from .features import FeatureConfig, Standardizer, featurize
-from .ingestion import LabeledSeries, write_feature_csv, write_intervals_csv
-from .metrics import macro_metrics, roc_points
-from .events import event_confusion, merge_events, windows_to_events
+from .ingestion import LabeledSeries, write_csv, write_feature_csv, write_intervals_csv
+from .metrics import METRIC_KEYS, macro_metrics, roc_points
+from .events import coverage, event_confusion, merge_events, windows_to_events
 from .reduction import lda_fit, lda_transform, pca_fit, pca_transform
 from .rng import Pcg32
 from .sampling import METHODS, resample_multiclass
@@ -29,7 +28,6 @@ from .segmentation import LABEL_RULES, segment
 
 REDUCERS = ("none", "pca", "lda")
 RESAMPLE_STAGES = ("after_reduce", "before_reduce")
-METRIC_KEYS = ("precision", "recall", "f_measure", "auc", "mcc", "fam")
 
 
 @dataclass
@@ -99,7 +97,7 @@ def stratified_folds(labels, n_folds: int, rng: Pcg32) -> list:
     """Disjoint test folds preserving class ratios: each class is shuffled
     and dealt round-robin. Classes smaller than n_folds leave some folds
     without that class (warned, allowed)."""
-    labels = np.array([str(v) for v in np.asarray(labels).ravel()], dtype=object)
+    labels = as_labels(labels)
     if n_folds < 2:
         raise ConfigError("need at least 2 folds")
     folds = [[] for _ in range(n_folds)]
@@ -172,11 +170,7 @@ def _fmt(v) -> str:
 
 
 def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
+    write_csv(path, header, ([v if isinstance(v, str) else _fmt(v) for v in row] for row in rows))
 
 
 def run_crossval(features: FeatureMatrix, cfg: PipelineConfig, out_dir) -> dict:
@@ -195,7 +189,6 @@ def run_crossval(features: FeatureMatrix, cfg: PipelineConfig, out_dir) -> dict:
     fold_reports = []
     oof_scores = np.zeros((features.n_rows, len(classes)))
     oof_pred = np.empty(features.n_rows, dtype=object)
-    oof_seen = np.zeros(features.n_rows, dtype=bool)
     for fi, test_idx in enumerate(folds):
         if len(test_idx) == 0:
             warnings.warn(f"fold {fi} is empty; skipped")
@@ -211,7 +204,6 @@ def run_crossval(features: FeatureMatrix, cfg: PipelineConfig, out_dir) -> dict:
         fold_reports.append(report)
         oof_scores[test_idx] = scores
         oof_pred[test_idx] = pred
-        oof_seen[test_idx] = True
 
     if not fold_reports:
         raise DataError("no non-empty folds to evaluate")
@@ -239,8 +231,7 @@ def run_crossval(features: FeatureMatrix, cfg: PipelineConfig, out_dir) -> dict:
          for c in classes + ["__macro__"]],
     )
 
-    pooled = macro_metrics(features.labels[oof_seen], oof_pred[oof_seen],
-                           oof_scores[oof_seen], classes)
+    pooled = macro_metrics(features.labels, oof_pred, oof_scores, classes)
     cm = pooled["confusion"]
     _write_csv(
         os.path.join(out_dir, "confusion.csv"),
@@ -249,12 +240,8 @@ def run_crossval(features: FeatureMatrix, cfg: PipelineConfig, out_dir) -> dict:
     )
 
     roc_rows = []
-    seen_labels = features.labels[oof_seen]
-    for ci, c in enumerate(classes):
-        n_pos = int(np.sum(seen_labels == c))
-        if n_pos == 0 or n_pos == len(seen_labels):
-            continue
-        for fpr, tpr in roc_points(seen_labels, oof_scores[oof_seen][:, ci], c):
+    for ci, c in enumerate(classes):   # training needs 2 classes, so each has both sides
+        for fpr, tpr in roc_points(features.labels, oof_scores[:, ci], c):
             roc_rows.append([c, fpr, tpr])
     _write_csv(os.path.join(out_dir, "roc_points.csv"), ["class", "fpr", "tpr"], roc_rows)
 
@@ -296,12 +283,9 @@ def run_predict_events(train_series: LabeledSeries, test_series: LabeledSeries,
 
     result = {"events": events, "events_path": events_path}
     if true_intervals is not None:
-        fn, fp = event_confusion(events, true_intervals, test_series.frame.timestamps)
         ts = test_series.frame.timestamps
-        covered = np.zeros(len(ts), dtype=bool)   # the union: overlaps count once
-        for iv in true_intervals:
-            covered |= (ts >= iv.t_start) & (ts <= iv.t_end)
-        faulty = int(covered.sum())
+        fn, fp = event_confusion(events, true_intervals, ts)
+        faulty = int(coverage(true_intervals, ts).sum())
         _write_csv(os.path.join(out_dir, "event_report.csv"),
                    ["fn_ticks", "fp_ticks", "true_faulty_ticks"],
                    [[fn, fp, faulty]])

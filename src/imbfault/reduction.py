@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import FeatureMatrix
+from .core import FeatureMatrix, as_labels
 from .errors import ConfigError, DataError
 
 
@@ -24,11 +24,9 @@ def _as_array(X):
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
+    flip = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])] < 0
     out = vectors.copy()
-    for j in range(out.shape[1]):
-        i = int(np.argmax(np.abs(out[:, j])))
-        if out[i, j] < 0:
-            out[:, j] = -out[:, j]
+    out[:, flip] = -out[:, flip]
     return out
 
 
@@ -109,7 +107,7 @@ def lda_fit(X, labels=None, n_components: int | None = None) -> LdaModel:
         labels = fm.labels
     if labels is None:
         raise DataError("LDA needs labels")
-    labels = np.asarray([str(v) for v in np.asarray(labels).ravel()], dtype=object)
+    labels = as_labels(labels)
     if len(labels) != data.shape[0]:
         raise DataError("labels length must equal row count")
     classes = sorted(set(labels))

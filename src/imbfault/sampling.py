@@ -141,10 +141,10 @@ def borderline_majority(s_minf, s_maj, k2: int) -> np.ndarray:
 class WeightedMinoritySet:
     """Informative minority rows with their selection weights.
 
-    Index arrays tie the rows back to the caller's sets: minf_indices and
-    imin_indices index s_min, bmaj_indices indexes s_maj, imin_in_minf
-    indexes the filtered set. nmin_member[i, j] says whether informative row
-    j belongs to the nearest-minority set of borderline row i.
+    Index arrays tie the rows back to the caller's sets: minf_indices
+    indexes s_min, bmaj_indices indexes s_maj, imin_in_minf indexes the
+    filtered set. nmin_member[i, j] says whether informative row j belongs
+    to the nearest-minority set of borderline row i.
     """
 
     s_imin: np.ndarray
@@ -154,7 +154,6 @@ class WeightedMinoritySet:
     minf_indices: np.ndarray
     bmaj_indices: np.ndarray
     imin_in_minf: np.ndarray
-    imin_indices: np.ndarray
     nmin_member: np.ndarray
 
     def __post_init__(self):
@@ -172,7 +171,7 @@ def _empty_weighted_set(d: int, minf_indices=None) -> WeightedMinoritySet:
         s_imin=np.empty((0, d)), s_bmaj=np.empty((0, d)),
         weights=np.empty(0), probabilities=np.empty(0),
         minf_indices=empty_i if minf_indices is None else minf_indices,
-        bmaj_indices=empty_i, imin_in_minf=empty_i, imin_indices=empty_i,
+        bmaj_indices=empty_i, imin_in_minf=empty_i,
         nmin_member=np.empty((0, 0), dtype=bool),
     )
 
@@ -221,8 +220,7 @@ def selection_probabilities(s_min, s_maj, params: SamplerParams) -> WeightedMino
     return WeightedMinoritySet(
         s_imin=s_imin, s_bmaj=s_bmaj, weights=weights, probabilities=probs,
         minf_indices=minf_idx, bmaj_indices=bmaj_idx,
-        imin_in_minf=imin_in_minf, imin_indices=minf_idx[imin_in_minf],
-        nmin_member=member,
+        imin_in_minf=imin_in_minf, nmin_member=member,
     )
 
 
@@ -385,7 +383,7 @@ def resample_multiclass(fm: FeatureMatrix, method: str, params: SamplerParams,
     blocks = [fm.data]
     label_blocks = [list(fm.labels)]
     for ci, c in enumerate(sorted(cl for cl in dist.counts if cl != dist.majority_label)):
-        n_new = params.n_synthetic if params.n_synthetic is not None else target - dist.counts[c]
+        n_new = target - dist.counts[c]
         if n_new <= 0:
             continue
         s_min = fm.data[fm.labels == c]

@@ -109,8 +109,7 @@ def fig2b_split_cluster_scenario(seed: int) -> Scenario:
                     gap_center=(0.0, 0.0), gap_radius=0.28)
 
 
-def synthetic_timeseries(n_ticks: int, intervals, n_channels: int, shift: float,
-                         seed: int, noise_sigma: float = 1.0):
+def synthetic_timeseries(n_ticks: int, intervals, n_channels: int, shift: float, seed: int):
     """Gaussian-noise channels with a per-channel mean shift during fault
     ticks; distinct fault labels get distinct shift multiples.
 
@@ -120,11 +119,12 @@ def synthetic_timeseries(n_ticks: int, intervals, n_channels: int, shift: float,
         raise DataError("need at least one tick and one channel")
     rng = Pcg32(seed)
     timestamps = np.arange(n_ticks, dtype=float)
-    values = rng.normals(n_channels * n_ticks).reshape(n_channels, n_ticks) * noise_sigma
+    values = rng.normals(n_channels * n_ticks).reshape(n_channels, n_ticks)
+    intervals = [FaultInterval(iv.t_start, iv.t_end, iv.label) for iv in intervals]
     labels = sorted({iv.label for iv in intervals})
     scale = {lab: i + 1 for i, lab in enumerate(labels)}
     for iv in intervals:
-        mask = (timestamps >= iv.t_start) & (timestamps <= iv.t_end)
+        mask = iv.covers(timestamps)
         for ch in range(n_channels):
             values[ch, mask] += shift * scale[iv.label] * (1.0 + 0.25 * ch)
     frame = TimeSeriesFrame(
@@ -132,4 +132,4 @@ def synthetic_timeseries(n_ticks: int, intervals, n_channels: int, shift: float,
         channel_names=tuple(f"ch{i}" for i in range(n_channels)),
         values=values,
     )
-    return frame, [FaultInterval(iv.t_start, iv.t_end, iv.label) for iv in intervals]
+    return frame, intervals

@@ -3,7 +3,7 @@ import pytest
 
 from imbfault.core import (ClassDistribution, FaultInterval, FeatureMatrix,
                            SamplerParams, TimeSeriesFrame, WindowBatch,
-                           class_distribution)
+                           as_labels, class_distribution)
 from imbfault.errors import ConfigError, DataError
 from imbfault.rng import Pcg32, seeded_rng
 
@@ -128,7 +128,24 @@ class TestCoreTypes:
     def test_interval_inverted(self):
         with pytest.raises(DataError):
             FaultInterval(5, 3, "F")
-        assert FaultInterval(3, 3, "F").contains(3)
+        assert FaultInterval(3, 3, "F").covers(3)
+        assert FaultInterval(3, 3, "F").covers([2, 3, 4]).tolist() == [False, True, False]
+
+    @pytest.mark.parametrize("t_start, t_end", [(2, 5), (2.0, 5.0), (3, 3), (2.5, 2.5)])
+    def test_interval_covers_both_bounds(self, t_start, t_end):
+        ts = np.arange(0.0, 7.0, 0.5)
+        expected = [t_start <= t <= t_end for t in ts.tolist()]
+        assert FaultInterval(t_start, t_end, "F").covers(ts).tolist() == expected
+
+    def test_as_labels_stringifies_and_freezes(self):
+        labels = as_labels(np.array([[1, 2], [3, 1]]))
+        assert labels.tolist() == ["1", "2", "3", "1"] and labels.dtype == object
+        strs = as_labels(np.array(["a", "b"]))
+        assert [type(v) for v in strs] == [str, str] and strs.tolist() == ["a", "b"]
+        assert as_labels([]).shape == (0,)
+        assert not labels.flags.writeable
+        with pytest.raises(ValueError):
+            labels[0] = "x"
 
     @pytest.mark.parametrize("bounds", [(np.nan, 5), (0, np.inf), (-np.inf, 0),
                                         (np.nan, np.nan)])
@@ -182,7 +199,7 @@ class TestCoreTypes:
     def test_sampler_params_validation(self):
         SamplerParams()
         nan, inf = float("nan"), float("inf")
-        for bad in ({"k": 0}, {"cp": 0}, {"k3": 0}, {"n_synthetic": -1}, {"emi_ridge": -1e-6},
+        for bad in ({"k": 0}, {"cp": 0}, {"k3": 0}, {"emi_ridge": -1e-6},
                     {"emi_ridge": nan}, {"emi_ridge": inf}, {"cf_th": inf}, {"cmax": inf},
                     {"cp": nan}, {"cf_th": -inf}):
             with pytest.raises(ConfigError):

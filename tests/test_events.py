@@ -3,7 +3,7 @@ import pytest
 
 from imbfault.core import FaultEvent, FaultInterval
 from imbfault.errors import DataError
-from imbfault.events import event_confusion, merge_events, windows_to_events
+from imbfault.events import coverage, event_confusion, merge_events, windows_to_events
 from imbfault.rng import Pcg32
 
 
@@ -176,3 +176,27 @@ class TestEventConfusion:
         true = [FaultInterval(1.0, 2.0, "F")]       # ticks 1.0, 1.5, 2.0
         pred = [FaultEvent(1.5, 2.5, "F")]          # ticks 1.5, 2.0, 2.5
         assert event_confusion(pred, true, ts) == (1, 1)
+
+
+class TestCoverage:
+    def test_all_labels_is_union_of_each_label(self):
+        ts = np.arange(40) * 0.5
+        ivs = [FaultInterval(1, 4, "F1"), FaultInterval(3, 6.5, "F2"),
+               FaultInterval(10, 12, "F1"), FaultInterval(12, 12, "F2")]
+        union = coverage(ivs, ts, "F1") | coverage(ivs, ts, "F2")
+        assert np.array_equal(coverage(ivs, ts), union)
+        assert int(coverage(ivs, ts).sum()) == 17      # [1, 6.5] and [10, 12]
+        assert not coverage(ivs, ts, "F3").any() and not coverage([], ts).any()
+
+    def test_random_intervals_vs_tick_oracle(self):
+        rng = Pcg32(12)
+        ts = np.arange(60, dtype=float)
+        for _ in range(20):
+            ivs = []
+            for _ in range(rng.randint(5)):
+                s = float(rng.randint(60))
+                ivs.append(FaultInterval(s, s + rng.randint(10), "AB"[rng.randint(2)]))
+            for label in (None, "A", "B"):
+                expected = [any(iv.t_start <= t <= iv.t_end for iv in ivs
+                                if label is None or iv.label == label) for t in ts.tolist()]
+                assert coverage(ivs, ts, label).tolist() == expected

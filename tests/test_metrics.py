@@ -25,6 +25,26 @@ def auc_pair_oracle(y_true, scores, positive):
     return total / (len(pos) * len(neg))
 
 
+def auc_rank_loop_oracle(y_true, scores, positive):
+    """Mann-Whitney AUC from a scalar average-rank loop: each run of tied
+    sorted scores gets the mean of its 1-based positions."""
+    scores = np.asarray(scores, dtype=float)
+    pos = np.array([t == positive for t in y_true])
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(len(scores))
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+    u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
+
+
 def roc_threshold_oracle(y_true, scores, positive):
     """Evaluate (FPR, TPR) at every distinct threshold by rescanning."""
     points = [(0.0, 0.0)]
@@ -175,6 +195,18 @@ class TestAuc:
                 y[-1] = "n"
             s = [round(rng.random(), 1) for _ in range(n)]   # force ties
             assert auc(y, s, "p") == pytest.approx(auc_pair_oracle(y, s, "p"), abs=1e-12)
+
+    def test_tie_heavy_random_cases_equal_rank_loop(self):
+        rng = Pcg32(6)
+        for case in range(60):
+            n = 2 + rng.randint(400)
+            y = ["p" if rng.random() < 0.3 else "n" for _ in range(n)]
+            y[0], y[-1] = "p", "n"
+            levels = 1 + rng.randint(12)             # few distinct scores: long tie runs
+            s = [rng.randint(levels) / levels - 0.5 for _ in range(n)]
+            if case % 3 == 0:                         # -0.0 ties with 0.0
+                s, y = s + [-0.0, 0.0], y + ["p", "n"]
+            assert auc(y, s, "p") == auc_rank_loop_oracle(y, s, "p")
 
     def test_trapezoid_equals_rank_auc(self):
         rng = Pcg32(5)

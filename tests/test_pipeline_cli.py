@@ -491,7 +491,7 @@ class TestPipelineConfigFromFlags:
     def test_every_setting_has_exactly_one_flag(self):
         names = sorted(cli._field(flag) for flag, _, _ in cli._PIPELINE_FLAGS)
         settable = [f.name for f in fields(PipelineConfig) if f.name != "sampler_params"]
-        settable += [f.name for f in fields(SamplerParams) if f.name != "n_synthetic"]
+        settable += [f.name for f in fields(SamplerParams)]
         assert names == sorted(settable)
 
     @pytest.mark.parametrize("settings, detail", [

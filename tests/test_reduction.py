@@ -3,12 +3,34 @@ import pytest
 
 from imbfault.core import FeatureMatrix
 from imbfault.errors import ConfigError, DataError
-from imbfault.reduction import lda_fit, lda_transform, pca_fit, pca_transform
+from imbfault.reduction import _fix_signs, lda_fit, lda_transform, pca_fit, pca_transform
 from imbfault.rng import Pcg32
 
 
 def _random(m, d, seed=0, scale=1.0):
     return Pcg32(seed).normals(m * d).reshape(m, d) * scale
+
+
+def fix_signs_loop_oracle(vectors):
+    """Negate, column by column, each column whose first largest-magnitude
+    entry is negative."""
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        i = int(np.argmax(np.abs(out[:, j])))
+        if out[i, j] < 0:
+            out[:, j] = -out[:, j]
+    return out
+
+
+@pytest.mark.parametrize("vectors", [
+    _random(6, 4, seed=13),
+    np.asfortranarray(_random(5, 5, seed=14)),
+    np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, -0.0], [0.5, 0.0, -2.0]]),   # |v| ties: first wins
+    np.empty((3, 0)),
+])
+def test_fix_signs_matches_column_loop(vectors):
+    out, expected = _fix_signs(vectors), fix_signs_loop_oracle(vectors)
+    assert out.tobytes() == expected.tobytes() and out.flags.c_contiguous
 
 
 class TestPca:

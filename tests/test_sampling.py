@@ -761,11 +761,6 @@ class TestResampleMulticlass:
         with pytest.raises(ConfigError):
             resample_multiclass(fm, "adasyn", SamplerParams(), Pcg32(0))
 
-    def test_fixed_count_override(self):
-        fm = self._fm({"N": 30, "F": 5})
-        out = resample_multiclass(fm, "random", SamplerParams(n_synthetic=7), Pcg32(0))
-        assert class_distribution(out.labels).counts == {"N": 30, "F": 12}
-
     def test_multiclass_definition_of_majority_pool(self):
         # each class is oversampled against all other rows
         fm = self._fm({"N": 40, "F1": 8, "F2": 4})
