@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .core import FeatureMatrix
+from .core import FeatureMatrix, as_rows
 from .errors import ConfigError, DataError
 
 _EPS = 1e-16
@@ -275,13 +275,6 @@ def _link(margins: np.ndarray, binary: bool) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _as_data(X, n_features: int) -> np.ndarray:
-    data = X.data if isinstance(X, FeatureMatrix) else np.asarray(X, dtype=float)
-    if data.ndim != 2 or data.shape[1] != n_features:
-        raise DataError(f"expected {n_features} feature columns, got shape {data.shape}")
-    return data
-
-
 @dataclass
 class GbtModel:
     """Per-class tree ensembles; `trees[r][c]` is round r's tree for class c
@@ -302,7 +295,7 @@ class GbtModel:
         return margins
 
     def predict_proba(self, X) -> np.ndarray:
-        data = _as_data(X, self.n_features)
+        data = as_rows(X, "X", self.n_features)
         proba = _link(self._margins(data), self.binary)
         if self.binary:
             proba = np.column_stack([1.0 - proba[:, 0], proba[:, 0]])

@@ -142,16 +142,14 @@ def _featurize_series(series: LabeledSeries, cfg: PipelineConfig):
     return featurize(windows, cfg.feature_config())
 
 
-def cmd_ingest(args) -> int:
-    cfg = _pipeline_config(args)
+def cmd_ingest(args, cfg: PipelineConfig) -> int:
     series = _read_series(args.series, args.intervals, args, cfg)
     write_labeled_csv(series, args.out, args.timestamp_col)
     print(f"wrote {series.frame.n_ticks} labeled ticks to {args.out}")
     return 0
 
 
-def cmd_synthgen(args) -> int:
-    cfg = _pipeline_config(args)
+def cmd_synthgen(args, cfg: PipelineConfig) -> int:
     if args.kind == "blobs":
         class_specs = []
         for i, part in enumerate(args.counts.split(",")):
@@ -183,24 +181,21 @@ def cmd_synthgen(args) -> int:
     return 0
 
 
-def cmd_featurize(args) -> int:
-    cfg = _pipeline_config(args)
+def cmd_featurize(args, cfg: PipelineConfig) -> int:
     fm = _featurize_series(_read_series(args.series, args.intervals, args, cfg), cfg)
     write_feature_csv(fm, args.out)
     print(f"wrote {fm.n_rows} x {fm.n_features} features to {args.out}")
     return 0
 
 
-def cmd_resample(args) -> int:
-    cfg = _pipeline_config(args)
+def cmd_resample(args, cfg: PipelineConfig) -> int:
     fm = read_feature_csv(args.features)
     out = run_resample(fm, cfg, args.out)
     print(f"resampled {fm.n_rows} -> {out.n_rows} rows ({cfg.sampler}) to {args.out}")
     return 0
 
 
-def cmd_crossval(args) -> int:
-    cfg = _pipeline_config(args)
+def cmd_crossval(args, cfg: PipelineConfig) -> int:
     if args.features:
         fm = read_feature_csv(args.features)
     elif args.series:
@@ -215,8 +210,7 @@ def cmd_crossval(args) -> int:
     return 0
 
 
-def cmd_predict_events(args) -> int:
-    cfg = _pipeline_config(args)
+def cmd_predict_events(args, cfg: PipelineConfig) -> int:
     train_series = _read_series(args.train_series, args.train_intervals, args, cfg)
     test_frame = read_timeseries_csv(args.test_series, args.timestamp_col,
                                      train_series.frame.channel_names)
@@ -315,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        return args.func(args, _pipeline_config(args))
     except (DataError, ConfigError, OSError, np.linalg.LinAlgError) as exc:
         payload = {"type": type(exc).__name__, "message": str(exc)}
         print("error: " + json.dumps(payload), file=sys.stderr)

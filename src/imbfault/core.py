@@ -27,6 +27,26 @@ def _frozen_array(values, dtype=float, ndim=None) -> np.ndarray:
     return arr
 
 
+def as_rows(X, name: str = "X", width: int | None = None) -> np.ndarray:
+    """`X` as a finite 2-d float row array; with `width`, its rows must be
+    that wide. A FeatureMatrix was checked when it was built, so its `.data`
+    is returned as is."""
+    if isinstance(X, FeatureMatrix):
+        rows = X.data
+    else:
+        try:
+            rows = np.asarray(X, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{name} is not a numeric row array: {exc}") from None
+        if rows.ndim != 2:
+            raise DataError(f"{name} must be a 2-d row array, got shape {rows.shape}")
+        if not np.isfinite(rows).all():
+            raise DataError(f"{name} values must be finite")
+    if width is not None and rows.shape[1] != width:
+        raise DataError(f"{name} rows have width {rows.shape[1]}, expected {width}")
+    return rows
+
+
 def as_labels(values) -> np.ndarray:
     """`values` flattened into a read-only 1-d object array of `str` labels."""
     labels = np.array([str(v) for v in np.asarray(values).ravel()], dtype=object)
@@ -130,15 +150,13 @@ class FeatureMatrix:
     feature_names: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _frozen_array(self.data, ndim=2))
+        object.__setattr__(self, "data", _frozen_array(as_rows(self.data, "feature")))
         object.__setattr__(self, "labels", as_labels(self.labels))
         object.__setattr__(self, "feature_names", tuple(str(n) for n in self.feature_names))
         if len(self.labels) != self.data.shape[0]:
             raise DataError("labels length must equal row count")
         if len(self.feature_names) != self.data.shape[1]:
             raise DataError("feature_names length must equal column count")
-        if not np.all(np.isfinite(self.data)):
-            raise DataError("feature values must be finite")
 
     @property
     def n_rows(self) -> int:

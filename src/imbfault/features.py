@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FeatureMatrix, WindowBatch
+from .core import FeatureMatrix, WindowBatch, as_rows
 from .errors import ConfigError, DataError
 
 STAT_NAMES = ("mean", "rms", "max", "min", "median", "range", "crest", "impulse", "margin")
@@ -207,7 +207,9 @@ class Standardizer:
     scale_: np.ndarray = field(default=None, repr=False)
 
     def fit(self, X) -> "Standardizer":
-        X = np.asarray(X, dtype=float)
+        X = as_rows(X)
+        if not len(X):
+            raise DataError("cannot fit a standardizer on zero rows")
         self.mean_ = X.mean(axis=0)
         scale = X.std(axis=0)
         scale[scale == 0.0] = 1.0
@@ -217,7 +219,5 @@ class Standardizer:
     def transform(self, X) -> np.ndarray:
         if self.mean_ is None:
             raise DataError("standardizer not fitted")
-        X = np.asarray(X, dtype=float)
-        if X.shape[1] != self.mean_.shape[0]:
-            raise DataError("column count does not match the fitted standardizer")
+        X = as_rows(X, "X", self.mean_.shape[0])
         return (X - self.mean_) / self.scale_

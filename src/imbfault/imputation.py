@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import as_rows
 from .errors import DataError
 
 
@@ -44,11 +45,9 @@ def fit_gaussian(rows, ridge_scale: float = 1e-6) -> GaussianModel:
     A vanishing trace (identical rows) would leave the ridge zero, so it is
     floored at 1e-12 to keep the covariance positive definite.
     """
-    X = np.asarray(rows, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 2:
+    X = as_rows(rows, "rows")
+    if X.shape[0] < 2:
         raise DataError("need at least 2 complete rows to fit a Gaussian")
-    if not np.all(np.isfinite(X)):
-        raise DataError("fit rows must be complete (no missing entries)")
     if ridge_scale < 0:
         raise DataError("ridge_scale must be >= 0")
     m, d = X.shape
@@ -89,9 +88,11 @@ def impute_conditional(model: GaussianModel, x, missing) -> np.ndarray:
     x is one row (d,) or a batch of rows (n, d) that share the missing set.
     Observed coordinates are returned untouched; the result is deterministic.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != model.dim:
-        raise DataError("rows must have shape (d,) or (n, d) with d matching the model")
+    try:
+        one_row = np.ndim(x) == 1
+    except ValueError:                  # ragged; as_rows names it
+        one_row = False
+    x = as_rows([x], "x", model.dim)[0] if one_row else as_rows(x, "x", model.dim)
     miss, obs = _split_indices(model, missing)
     out = x.copy()
     out[..., miss] = _conditional(model, x, miss, obs)

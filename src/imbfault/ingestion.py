@@ -108,8 +108,8 @@ def _c_columns(fh, path, cols: list, dtype=float):
 
 def _read_cells(fh, path, cols: list, names: list, label_col: int | None = None):
     """The float cells of columns `cols` (named `names`) of every data row,
-    shape (rows, len(cols)), and the stripped cells of `label_col` (none
-    without one).
+    shape (rows, len(cols)), and the stripped cells of `label_col` as an
+    object array of `str` (none without one), so no trailing NUL is lost.
 
     numpy's C reader parses the floats and, as Python strings, the labels.
     When it refuses the file, the row parser reads it instead and raises
@@ -120,7 +120,7 @@ def _read_cells(fh, path, cols: list, names: list, label_col: int | None = None)
     if cells is not None:
         labels = _c_columns(fh, path, [label_col], object)
         if labels is not None:
-            return cells, [label.strip() for label in labels[:, 0]]
+            return cells, np.array([label.strip() for label in labels[:, 0]], dtype=object)
     width = max([*cols, -1 if label_col is None else label_col]) + 1
     rows, labels = [], []
     for row_num, row in _data_rows(_rows_after_header(fh, path), width, path):
@@ -129,7 +129,7 @@ def _read_cells(fh, path, cols: list, names: list, label_col: int | None = None)
             labels.append(row[label_col].strip())
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=float), labels
+    return np.asarray(rows, dtype=float), np.array(labels, dtype=object)
 
 
 def read_timeseries_csv(path, timestamp_col: str, channel_cols=None) -> TimeSeriesFrame:
@@ -231,7 +231,7 @@ def read_labeled_csv(path, timestamp_col: str = "timestamp") -> LabeledSeries:
         cells, labels = _read_cells(fh, path, [header.index(c) for c in names], names,
                                     header.index("label"))
     frame = TimeSeriesFrame(cells[:, 0], tuple(names[1:]), cells[:, 1:].T)
-    return LabeledSeries(frame=frame, labels=np.asarray(labels, dtype=object))
+    return LabeledSeries(frame=frame, labels=labels)
 
 
 def write_feature_csv(fm, path, extra_columns=None) -> None:

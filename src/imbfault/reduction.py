@@ -13,14 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import FeatureMatrix, as_labels
+from .core import FeatureMatrix, as_labels, as_rows
 from .errors import ConfigError, DataError
-
-
-def _as_array(X):
-    if isinstance(X, FeatureMatrix):
-        return X.data, X
-    return np.asarray(X, dtype=float), None
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -51,7 +45,7 @@ def pca_fit(X, n_components: int | None = None, variance: float | None = None) -
     fraction the smallest r whose cumulative explained ratio reaches it is
     used. Requests beyond the numerical rank are clipped with a warning.
     """
-    data, _ = _as_array(X)
+    data = as_rows(X)
     if (n_components is None) == (variance is None):
         raise ConfigError("specify exactly one of n_components or variance")
     m, d = data.shape
@@ -85,14 +79,11 @@ def pca_fit(X, n_components: int | None = None, variance: float | None = None) -
 
 
 def pca_transform(model: PcaModel, X):
-    data, fm = _as_array(X)
-    if data.shape[1] != model.mean.shape[0]:
-        raise DataError("column count does not match the fitted PCA model")
-    reduced = (data - model.mean) @ model.components
-    if fm is None:
+    reduced = (as_rows(X, "X", model.mean.shape[0]) - model.mean) @ model.components
+    if not isinstance(X, FeatureMatrix):
         return reduced
     names = tuple(f"pc{i}" for i in range(reduced.shape[1]))
-    return FeatureMatrix(reduced, fm.labels, names)
+    return FeatureMatrix(reduced, X.labels, names)
 
 
 def lda_fit(X, labels=None, n_components: int | None = None) -> LdaModel:
@@ -102,9 +93,9 @@ def lda_fit(X, labels=None, n_components: int | None = None) -> LdaModel:
     projection dimension is capped at n_classes - 1; larger requests are
     clipped with a warning.
     """
-    data, fm = _as_array(X)
-    if fm is not None and labels is None:
-        labels = fm.labels
+    data = as_rows(X)
+    if isinstance(X, FeatureMatrix) and labels is None:
+        labels = X.labels
     if labels is None:
         raise DataError("LDA needs labels")
     labels = as_labels(labels)
@@ -142,11 +133,8 @@ def lda_fit(X, labels=None, n_components: int | None = None) -> LdaModel:
 
 
 def lda_transform(model: LdaModel, X):
-    data, fm = _as_array(X)
-    if data.shape[1] != model.mean.shape[0]:
-        raise DataError("column count does not match the fitted LDA model")
-    reduced = (data - model.mean) @ model.components
-    if fm is None:
+    reduced = (as_rows(X, "X", model.mean.shape[0]) - model.mean) @ model.components
+    if not isinstance(X, FeatureMatrix):
         return reduced
     names = tuple(f"ld{i}" for i in range(reduced.shape[1]))
-    return FeatureMatrix(reduced, fm.labels, names)
+    return FeatureMatrix(reduced, X.labels, names)

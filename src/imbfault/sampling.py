@@ -26,19 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FeatureMatrix, SamplerParams, class_distribution
+from .core import FeatureMatrix, SamplerParams, as_rows, class_distribution
 from .errors import ConfigError, DataError
 from .imputation import fit_gaussian, impute_conditional
 from .rng import Pcg32
-
-def _rows(x, name: str, width: int | None = None) -> np.ndarray:
-    """x as a 2-d float row array; with `width`, its rows must be that wide."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 2:
-        raise DataError(f"{name} must be a 2-d row array")
-    if width is not None and arr.shape[1] != width:
-        raise DataError(f"{name} rows have width {arr.shape[1]}, expected {width}")
-    return arr
 
 
 def _cross_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -73,21 +64,18 @@ def knn(query, pool, k: int) -> np.ndarray:
     The query must not itself be a pool member when searching within its own
     set; callers exclude it before the call.
     """
-    pool = _rows(pool, "pool")
-    query = np.asarray(query, dtype=float)
-    if query.shape != (pool.shape[1],):
-        raise DataError(f"query must be one row of width {pool.shape[1]}, "
-                        f"got shape {query.shape}")
+    pool = as_rows(pool, "pool")
+    query = as_rows([query], "query", pool.shape[1])
     if k < 1:
         raise DataError("k must be >= 1")
     if k > len(pool):
         raise DataError(f"k={k} exceeds pool size {len(pool)}")
-    return _nearest(query[None, :], pool, k)[0]
+    return _nearest(query, pool, k)[0]
 
 
 def random_oversample(s_min, s_maj, n: int, params: SamplerParams, rng: Pcg32) -> np.ndarray:
     """n exact copies of minority rows, sampled with replacement."""
-    s_min = _rows(s_min, "s_min")
+    s_min = as_rows(s_min, "s_min")
     if len(s_min) == 0:
         raise DataError("cannot oversample an empty minority set")
     return s_min[rng.randints(np.full(n, len(s_min)))]
@@ -96,7 +84,7 @@ def random_oversample(s_min, s_maj, n: int, params: SamplerParams, rng: Pcg32) -
 def smote(s_min, s_maj, n: int, params: SamplerParams, rng: Pcg32) -> np.ndarray:
     """n interpolated rows x + alpha * (z - x), z one of x's params.k minority
     neighbours, alpha uniform in [0, 1)."""
-    s_min = _rows(s_min, "s_min")
+    s_min = as_rows(s_min, "s_min")
     if n == 0:
         return np.empty((0, s_min.shape[1]))
     if len(s_min) < 2:
@@ -114,8 +102,8 @@ def smote(s_min, s_maj, n: int, params: SamplerParams, rng: Pcg32) -> np.ndarray
 def filtered_minority(s_min, s_maj, k1: int) -> np.ndarray:
     """Indices of minority rows that keep at least one minority row among
     their k1 nearest neighbours in the pooled set (self excluded)."""
-    s_min = _rows(s_min, "s_min")
-    s_maj = _rows(s_maj, "s_maj", s_min.shape[1])
+    s_min = as_rows(s_min, "s_min")
+    s_maj = as_rows(s_maj, "s_maj", s_min.shape[1])
     pooled = np.vstack([s_min, s_maj]) if len(s_maj) else s_min
     k1_eff = min(k1, len(pooled) - 1)
     if k1_eff < 1:
@@ -127,8 +115,8 @@ def filtered_minority(s_min, s_maj, k1: int) -> np.ndarray:
 def borderline_majority(s_minf, s_maj, k2: int) -> np.ndarray:
     """Sorted unique indices (into s_maj) of the k2 nearest majority rows of
     each filtered minority row."""
-    s_minf = _rows(s_minf, "s_minf")
-    s_maj = _rows(s_maj, "s_maj", s_minf.shape[1])
+    s_minf = as_rows(s_minf, "s_minf")
+    s_maj = as_rows(s_maj, "s_maj", s_minf.shape[1])
     if len(s_minf) == 0 or len(s_maj) == 0:
         return np.empty(0, dtype=int)
     k2_eff = min(k2, len(s_maj))
@@ -180,9 +168,9 @@ def selection_probabilities(s_min, s_maj, params: SamplerParams) -> WeightedMino
     """Run the weighting cascade: filter noisy minority rows, find borderline
     majority rows, collect the informative minority set and normalize its
     summed information weights into selection probabilities."""
-    s_min = _rows(s_min, "s_min")
+    s_min = as_rows(s_min, "s_min")
     d = s_min.shape[1]
-    s_maj = _rows(s_maj, "s_maj", d)
+    s_maj = as_rows(s_maj, "s_maj", d)
 
     minf_idx = filtered_minority(s_min, s_maj, params.k1)
     if len(minf_idx) == 0:
@@ -228,7 +216,7 @@ def agglomerative_clusters(points, cp: float) -> np.ndarray:
     """Average-linkage agglomeration; merging stops once the smallest
     inter-cluster distance exceeds cp times the mean nearest-neighbour
     distance. Returns one cluster id per row, numbered by first member."""
-    points = _rows(points, "points")
+    points = as_rows(points, "points")
     n = len(points)
     if n == 0:
         raise DataError("cannot cluster an empty set")
@@ -286,9 +274,9 @@ def _impute_each(model, rows: np.ndarray, attrs: np.ndarray) -> np.ndarray:
 def mwmote(s_min, s_maj, n: int, params: SamplerParams, rng: Pcg32) -> np.ndarray:
     """n synthetic rows interpolated between a weighted base sample and a
     uniform partner from the base's filtered-minority cluster."""
-    s_min = _rows(s_min, "s_min")
+    s_min = as_rows(s_min, "s_min")
     d = s_min.shape[1]
-    s_maj = _rows(s_maj, "s_maj", d)
+    s_maj = as_rows(s_maj, "s_maj", d)
     if n == 0:
         return np.empty((0, d))
     if len(s_min) < 2:
@@ -322,7 +310,7 @@ def mwmote(s_min, s_maj, n: int, params: SamplerParams, rng: Pcg32) -> np.ndarra
 def emicil(s_min, s_maj, n: int, params: SamplerParams, rng: Pcg32) -> np.ndarray:
     """n rows built by masking one uniformly chosen attribute of a uniformly
     chosen minority row and filling it with the conditional Gaussian mean."""
-    s_min = _rows(s_min, "s_min")
+    s_min = as_rows(s_min, "s_min")
     d = s_min.shape[1]
     if n == 0:
         return np.empty((0, d))
@@ -343,9 +331,9 @@ def ewmote(s_min, s_maj, n: int, params: SamplerParams, rng: Pcg32) -> np.ndarra
     from the informative set by selection probability, one bounded draw picks
     the masked attribute. The Gaussian is fitted on the whole minority set.
     """
-    s_min = _rows(s_min, "s_min")
+    s_min = as_rows(s_min, "s_min")
     d = s_min.shape[1]
-    s_maj = _rows(s_maj, "s_maj", d)
+    s_maj = as_rows(s_maj, "s_maj", d)
     if n == 0:
         return np.empty((0, d))
     if len(s_min) < 2 or d < 2:

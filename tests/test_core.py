@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
 
+from imbfault.classifier import GbtParams, gbt_train
 from imbfault.core import (ClassDistribution, FaultInterval, FeatureMatrix,
                            SamplerParams, TimeSeriesFrame, WindowBatch,
-                           as_labels, class_distribution)
+                           as_labels, as_rows, class_distribution)
 from imbfault.errors import ConfigError, DataError
+from imbfault.features import Standardizer
+from imbfault.imputation import fit_gaussian, impute_conditional
+from imbfault.reduction import lda_fit, lda_transform, pca_fit, pca_transform
 from imbfault.rng import Pcg32, seeded_rng
+from imbfault.sampling import (SAMPLERS, agglomerative_clusters, borderline_majority,
+                               filtered_minority, knn, selection_probabilities)
 
 
 class TestClassDistribution:
@@ -204,3 +210,91 @@ class TestCoreTypes:
                     {"cp": nan}, {"cf_th": -inf}):
             with pytest.raises(ConfigError):
                 SamplerParams(**bad)
+
+
+class TestAsRows:
+    def test_feature_matrix_data_is_returned_as_is(self):
+        fm = FeatureMatrix([[1.0, 2.0], [3.0, 4.0]], ["a", "b"], ("x", "y"))
+        assert as_rows(fm) is fm.data
+        assert as_rows([[1, 2]]).dtype == float
+        with pytest.raises(DataError, match="s_maj rows have width 2, expected 3"):
+            as_rows(fm, "s_maj", 3)
+
+
+def _entry_points():
+    """(id, one_row, fixed_width, call) for every public entry point that
+    takes row arrays: `call(X)` passes X in the named slot and well-formed
+    values everywhere else. one_row: the slot takes a single (d,) row;
+    fixed_width: its width is set by another argument or a fitted model."""
+    rows = Pcg32(5).normals(16).reshape(8, 2)
+    other = rows + 3.0
+    labels = ["a", "b"] * 4
+    params = SamplerParams()
+
+    def two_labels(x):
+        return [("a", "b")[i % 2] for i in range(len(x))]
+
+    gaussian = fit_gaussian(rows)
+    model = gbt_train(FeatureMatrix(rows, labels, ("x", "y")), GbtParams(rounds=2, max_depth=1))
+    table = [(f"{name}.s_min", False, False,
+              lambda x, f=sampler: f(x, other, 4, params, Pcg32(0)))
+             for name, sampler in SAMPLERS.items()]
+    table += [(f"{name}.s_maj", False, True,
+               lambda x, f=SAMPLERS[name]: f(rows, x, 4, params, Pcg32(0)))
+              for name in ("mwmote", "ewmote")]
+    return table + [
+        ("filtered_minority.s_min", False, False, lambda x: filtered_minority(x, other, 3)),
+        ("filtered_minority.s_maj", False, True, lambda x: filtered_minority(rows, x, 3)),
+        ("borderline_majority.s_minf", False, False,
+         lambda x: borderline_majority(x, other, 3)),
+        ("borderline_majority.s_maj", False, True, lambda x: borderline_majority(rows, x, 3)),
+        ("selection_probabilities.s_min", False, False,
+         lambda x: selection_probabilities(x, other, params)),
+        ("selection_probabilities.s_maj", False, True,
+         lambda x: selection_probabilities(rows, x, params)),
+        ("agglomerative_clusters", False, False, lambda x: agglomerative_clusters(x, 3.0)),
+        ("knn.pool", False, True, lambda x: knn(rows[0], x, 1)),
+        ("knn.query", True, True, lambda x: knn(x, rows, 1)),
+        ("fit_gaussian", False, False, fit_gaussian),
+        ("impute_conditional.batch", False, True,
+         lambda x: impute_conditional(gaussian, x, [0])),
+        ("impute_conditional.row", True, True, lambda x: impute_conditional(gaussian, x, [0])),
+        ("predict_proba", False, True, model.predict_proba),
+        ("pca_fit", False, False, lambda x: pca_fit(x, 1)),
+        ("pca_transform", False, True, lambda x: pca_transform(pca_fit(rows, 1), x)),
+        ("lda_fit", False, False, lambda x: lda_fit(x, two_labels(x))),
+        ("lda_transform", False, True, lambda x: lda_transform(lda_fit(rows, labels), x)),
+        ("Standardizer.fit", False, False, lambda x: Standardizer().fit(x)),
+        ("Standardizer.transform", False, True,
+         lambda x: Standardizer().fit(rows).transform(x)),
+        ("FeatureMatrix", False, True,
+         lambda x: FeatureMatrix(x, two_labels(x), ("x", "y"))),
+    ]
+
+
+def _malformed(one_row: bool, fixed_width: bool) -> dict:
+    """Malformed values for a slot whose well-formed width is 2."""
+    if one_row:
+        return {"3d": [[[0.0, 1.0]]], "ragged": [0.0, [1.0, 2.0]], "nan": [np.nan, 1.0],
+                "inf": [1.0, -np.inf], "wrong_width": [0.0, 1.0, 2.0]}
+    good = Pcg32(6).normals(12).reshape(6, 2)
+    nan, inf = good.copy(), good.copy()
+    nan[2, 1], inf[4, 0] = np.nan, np.inf
+    cases = {"1d": np.zeros(5), "3d": np.zeros((3, 2, 2)),
+             "ragged": [[0.0, 1.0], [2.0], [3.0, 4.0]], "nan": nan, "inf": inf}
+    if fixed_width:
+        cases["wrong_width"] = np.zeros((6, 3))
+    return cases
+
+
+_MALFORMED = [pytest.param(call, bad, id=f"{name}-{case}")
+              for name, one_row, fixed_width, call in _entry_points()
+              for case, bad in _malformed(one_row, fixed_width).items()]
+_MALFORMED.append(pytest.param(lambda x: Standardizer().fit(x), np.empty((0, 2)),
+                               id="Standardizer.fit-zero_rows"))
+
+
+@pytest.mark.parametrize("call, bad", _MALFORMED)
+def test_every_array_entry_point_refuses_malformed_rows(call, bad):
+    with pytest.raises(DataError):
+        call(bad)

@@ -368,6 +368,16 @@ def test_well_formed_files_skip_the_row_parser(tmp_path, monkeypatch):
     assert fm.data.tolist() == [[1.5, 1000.0], [2.0, -0.0]] and list(fm.labels) == ["F,1", "N"]
 
 
+@pytest.mark.parametrize("c_reader", [True, False], ids=["c_reader", "row_parser"])
+def test_label_nul_reads_the_same_in_every_reader(tmp_path, monkeypatch, c_reader):
+    """A str array would drop the trailing NUL that an object array keeps."""
+    p = _write(tmp_path / "s.csv", "t,a,label\n0,1.0,F\x00\n1,2.0,N\n")
+    if not c_reader:
+        monkeypatch.setattr(ingestion, "_c_columns", lambda *args, **kwargs: None)
+    assert list(read_feature_csv(p).labels) == ["F\x00", "N"]
+    assert list(read_labeled_csv(p, "t").labels) == ["F\x00", "N"]
+
+
 @pytest.mark.parametrize("cell", ["1_000", "٣"])
 def test_cells_only_float_accepts_are_read(tmp_path, cell):
     p = _write(tmp_path / "s.csv", f"t,a\n0,{cell}\n1,2\n")
