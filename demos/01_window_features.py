@@ -46,4 +46,4 @@ z = std.transform(fm.data)
 model = ib.pca_fit(z, variance=0.95)
 reduced = ib.pca_transform(model, z)
 print(f"\nPCA at 95% variance: {fm.n_features} -> {reduced.shape[1]} dims "
-      f"(top ratios {np.round(model.explained_variance_ratio[:3], 3)})")
+      f"(top ratios {np.round(model.spectrum[:3], 3)})")

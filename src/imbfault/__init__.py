@@ -5,14 +5,14 @@ reconstruction and imbalance-aware evaluation."""
 
 from .core import (ClassDistribution, FaultEvent, FaultInterval, FeatureMatrix,
                    SamplerParams, TimeSeriesFrame, WindowBatch, class_distribution)
-from .rng import Pcg32, seeded_rng
+from .rng import Pcg32
 from .ingestion import (LabeledSeries, label_timestamps, read_feature_csv,
                         read_intervals_csv, read_timeseries_csv, write_feature_csv,
                         write_intervals_csv)
 from .segmentation import segment
 from .features import (FeatureConfig, Standardizer, featurize, fft_magnitude,
                        freq_stats, time_stats, wpt_decompose, wpt_stats)
-from .reduction import LdaModel, PcaModel, lda_fit, lda_transform, pca_fit, pca_transform
+from .reduction import Projection, lda_fit, lda_transform, pca_fit, pca_transform
 from .imputation import GaussianModel, fit_gaussian, impute_conditional
 from .sampling import (SAMPLERS, WeightedMinoritySet, agglomerative_clusters,
                        borderline_majority, emicil, ewmote, filtered_minority, knn,

@@ -18,7 +18,7 @@ from dataclasses import fields
 import numpy as np
 
 from .core import SamplerParams
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, ParseError
 from .ingestion import (LabeledSeries, label_timestamps, read_feature_csv,
                         read_intervals_csv, read_timeseries_csv, write_feature_csv,
                         write_intervals_csv, write_labeled_csv)
@@ -90,7 +90,11 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
 def _load_config_file(path) -> dict:
     values = {}
     with open(path, encoding="utf-8") as fh:
-        for line_num, raw in enumerate(fh, start=1):
+        try:
+            lines = list(fh)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        for line_num, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

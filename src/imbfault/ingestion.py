@@ -1,8 +1,8 @@
 """CSV ingestion: time-series files, fault-interval files, label joining.
 
-Files are UTF-8, comma-separated, with a header row. Interval files carry
-exactly the columns ``t_start,t_end,label``. Floats are written with
-``repr`` so a write/read round trip is bit-exact.
+Files are UTF-8 (else a ParseError), comma-separated, with a header row.
+Interval files carry exactly the columns ``t_start,t_end,label``. Floats are
+written with ``repr`` so a write/read round trip is bit-exact.
 
 The series, labeled and feature readers parse their float columns with
 numpy's C reader (``np.loadtxt``). Where it refuses a file, the row parser
@@ -51,7 +51,8 @@ def _parse_float(cell: str, row_num: int, column: str) -> float:
 
 def _csv_rows(fh, path):
     """The csv module's rows of fh; a row it refuses, such as one with a cell
-    over its field size limit, is a ParseError naming the file and the row."""
+    over its field size limit, is a ParseError naming the file and the row,
+    and so is text that is not UTF-8."""
     row_num = 1
     try:
         for row in csv.reader(fh):
@@ -59,6 +60,9 @@ def _csv_rows(fh, path):
             row_num += 1
     except csv.Error as exc:
         raise ParseError(f"{path}: {exc} at row {row_num}") from None
+    except UnicodeDecodeError as exc:
+        # The decoder reads ahead, so the row it fails in is not known.
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def read_header(reader, path) -> list:

@@ -1,8 +1,8 @@
 """PCA and LDA projections, fitted on training data only.
 
-Eigenvector signs are fixed by making each vector's largest-magnitude entry
-positive, so fitted models are identical across platforms. Functions accept
-either a FeatureMatrix or a plain 2-d array and return the matching kind.
+Both fits return a Projection. Eigenvector signs are fixed by making each
+vector's largest-magnitude entry positive, so fits are identical across
+platforms. Fits and transforms accept a FeatureMatrix or a plain 2-d array.
 """
 
 from __future__ import annotations
@@ -25,20 +25,32 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PcaModel:
+class Projection:
+    """Rows map to (X - mean) @ components. spectrum has one value per
+    component: the explained-variance ratio for PCA, the eigenvalue for LDA.
+    """
+
     mean: np.ndarray
-    components: np.ndarray           # (d, r), orthonormal columns
-    explained_variance_ratio: np.ndarray
+    components: np.ndarray           # (d, r)
+    spectrum: np.ndarray             # (r,)
+    name_prefix: str
+
+    def transform(self, X):
+        """A FeatureMatrix comes back with its labels and features named
+        name_prefix + component index; an array comes back as an array."""
+        reduced = (as_rows(X, "X", self.mean.shape[0]) - self.mean) @ self.components
+        if not isinstance(X, FeatureMatrix):
+            return reduced
+        names = tuple(f"{self.name_prefix}{i}" for i in range(reduced.shape[1]))
+        return FeatureMatrix(reduced, X.labels, names)
 
 
-@dataclass(frozen=True)
-class LdaModel:
-    mean: np.ndarray
-    components: np.ndarray           # (d, r), r <= n_classes - 1
-    eigenvalues: np.ndarray
+# pipeline.py calls the transform through these names, and
+# perfbench/tracing.py wraps them there by name.
+pca_transform = lda_transform = Projection.transform
 
 
-def pca_fit(X, n_components: int | None = None, variance: float | None = None) -> PcaModel:
+def pca_fit(X, n_components: int | None = None, variance: float | None = None) -> Projection:
     """Eigendecompose the sample covariance (1/(m-1)) of centered X.
 
     Exactly one of n_components / variance must be given; with a variance
@@ -49,8 +61,8 @@ def pca_fit(X, n_components: int | None = None, variance: float | None = None) -
     if (n_components is None) == (variance is None):
         raise ConfigError("specify exactly one of n_components or variance")
     m, d = data.shape
-    if m < 2:
-        raise DataError("PCA needs at least 2 rows")
+    if m < 2 or d == 0:
+        raise DataError(f"PCA needs at least 2 rows and 1 column, got {m} x {d}")
     mean = data.mean(axis=0)
     centered = data - mean
     cov = centered.T @ centered / (m - 1)
@@ -74,19 +86,10 @@ def pca_fit(X, n_components: int | None = None, variance: float | None = None) -
         if r > rank:
             warnings.warn(f"requested {r} components but rank is {rank}; clipping")
             r = rank
-    return PcaModel(mean=mean, components=_fix_signs(eigvecs[:, :r]),
-                    explained_variance_ratio=ratios[:r])
+    return Projection(mean, _fix_signs(eigvecs[:, :r]), ratios[:r], "pc")
 
 
-def pca_transform(model: PcaModel, X):
-    reduced = (as_rows(X, "X", model.mean.shape[0]) - model.mean) @ model.components
-    if not isinstance(X, FeatureMatrix):
-        return reduced
-    names = tuple(f"pc{i}" for i in range(reduced.shape[1]))
-    return FeatureMatrix(reduced, X.labels, names)
-
-
-def lda_fit(X, labels=None, n_components: int | None = None) -> LdaModel:
+def lda_fit(X, labels=None, n_components: int | None = None) -> Projection:
     """Generalized eigenvectors of between-class vs within-class scatter.
 
     The within-class scatter is ridge-regularized by 1e-6 * trace / d. The
@@ -128,13 +131,4 @@ def lda_fit(X, labels=None, n_components: int | None = None) -> LdaModel:
         r = cap
     if r < 1:
         raise ConfigError("LDA needs at least 1 component")
-    return LdaModel(mean=mean, components=_fix_signs(eigvecs[:, :r]),
-                    eigenvalues=eigvals[:r])
-
-
-def lda_transform(model: LdaModel, X):
-    reduced = (as_rows(X, "X", model.mean.shape[0]) - model.mean) @ model.components
-    if not isinstance(X, FeatureMatrix):
-        return reduced
-    names = tuple(f"ld{i}" for i in range(reduced.shape[1]))
-    return FeatureMatrix(reduced, X.labels, names)
+    return Projection(mean, _fix_signs(eigvecs[:, :r]), eigvals[:r], "ld")

@@ -10,11 +10,10 @@ Raw outputs are made in blocks of at most _BLOCK by LCG jump-ahead: state i
 of a block is a^i s_0 + c (a^(i-1) + ... + 1) mod 2^64 (Brown, "Random number
 generation with arbitrary strides", 1994), from one cumprod of the
 multiplier and one cumsum of its powers in wrapping uint64, then put through
-the output permutation as one array. Every draw, scalar or batched, reads the
-next outputs of that one stream in consumption order, so a batched draw
-yields exactly what the same scalar draws would, in the same order, and
-leaves the stream at the same place. Box-Muller keeps `math.log` and
-`math.cos` element by element: numpy's versions differ in the last bit.
+the output permutation as one array. Each draw kind has one decoder, and the
+scalar draws are one-element batches; tests/test_rng.py checks every draw
+against a one-step scalar PCG32. Box-Muller keeps `math.log` and `math.cos`
+element by element: numpy's versions differ in the last bit.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ def _splitmix64(x: int) -> int:
 
 
 def _uniform(hi, lo):
-    """[0, 1) float(s) from two raw outputs (ints or arrays): 27 + 26 bits."""
+    """[0, 1) floats from two arrays of raw outputs: 27 + 26 bits."""
     return ((hi >> 5) * 67108864.0 + (lo >> 6)) / 9007199254740992.0
 
 
@@ -103,15 +102,9 @@ class Pcg32:
         self._pos += m
         return out
 
-    def _next_u32(self) -> int:
-        if self._pos == len(self._buf):
-            self._peek(1)
-        self._pos += 1
-        return int(self._buf[self._pos - 1])
-
     def random(self) -> float:
         """Uniform float64 in [0, 1) built from 53 random bits."""
-        return _uniform(self._next_u32(), self._next_u32())
+        return float(self.uniforms(1)[0])
 
     def uniforms(self, n: int) -> np.ndarray:
         """n draws of :meth:`random`."""
@@ -124,15 +117,7 @@ class Pcg32:
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n), rejection-sampled to avoid modulo bias.
         n = 1 consumes nothing."""
-        if n <= 0:
-            raise ValueError("randint needs n >= 1")
-        if n == 1:
-            return 0
-        limit = _limit(n)
-        while True:
-            v = self._next_u32()
-            if v < limit:
-                return v % n
+        return int(self.randints([n])[0])
 
     def randints(self, bounds) -> np.ndarray:
         """One :meth:`randint` per entry of `bounds`, in order."""
@@ -208,10 +193,8 @@ class Pcg32:
         return mu + sigma * z
 
     def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
-        """One draw of :meth:`normals`, without building arrays."""
-        u1 = 1.0 - self.random()
-        u2 = self.random()
-        return mu + sigma * (math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2))
+        """One draw of :meth:`normals`."""
+        return float(self.normals(1, mu, sigma)[0])
 
     def child(self, key: int) -> "Pcg32":
         """Independent stream derived from (seed, key); used to split work."""
@@ -246,8 +229,3 @@ def _rows_at_each_offset(raw: np.ndarray, kinds):
         values.append(np.where(live, v % bound, 0))
         pos = pos + live
     return values, pos
-
-
-def seeded_rng(seed: int) -> Pcg32:
-    """Canonical constructor for the package-wide random source."""
-    return Pcg32(seed)

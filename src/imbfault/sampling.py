@@ -32,16 +32,24 @@ from .imputation import fit_gaussian, impute_conditional
 from .rng import Pcg32
 
 
-def _cross_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, shape (len(a), len(b)).
+def _cross_sq_dists(a: np.ndarray, b: np.ndarray):
+    """Squared Euclidean distances, shape (len(a), len(b)), of a and b scaled
+    by 2**-e, and e. e is 0 unless the largest |coordinate| lies outside
+    2**±400, where squares could overflow or underflow; then 2**-e scales it
+    into [0.5, 1). Scaling by a power of two is exact, so ranks do not change.
 
     Quadratic expansion instead of a (n, m, d) difference tensor so large
     minority/majority sets stay within memory; clipped at 0 against float
     cancellation."""
+    top = max(max(x.max(initial=0.0), -x.min(initial=0.0)) for x in (a, b))
+    e = 0
+    if top > 0.0 and not 2.0 ** -400 <= top <= 2.0 ** 400:
+        e = math.frexp(top)[1]
+        a, b = np.ldexp(a, -e), np.ldexp(b, -e)
     sq_a = np.einsum("ij,ij->i", a, a)
     sq_b = np.einsum("ij,ij->i", b, b)
     d2 = sq_a[:, None] + sq_b[None, :] - 2.0 * (a @ b.T)
-    return np.clip(d2, 0.0, None, out=d2)
+    return np.clip(d2, 0.0, None, out=d2), e
 
 
 def _nearest(queries: np.ndarray, pool: np.ndarray, k: int,
@@ -50,7 +58,7 @@ def _nearest(queries: np.ndarray, pool: np.ndarray, k: int,
     nearest first; ties of the computed squared distance go to the lower
     index. With skip_self, query i is pool row i and is never its own
     neighbour."""
-    d2 = _cross_sq_dists(queries, pool)
+    d2, _ = _cross_sq_dists(queries, pool)
     if skip_self:
         own = np.arange(len(queries))
         d2[own, own] = np.inf
@@ -191,8 +199,10 @@ def selection_probabilities(s_min, s_maj, params: SamplerParams) -> WeightedMino
     member = np.zeros((len(s_bmaj), len(s_imin)), dtype=bool)
     member[np.arange(len(s_bmaj))[:, None], np.searchsorted(imin_in_minf, nmin)] = True
 
-    dist = np.sqrt(_cross_sq_dists(s_bmaj, s_imin)) / d
-    with np.errstate(divide="ignore"):
+    d2, e = _cross_sq_dists(s_bmaj, s_imin)
+    # Near float's limits a distance or its reciprocal may be inf, still in order.
+    with np.errstate(divide="ignore", over="ignore"):
+        dist = np.ldexp(np.sqrt(d2), e) / d
         recip = np.where(dist > 0.0, 1.0 / np.where(dist > 0.0, dist, 1.0), np.inf)
     cf = np.minimum(recip, params.cf_th) / params.cf_th * params.cmax
     cf = np.where(member, cf, 0.0)

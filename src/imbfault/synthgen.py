@@ -98,8 +98,8 @@ def fig2b_split_cluster_scenario(seed: int) -> Scenario:
     t_values = np.array([-2.55, -1.80, -1.05, -0.30, 0.30, 1.05, 1.80, 2.55])
     along = np.array([1.0, 1.0]) / np.sqrt(2.0)
     across = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    minority = np.array([t * np.sqrt(2.0) * along + rng.normal(0.0, 0.03) * across
-                         for t in t_values])
+    offsets = rng.normals(len(t_values), 0.0, 0.03)
+    minority = t_values[:, None] * np.sqrt(2.0) * along + offsets[:, None] * across
     trap = _mvn(rng, (0.0, 0.0), 0.05 ** 2, 3)
     mass = _mvn(rng, (4.0, -4.0), 0.8 ** 2, 150)
     data = np.vstack([minority, trap, mass])

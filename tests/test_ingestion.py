@@ -104,6 +104,24 @@ def test_oversized_cell_is_a_parse_error(tmp_path, reader, text, row):
         reader(p)
 
 
+@pytest.mark.parametrize("reader, data", [
+    (lambda p: read_timeseries_csv(p, "t"), b"t,a\n0,1\n1,2\xff\n"),
+    (lambda p: read_timeseries_csv(p, "t"), b"t,\xffa\n0,1\n"),
+    (read_labeled_csv, b"timestamp,a,label\n0,1,n\n1,2,\xff\n"),
+    (read_feature_csv, b"a,label\n" + b"1,n\n" * 5000 + b"2,\xe9\n"),
+    (read_intervals_csv, b"t_start,t_end,label\n0,1,F\xff\n"),
+    (read_intervals_csv, b"\xfft_start,t_end,label\n"),
+], ids=["series", "series_header", "labeled", "features_late", "intervals",
+        "interval_header"])
+def test_non_utf8_is_a_parse_error(tmp_path, reader, data):
+    # features_late puts the bad byte past the decoder's first chunk, so the
+    # header reads and the C reader fails first.
+    p = tmp_path / "bad.csv"
+    p.write_bytes(data)
+    with pytest.raises(ParseError, match="bad.csv: not UTF-8 text"):
+        reader(p)
+
+
 class TestIntervals:
     def test_one_row(self, tmp_path):
         p = _write(tmp_path / "i.csv", "t_start,t_end,label\n100,200,F\n")

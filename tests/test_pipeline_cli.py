@@ -422,6 +422,21 @@ class TestCli:
         assert payload["type"] == error and detail in payload["message"]
         assert not (tmp_path / "b.csv").exists()
 
+    @pytest.mark.parametrize("bad_file", ["f.csv", "run.cfg"])
+    def test_non_utf8_input_error_line(self, tmp_path, monkeypatch, capsys, bad_file):
+        monkeypatch.chdir(tmp_path)
+        write_feature_csv(_blobs(), "f.csv")
+        (tmp_path / "run.cfg").write_text("rounds 3\n")
+        with open(bad_file, "ab") as fh:
+            fh.write(b"# caf\xe9\n")
+        rc = main(["resample", "--features", "f.csv", "--config", "run.cfg", "--out", "o.csv"])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        payload = json.loads(lines[0][len("error: "):])
+        assert payload == {"type": "ParseError", "message": f"{bad_file}: not UTF-8 text "
+                                                            "(invalid continuation byte)"}
+
     @pytest.mark.parametrize("argv, detail", [
         ([], "required: command"),
         (["crossval", "--features", "x.csv"], "imbfault crossval: the following arguments "

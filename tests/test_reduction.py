@@ -3,7 +3,8 @@ import pytest
 
 from imbfault.core import FeatureMatrix
 from imbfault.errors import ConfigError, DataError
-from imbfault.reduction import _fix_signs, lda_fit, lda_transform, pca_fit, pca_transform
+from imbfault.reduction import (Projection, _fix_signs, lda_fit, lda_transform, pca_fit,
+                                pca_transform)
 from imbfault.rng import Pcg32
 
 
@@ -38,12 +39,12 @@ class TestPca:
         t = np.linspace(-1, 1, 20)
         X = np.column_stack([t, 2 * t])
         model = pca_fit(X, n_components=1)
-        assert model.explained_variance_ratio[0] == pytest.approx(1.0)
+        assert model.spectrum[0] == pytest.approx(1.0)
 
     def test_isotropic_gaussian_near_equal_ratios(self):
         X = _random(4000, 2, seed=5)
         model = pca_fit(X, n_components=2)
-        r = model.explained_variance_ratio
+        r = model.spectrum
         assert abs(r[0] - r[1]) < 0.1
 
     def test_variance_target_selects_smallest_r(self):
@@ -129,6 +130,45 @@ class TestPca:
         with pytest.raises(DataError):
             pca_transform(model, np.ones((2, 3)))
 
+    def test_zero_input_columns_refused_zero_components_allowed(self):
+        with pytest.raises(DataError, match="1 column, got 5 x 0"):
+            pca_fit(np.zeros((5, 0)), 1)
+        model = pca_fit(np.ones((5, 3)), variance=0.9)     # constant data: rank 0
+        assert model.components.shape == (3, 0) and model.spectrum.shape == (0,)
+        assert pca_transform(model, np.ones((2, 3))).shape == (2, 0)
+
+
+class TestProjection:
+    def _labeled(self):
+        rng = Pcg32(21)
+        X = np.vstack([rng.normals(60).reshape(20, 3) + off for off in ([0, 0, 0], [4, 1, 0])])
+        return FeatureMatrix(X, ["a"] * 20 + ["b"] * 20, ("x", "y", "z"))
+
+    @pytest.mark.parametrize("fit, prefix", [
+        (lambda fm: pca_fit(fm, n_components=2), "pc"),
+        (lambda fm: lda_fit(fm), "ld"),
+    ])
+    def test_both_fits_return_a_projection(self, fit, prefix):
+        fm = self._labeled()
+        model = fit(fm)
+        assert type(model) is Projection and model.name_prefix == prefix
+        assert model.spectrum.shape == (model.components.shape[1],)
+        out = model.transform(fm)
+        assert out.feature_names == tuple(f"{prefix}{i}" for i in range(out.n_features))
+        assert list(out.labels) == list(fm.labels)
+        with pytest.raises(AttributeError):
+            model.name_prefix = "x"
+
+    def test_one_transform_under_every_name(self):
+        fm = self._labeled()
+        model = pca_fit(fm, n_components=2)
+        outs = [f(model, fm) for f in (pca_transform, lda_transform, Projection.transform)]
+        outs.append(model.transform(fm))
+        assert len({o.data.tobytes() for o in outs}) == 1
+        assert len({o.feature_names for o in outs}) == 1
+        arrays = [f(model, fm.data) for f in (pca_transform, lda_transform)]
+        assert all(a.tobytes() == outs[0].data.tobytes() for a in arrays)
+
 
 class TestLda:
     def _two_classes(self, sep=6.0, seed=0, n=80):
@@ -160,7 +200,7 @@ class TestLda:
         y = ["a"] * 50 + ["b"] * 50   # same distribution split arbitrarily
         X = np.vstack([X[:50], X[:50]])
         model = lda_fit(X, y)
-        assert abs(model.eigenvalues[0]) < 1e-6
+        assert abs(model.spectrum[0]) < 1e-6
 
     def test_single_class_errors(self):
         X = _random(10, 2)

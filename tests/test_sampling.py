@@ -181,6 +181,22 @@ class TestKnn:
             q = rng.normals(3)
             assert knn(q, pool, 5).tolist() == knn_oracle(q, pool, 5)
 
+    @pytest.mark.parametrize("query, pool", [
+        ([3e200, 2.0], [[1e200, 0.0], [2e200, 1.0], [0.0, 0.0]]),      # squares overflow
+        ([3e-200, 0.0], [[1e-200, 0.0], [2e-200, 0.0], [0.0, 0.0]]),   # squares underflow
+    ])
+    def test_extreme_magnitudes_rank_by_distance(self, query, pool):
+        assert knn(query, np.array(pool), 3).tolist() == [1, 0, 2]
+
+    @pytest.mark.parametrize("exp", [600, -600])
+    def test_power_of_two_scaling_keeps_every_rank(self, exp):
+        rng = Pcg32(3)
+        for _ in range(10):
+            pool = np.round(rng.normals(40 * 2).reshape(40, 2), 1)     # ties included
+            q = np.round(rng.normals(2), 1)
+            assert (knn(np.ldexp(q, exp), np.ldexp(pool, exp), 8).tolist()
+                    == knn(q, pool, 8).tolist())
+
     @pytest.mark.parametrize("query", [[0.0, 0.0, 0.0], [[0.0, 0.0]], [0.0], 0.0])
     def test_query_must_be_one_row_of_pool_width(self, query):
         with pytest.raises(DataError, match="query"):
@@ -255,6 +271,15 @@ class TestSmote:
         with pytest.warns(UserWarning, match="random"):
             out = smote(s_min, no_maj(s_min), 3, P, Pcg32(0))
         assert np.array_equal(out, np.tile([1.0, 1.0], (3, 1)))
+
+    @pytest.mark.parametrize("exp", [660, -660])
+    def test_extreme_magnitudes_scale_exactly(self, exp):
+        # At 2**660 the squared norms overflow and at 2**-660 they underflow;
+        # neither may warn or change which neighbours are drawn.
+        s_min = Pcg32(23).normals(24).reshape(12, 2)
+        want = smote(s_min, no_maj(s_min), 40, P, Pcg32(1))
+        got = smote(np.ldexp(s_min, exp), no_maj(s_min), 40, P, Pcg32(1))
+        assert got.tobytes() == np.ldexp(want, exp).tobytes()
 
     def test_duplicate_rows_vs_oracle(self):
         rng = Pcg32(22)
@@ -437,6 +462,19 @@ class TestSelectionProbabilities:
         a, b = probs(1.0), probs(37.5)
         assert np.argmax(a.probabilities) == np.argmax(b.probabilities)
         np.testing.assert_allclose(a.probabilities, b.probabilities, atol=1e-9)
+
+    @pytest.mark.parametrize("exp", [600, -600])
+    def test_extreme_magnitudes_match_rescaled_cutoff(self, exp):
+        # Scaling the rows by 2**exp scales every distance by it exactly, so
+        # with the closeness cutoff scaled by 2**-exp nothing else may change.
+        rng = Pcg32(8)
+        s_min = rng.normals(20).reshape(10, 2)
+        s_maj = rng.normals(50).reshape(25, 2) + 1.8
+        want = selection_probabilities(s_min, s_maj, P)
+        got = selection_probabilities(np.ldexp(s_min, exp), np.ldexp(s_maj, exp),
+                                      SamplerParams(cf_th=math.ldexp(P.cf_th, -exp)))
+        assert got.probabilities.tobytes() == want.probabilities.tobytes()
+        assert got.imin_in_minf.tolist() == want.imin_in_minf.tolist()
 
     def test_all_filtered_returns_empty(self):
         s_min = np.array([[0.0, 0.0], [30.0, 30.0]])

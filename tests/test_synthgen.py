@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,15 @@ class TestFig2bScenario:
         sc = fig2b_split_cluster_scenario(4)
         dist = np.linalg.norm(sc.minority_rows() - np.asarray(sc.gap_center), axis=1)
         assert dist.min() > sc.gap_radius
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "76649ff86398793cfdb60b32ccd0d52691eb7300959274361db3027f9d65117f"),
+        (7, "3748c3f5954f37f45bd7c284c6c615861c4c2c9494b477c186d87d59b079fee7"),
+    ])
+    def test_matrix_bytes_pinned(self, seed, digest):
+        # Digests of the rows as drawn by one scalar normal() per chain point.
+        data = fig2b_split_cluster_scenario(seed).matrix.data
+        assert hashlib.sha256(data.tobytes()).hexdigest() == digest
 
 
 class TestSyntheticTimeseries:
