@@ -78,12 +78,12 @@ class _SplitScan:
     gradients and hessians travel together as one complex vector: one
     gather and one in-place cumsum give both prefix sums, and since real and
     imaginary parts add independently each equals its own real cumsum bit
-    for bit. Only positions between distinct values are scored. The root's
-    are the same for every tree, so they are found once; when the root has
-    no tied values no node has any, and every position is scored without
-    looking for ties. The scratch buffers are sized for the root and reused
-    by every node, because each node finishes its scan before its children
-    start."""
+    for bit. Only positions between distinct values are scored. With
+    min_leaf 1 the root's are the same for every tree, so they are found
+    once; when the root has no tied values no node has any, and every
+    position is scored without looking for ties. The scratch buffers are
+    sized for the root and reused by every node, because each node finishes
+    its scan before its children start."""
 
     def __init__(self, X: np.ndarray):
         n, d = X.shape
@@ -137,14 +137,8 @@ class _SplitScan:
                   self.work[1, :d * k].reshape(d, k))
             first = lo   # the position of gains' first column
         else:
-            if order is not self.orders:
-                splits = self._splits(order, lo, hi)
-            elif lo == 0:
-                splits = self.root_splits
-            else:
-                splits = self.mask[:d * m].reshape(d, m)
-                np.copyto(splits, self.root_splits)
-                splits[:, :lo] = splits[:, hi:] = False
+            splits = (self.root_splits if order is self.orders and lo == 0
+                      else self._splits(order, lo, hi))
             # The sums go to `work`, free once the mask is built, and the
             # scores to `prefix`, which is not read again.
             at = np.flatnonzero(splits)
@@ -340,7 +334,7 @@ class GbtModel:
                         binary=blob["binary"], init=np.asarray(blob["init"], dtype=float),
                         trees=blob["trees"], params=params)
             model._check()
-        except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError, ConfigError) as exc:
             raise DataError(f"{path}: not a valid {_FORMAT} v{_VERSION} model file "
                             f"({type(exc).__name__}: {exc})") from None
         return model

@@ -155,6 +155,8 @@ def cmd_ingest(args, cfg: PipelineConfig) -> int:
 
 def cmd_synthgen(args, cfg: PipelineConfig) -> int:
     if args.kind == "blobs":
+        if args.dim < 1:
+            raise ConfigError(f"--dim must be >= 1, got {args.dim}")
         class_specs = []
         for i, part in enumerate(args.counts.split(",")):
             label, _, count = part.partition(":")

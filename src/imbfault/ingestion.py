@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FaultInterval, TimeSeriesFrame, as_labels
+from .core import FaultInterval, FeatureMatrix, TimeSeriesFrame, as_labels
 from .errors import DataError, LabelConflictError, ParseError, SchemaError
 
 INTERVAL_COLUMNS = ("t_start", "t_end", "label")
@@ -251,8 +251,6 @@ def write_feature_csv(fm, path, extra_columns=None) -> None:
 
 def read_feature_csv(path):
     """Read a feature CSV written by write_feature_csv; extras are ignored."""
-    from .core import FeatureMatrix
-
     with open(path, newline="", encoding="utf-8") as fh:
         header = read_header(_csv_rows(fh, path), path)
         if "label" not in header:

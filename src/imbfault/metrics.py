@@ -177,6 +177,13 @@ def macro_metrics(y_true, y_pred, scores, classes=None) -> dict:
             "fam": fam(f, auc_value, mcc_value),
             "degenerate": degenerate,
         }
-    macro = {k: float(np.mean([per_class[c][k] for c in classes])) for k in METRIC_KEYS}
-    macro["degenerate"] = any(per_class[c]["degenerate"] for c in classes)
-    return {"per_class": per_class, "macro": macro, "confusion": cm}
+    return {"per_class": per_class, "macro": mean_metrics(list(per_class.values())),
+            "confusion": cm}
+
+
+def mean_metrics(rows: list) -> dict:
+    """The unweighted mean of each METRIC_KEYS value over metric rows;
+    degenerate if any row is."""
+    mean = {k: float(np.mean([r[k] for r in rows])) for k in METRIC_KEYS}
+    mean["degenerate"] = any(r["degenerate"] for r in rows)
+    return mean

@@ -19,7 +19,7 @@ from .core import FeatureMatrix, SamplerParams, as_labels
 from .errors import ConfigError, DataError
 from .features import FeatureConfig, Standardizer, featurize
 from .ingestion import LabeledSeries, write_csv, write_feature_csv, write_intervals_csv
-from .metrics import METRIC_KEYS, macro_metrics, roc_points
+from .metrics import METRIC_KEYS, macro_metrics, mean_metrics, roc_points
 from .events import coverage, event_confusion, merge_events, windows_to_events
 from .reduction import lda_fit, lda_transform, pca_fit, pca_transform
 from .rng import Pcg32
@@ -208,28 +208,18 @@ def run_crossval(features: FeatureMatrix, cfg: PipelineConfig, out_dir) -> dict:
     if not fold_reports:
         raise DataError("no non-empty folds to evaluate")
 
-    mean_report = {}
-    for c in classes + ["__macro__"]:
-        rows = [(r["per_class"][c] if c != "__macro__" else r["macro"]) for r in fold_reports]
-        mean_report[c] = {k: float(np.mean([r[k] for r in rows])) for k in METRIC_KEYS}
-        mean_report[c]["degenerate"] = any(r["degenerate"] for r in rows)
+    # One mapping per fold, class -> metrics with "__macro__" last, feeds both tables.
+    tables = [{**r["per_class"], "__macro__": r["macro"]} for r in fold_reports]
+    mean_report = {c: mean_metrics([t[c] for t in tables]) for c in tables[0]}
+    columns = [*METRIC_KEYS, "degenerate"]
 
-    header = ["fold", "class", *METRIC_KEYS, "degenerate"]
-    rows = []
-    for fi, report in enumerate(fold_reports):
-        for c in classes:
-            r = report["per_class"][c]
-            rows.append([fi, c, *[r[k] for k in METRIC_KEYS], r["degenerate"]])
-        rows.append([fi, "__macro__", *[report["macro"][k] for k in METRIC_KEYS],
-                     report["macro"]["degenerate"]])
-    _write_csv(os.path.join(out_dir, "fold_metrics.csv"), header, rows)
+    def rows(table, *lead):
+        return [[*lead, c, *[m[k] for k in columns]] for c, m in table.items()]
 
-    _write_csv(
-        os.path.join(out_dir, "mean_metrics.csv"),
-        ["class", *METRIC_KEYS, "degenerate"],
-        [[c, *[mean_report[c][k] for k in METRIC_KEYS], mean_report[c]["degenerate"]]
-         for c in classes + ["__macro__"]],
-    )
+    _write_csv(os.path.join(out_dir, "fold_metrics.csv"), ["fold", "class", *columns],
+               [row for fi, t in enumerate(tables) for row in rows(t, fi)])
+    _write_csv(os.path.join(out_dir, "mean_metrics.csv"), ["class", *columns],
+               rows(mean_report))
 
     pooled = macro_metrics(features.labels, oof_pred, oof_scores, classes)
     cm = pooled["confusion"]

@@ -48,7 +48,10 @@ def _uniform(hi, lo):
 
 
 def _limit(n):
-    """Raw outputs at or above this are rejected by a draw bounded by n."""
+    """Raw outputs at or above this are rejected by a draw bounded by n;
+    every bound must be at least 1."""
+    if (np.asarray(n) <= 0).any():
+        raise ValueError("randint needs n >= 1")
     return (1 << 32) - (1 << 32) % n
 
 
@@ -122,11 +125,10 @@ class Pcg32:
     def randints(self, bounds) -> np.ndarray:
         """One :meth:`randint` per entry of `bounds`, in order."""
         bounds = np.asarray(bounds, dtype=np.int64).ravel()
-        if (bounds <= 0).any():
-            raise ValueError("randint needs n >= 1")
+        limit = _limit(bounds)
         out = np.zeros(len(bounds), dtype=np.int64)
         live = np.flatnonzero(bounds > 1)
-        need, limit = bounds[live], _limit(bounds[live])
+        need, limit = bounds[live], limit[live]
         done = 0
         while done < len(live):
             raw = self._take(min(_BLOCK, len(live) - done))
@@ -216,8 +218,6 @@ def _rows_at_each_offset(raw: np.ndarray, kinds):
             continue
         bound = np.broadcast_to(np.asarray(kind(*values) if callable(kind) else kind,
                                            dtype=np.int64), (n,))
-        if (bound <= 0).any():
-            raise ValueError("randint needs n >= 1")
         live = bound > 1
         limit = _limit(bound)
         while True:

@@ -32,19 +32,27 @@ from .imputation import fit_gaussian, impute_conditional
 from .rng import Pcg32
 
 
+def _scale_exponent(*arrays) -> int:
+    """0 unless the largest |coordinate| of the arrays lies outside 2**±400,
+    where squares and products could overflow or underflow; then the e for
+    which 2**-e scales it into [0.5, 1). Scaling by a power of two is exact,
+    so work on rows scaled by 2**-e gives the unscaled result times a power
+    of two."""
+    top = max(max(x.max(initial=0.0), -x.min(initial=0.0)) for x in arrays)
+    if top > 0.0 and not 2.0 ** -400 <= top <= 2.0 ** 400:
+        return math.frexp(top)[1]
+    return 0
+
+
 def _cross_sq_dists(a: np.ndarray, b: np.ndarray):
     """Squared Euclidean distances, shape (len(a), len(b)), of a and b scaled
-    by 2**-e, and e. e is 0 unless the largest |coordinate| lies outside
-    2**±400, where squares could overflow or underflow; then 2**-e scales it
-    into [0.5, 1). Scaling by a power of two is exact, so ranks do not change.
+    by 2**-e, and e, the `_scale_exponent` of both; ranks do not change.
 
     Quadratic expansion instead of a (n, m, d) difference tensor so large
     minority/majority sets stay within memory; clipped at 0 against float
     cancellation."""
-    top = max(max(x.max(initial=0.0), -x.min(initial=0.0)) for x in (a, b))
-    e = 0
-    if top > 0.0 and not 2.0 ** -400 <= top <= 2.0 ** 400:
-        e = math.frexp(top)[1]
+    e = _scale_exponent(a, b)
+    if e:
         a, b = np.ldexp(a, -e), np.ldexp(b, -e)
     sq_a = np.einsum("ij,ij->i", a, a)
     sq_b = np.einsum("ij,ij->i", b, b)
@@ -161,17 +169,6 @@ class WeightedMinoritySet:
         return len(self.s_imin) == 0
 
 
-def _empty_weighted_set(d: int, minf_indices=None) -> WeightedMinoritySet:
-    empty_i = np.empty(0, dtype=int)
-    return WeightedMinoritySet(
-        s_imin=np.empty((0, d)), s_bmaj=np.empty((0, d)),
-        weights=np.empty(0), probabilities=np.empty(0),
-        minf_indices=empty_i if minf_indices is None else minf_indices,
-        bmaj_indices=empty_i, imin_in_minf=empty_i,
-        nmin_member=np.empty((0, 0), dtype=bool),
-    )
-
-
 def selection_probabilities(s_min, s_maj, params: SamplerParams) -> WeightedMinoritySet:
     """Run the weighting cascade: filter noisy minority rows, find borderline
     majority rows, collect the informative minority set and normalize its
@@ -181,14 +178,15 @@ def selection_probabilities(s_min, s_maj, params: SamplerParams) -> WeightedMino
     s_maj = as_rows(s_maj, "s_maj", d)
 
     minf_idx = filtered_minority(s_min, s_maj, params.k1)
-    if len(minf_idx) == 0:
-        return _empty_weighted_set(d)
     s_minf = s_min[minf_idx]
-
     bmaj_idx = borderline_majority(s_minf, s_maj, params.k2)
-    if len(bmaj_idx) == 0:
-        return _empty_weighted_set(d, minf_idx)
     s_bmaj = s_maj[bmaj_idx]
+    if len(bmaj_idx) == 0:   # also when no minority row survived the filter
+        none = np.empty(0, dtype=int)
+        return WeightedMinoritySet(
+            s_imin=s_minf[none], s_bmaj=s_bmaj, weights=np.empty(0),
+            probabilities=np.empty(0), minf_indices=minf_idx, bmaj_indices=bmaj_idx,
+            imin_in_minf=none, nmin_member=np.empty((0, 0), dtype=bool))
 
     k3 = params.k3 if params.k3 is not None else math.ceil(len(s_min) / 2)
     k3_eff = min(k3, len(s_minf))
@@ -200,10 +198,10 @@ def selection_probabilities(s_min, s_maj, params: SamplerParams) -> WeightedMino
     member[np.arange(len(s_bmaj))[:, None], np.searchsorted(imin_in_minf, nmin)] = True
 
     d2, e = _cross_sq_dists(s_bmaj, s_imin)
-    # Near float's limits a distance or its reciprocal may be inf, still in order.
+    # A distance or its reciprocal may be inf (zero or extreme distances), still in order.
     with np.errstate(divide="ignore", over="ignore"):
         dist = np.ldexp(np.sqrt(d2), e) / d
-        recip = np.where(dist > 0.0, 1.0 / np.where(dist > 0.0, dist, 1.0), np.inf)
+        recip = 1.0 / dist
     cf = np.minimum(recip, params.cf_th) / params.cf_th * params.cmax
     cf = np.where(member, cf, 0.0)
     row_sums = cf.sum(axis=1, keepdims=True)
@@ -232,12 +230,13 @@ def agglomerative_clusters(points, cp: float) -> np.ndarray:
         raise DataError("cannot cluster an empty set")
     if n == 1:
         return np.zeros(1, dtype=int)
-    # Exact row differences, so duplicated rows sit at distance 0.
-    dist = np.array([np.linalg.norm(points - p, axis=1) for p in points])
-    np.fill_diagonal(dist, np.inf)
-    threshold = cp * dist.min(axis=1).sum() / n
+    # Exact row differences, so duplicated rows sit at distance 0, of rows
+    # scaled clear of over- and underflow: clusters do not depend on scale.
+    points = np.ldexp(points, -_scale_exponent(points))
+    cd = np.array([np.linalg.norm(points - p, axis=1) for p in points])
+    np.fill_diagonal(cd, np.inf)
+    threshold = cp * cd.min(axis=1).sum() / n
 
-    cd = dist.copy()
     size = np.ones(n)
     active = np.ones(n, dtype=bool)
     members = [[i] for i in range(n)]
@@ -271,14 +270,20 @@ def _draw_base(cum: np.ndarray, u):
     return np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), len(cum) - 1)
 
 
-def _impute_each(model, rows: np.ndarray, attrs: np.ndarray) -> np.ndarray:
-    """rows[t] with attribute attrs[t] imputed: one batched conditional-mean
-    call per distinct attribute."""
+def _impute_each(s_min: np.ndarray, rows: np.ndarray, attrs: np.ndarray,
+                 ridge: float) -> np.ndarray:
+    """rows[t] with attribute attrs[t] filled by the conditional mean of the
+    Gaussian fitted on s_min: one batched call per distinct attribute. Fit
+    and fill run on rows scaled clear of over- and underflow, and the result
+    is scaled back."""
+    e = _scale_exponent(s_min)
+    model = fit_gaussian(np.ldexp(s_min, -e), ridge)
+    rows = np.ldexp(rows, -e)
     out = np.empty_like(rows)
     for a in np.unique(attrs):
         sel = attrs == a
         out[sel] = impute_conditional(model, rows[sel], [a])
-    return out
+    return np.ldexp(out, e)
 
 
 def mwmote(s_min, s_maj, n: int, params: SamplerParams, rng: Pcg32) -> np.ndarray:
@@ -327,10 +332,9 @@ def emicil(s_min, s_maj, n: int, params: SamplerParams, rng: Pcg32) -> np.ndarra
     if len(s_min) < 2 or d < 2:
         warnings.warn("emicil needs >= 2 rows and >= 2 attributes; falling back to random duplication")
         return random_oversample(s_min, s_maj, n, params, rng)
-    model = fit_gaussian(s_min, params.emi_ridge)
     # Per row: the base row, then the masked attribute; all drawn before imputing.
     bases, attrs = rng.draws(n, len(s_min), d)
-    return _impute_each(model, s_min[bases], attrs)
+    return _impute_each(s_min, s_min[bases], attrs, params.emi_ridge)
 
 
 def ewmote(s_min, s_maj, n: int, params: SamplerParams, rng: Pcg32) -> np.ndarray:
@@ -353,9 +357,9 @@ def ewmote(s_min, s_maj, n: int, params: SamplerParams, rng: Pcg32) -> np.ndarra
     if wset.is_empty:
         warnings.warn("ewmote found no informative minority rows; falling back to emicil")
         return emicil(s_min, s_maj, n, params, rng)
-    model = fit_gaussian(s_min, params.emi_ridge)
     u, attrs = rng.draws(n, None, d)
-    return _impute_each(model, wset.s_imin[_draw_base(np.cumsum(wset.probabilities), u)], attrs)
+    bases = wset.s_imin[_draw_base(np.cumsum(wset.probabilities), u)]
+    return _impute_each(s_min, bases, attrs, params.emi_ridge)
 
 
 SAMPLERS = {"random": random_oversample, "smote": smote, "emicil": emicil,

@@ -573,7 +573,8 @@ class TestModelFileValidation:
         assert loaded.predict_proba(fm).tobytes() == model.predict_proba(fm).tobytes()
 
     @pytest.mark.parametrize("raw", [b"not json at all", b'{"format": ', b"\xff\xfe",
-                                     b"[1, 2]", b"3", b"null", b'"imbfault-gbt"'])
+                                     b"[1, 2]", b"3", b"null", b'"imbfault-gbt"',
+                                     b"[" * 100_000 + b"]" * 100_000])   # too deep to parse
     def test_not_a_json_object(self, tmp_path, raw):
         path = tmp_path / "garbage.json"
         path.write_bytes(raw)

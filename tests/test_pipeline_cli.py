@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import warnings
@@ -144,6 +145,27 @@ class TestRunCrossval:
                      tmp_path)
         golden = os.path.join(os.path.dirname(__file__), "data", "golden_mean_metrics.csv")
         assert (tmp_path / "mean_metrics.csv").read_text() == open(golden).read()
+
+    def test_four_class_reports_pinned(self, tmp_path):
+        # Class C has fewer rows than folds, so some folds lack it: degenerate
+        # flags and zero AUCs reach both metric tables. Digests of the reports
+        # as first written, before both tables were built from one mapping.
+        fm = gaussian_blobs([((0, 0), 1.0, 30, "N"), ((3, 0), 0.6, 10, "A"),
+                             ((0, 3), 0.6, 8, "B"), ((3, 3), 0.4, 3, "C")], seed=17)
+        with pytest.warns(UserWarning, match="class 'C' has 3 rows for 5 folds"):
+            run_crossval(fm, PipelineConfig(rounds=5, max_depth=2, folds=5, seed=29), tmp_path)
+        want = {
+            "fold_metrics": "72210c0a72516852a02d1a88a4754b6c576939c7911852e4482b12faeee33974",
+            "mean_metrics": "47e4d9b8ecdb461bbf012e4ec3ce3f145d4d2beb2a01b315e788e86ed486791e",
+            "confusion": "5d87a8d18d35c614961aaab68297ba40fef38a72c4bc68e8aa2788cd40acf412",
+            "roc_points": "221d760486daf558a968c367708fae2299a37f81ca3124474de6fcd2fe51c9bb",
+        }
+        got = {name: hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest()
+               for name in want}
+        assert got == want
+        folds = (tmp_path / "fold_metrics.csv").read_text().splitlines()
+        assert "3,C,0.0,0.0,0.0,0.0,0.0,0.0,1" in folds
+        assert (tmp_path / "mean_metrics.csv").read_text().splitlines()[-1].endswith(",1")
 
     def test_lda_reduction_path(self, tmp_path):
         fm = _blobs(seed=7)
@@ -446,6 +468,8 @@ class TestCli:
         (["synthgen", "--kind", "bogus", "--out", "o.csv"], "invalid choice: 'bogus'"),
         (["synthgen", "--kind", "blobs", "--dim", "two", "--out", "o.csv"], "--dim"),
         (["nosuchcommand"], "invalid choice: 'nosuchcommand'"),
+        (["synthgen", "--kind", "blobs", "--dim", "0", "--out", "o.csv"], "--dim must be >= 1"),
+        (["synthgen", "--kind", "blobs", "--dim", "-1", "--out", "o.csv"], "--dim must be >= 1"),
     ])
     def test_usage_error_is_one_line(self, tmp_path, monkeypatch, capsys, argv, detail):
         monkeypatch.chdir(tmp_path)

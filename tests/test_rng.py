@@ -181,7 +181,11 @@ class TestAgainstScalar:
 
     @pytest.mark.parametrize("bad", [[0], [3, -1]])
     def test_nonpositive_bounds_refused(self, bad):
-        with pytest.raises(ValueError):
-            Pcg32(1).randints(bad)
-        with pytest.raises(ValueError):
-            Pcg32(1).draws(2, None, bad[-1])
+        rng = Pcg32(1)
+        with pytest.raises(ValueError, match="n >= 1"):
+            rng.randints(bad)
+        with pytest.raises(ValueError, match="n >= 1"):
+            rng.draws(2, None, bad[-1])
+        with pytest.raises(ValueError, match="n >= 1"):
+            rng.draws(2, None, lambda u: np.full(np.shape(u), bad[-1]))
+        assert rng.random() == Pcg32(1).random()   # a refused draw consumes nothing

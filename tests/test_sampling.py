@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,19 @@ def with_duplicates(rng, m, d, copies):
     """m random rows followed by exact copies of the rows listed in `copies`."""
     base = rng.normals(m * d).reshape(m, d) * (1 + rng.randint(3))
     return np.vstack([base, base[copies]])
+
+
+def assert_empty_weighted_set(wset, d, minf_indices):
+    """An empty cascade result: every field has its empty shape, and the
+    filtered minority rows are still reported."""
+    assert wset.is_empty
+    shapes = {"s_imin": (0, d), "s_bmaj": (0, d), "weights": (0,), "probabilities": (0,),
+              "bmaj_indices": (0,), "imin_in_minf": (0,), "nmin_member": (0, 0)}
+    assert {name: getattr(wset, name).shape for name in shapes} == shapes
+    assert wset.minf_indices.tolist() == minf_indices
+    for name in ("minf_indices", "bmaj_indices", "imin_in_minf"):
+        assert getattr(wset, name).dtype.kind == "i"
+    assert wset.nmin_member.dtype == bool
 
 
 def closeness_factor(y, x, cf_th, cmax):
@@ -347,8 +361,10 @@ class TestBorderlineInformative:
         pts = np.ones((3, 2))
         assert borderline_majority(empty, pts, 2).tolist() == []
         assert borderline_majority(pts, empty, 2).tolist() == []
-        assert selection_probabilities(empty, pts, P).is_empty
-        assert selection_probabilities(pts, empty, P).is_empty
+        # No minority rows: nothing survives the filter.
+        assert_empty_weighted_set(selection_probabilities(empty, pts, P), 2, [])
+        # No majority rows: every minority row survives, none is borderline.
+        assert_empty_weighted_set(selection_probabilities(pts, empty, P), 2, [0, 1, 2])
 
     def test_vs_oracle(self):
         rng = Pcg32(4)
@@ -483,7 +499,7 @@ class TestSelectionProbabilities:
             [[30.1, 30.0], [30.0, 30.1], [29.9, 30.0], [30.0, 29.9], [30.1, 30.1]],
         ])
         wset = selection_probabilities(s_min, s_maj, SamplerParams(k1=5))
-        assert wset.is_empty
+        assert_empty_weighted_set(wset, 2, [])
 
 
 class TestAgglomerativeClusters:
@@ -517,6 +533,15 @@ class TestAgglomerativeClusters:
             got = {frozenset(np.flatnonzero(labels == c).tolist()) for c in set(labels)}
             want = {frozenset(c) for c in average_linkage_oracle(pts, cp)}
             assert got == want, f"trial {trial}"
+
+    @pytest.mark.parametrize("exp", [660, -660])
+    def test_extreme_magnitudes_keep_clusters(self, exp):
+        rng = Pcg32(9)
+        for _ in range(10):
+            n = 5 + rng.randint(8)
+            pts = np.round(rng.normals(n * 2).reshape(n, 2), 1)   # ties included
+            assert (agglomerative_clusters(np.ldexp(pts, exp), 2.0).tolist()
+                    == agglomerative_clusters(pts, 2.0).tolist())
 
     def test_cluster_ids_ordered_by_first_member(self):
         pts = np.array([[0.0], [100.0], [0.1]])
@@ -750,6 +775,26 @@ class TestSamplerContract:
         s_maj = rng.normals(90).reshape(30, 3) + 2.0
         out = SAMPLERS[method](s_min, s_maj, n, SamplerParams(), Pcg32(11))
         assert out.shape == (n, 3)
+
+    @pytest.mark.parametrize("method", ["mwmote", "emicil", "ewmote"])
+    @pytest.mark.parametrize("exp", [660, -660])
+    def test_extreme_magnitudes_scale_exactly(self, method, exp):
+        # At 2**660 squares and covariance products overflow and at 2**-660
+        # they underflow. Clustering, the cascade and the Gaussian work on
+        # rows scaled by a power of two, so the synthetic rows are the
+        # unscaled ones times 2**exp, with no warning and no fallback. The
+        # closeness cutoff scales by 2**-exp, as the distances' reciprocals do.
+        rng = Pcg32(31)
+        s_min = rng.normals(36).reshape(12, 3)
+        s_maj = rng.normals(120).reshape(40, 3) + 1.0
+        assert not selection_probabilities(s_min, s_maj, P).is_empty
+        scaled = SamplerParams(cf_th=math.ldexp(P.cf_th, -exp))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = SAMPLERS[method](s_min, s_maj, 30, P, Pcg32(2))
+            got = SAMPLERS[method](np.ldexp(s_min, exp), np.ldexp(s_maj, exp), 30, scaled,
+                                   Pcg32(2))
+        assert got.tobytes() == np.ldexp(want, exp).tobytes()
 
 
 class TestResampleMulticlass:
