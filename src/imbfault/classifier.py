@@ -301,7 +301,7 @@ class GbtModel:
 
     def decide(self, proba) -> np.ndarray:
         """Class of each predict_proba row's first maximum (ties -> lower class id)."""
-        return np.array([self.classes[i] for i in np.argmax(proba, axis=1)], dtype=object)
+        return np.array(self.classes, dtype=object)[np.argmax(proba, axis=1)]
 
     def save(self, path) -> None:
         blob = {

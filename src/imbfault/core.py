@@ -2,13 +2,13 @@
 
 All container types copy their array arguments into read-only C-ordered
 arrays, so instances are immutable and safe to share across threads.
-Class labels are opaque strings; wherever an ordering is needed (majority
-tie-breaks, classifier column order, dense ids) it is lexicographic.
+Class labels are opaque strings. `label_codes` owns their order: the sorted
+distinct labels, which fix majority tie-breaks, classifier and report column
+order, fold dealing, per-class random streams and dense ids.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +52,19 @@ def as_labels(values) -> np.ndarray:
     labels = np.array([str(v) for v in np.asarray(values).ravel()], dtype=object)
     labels.setflags(write=False)
     return labels
+
+
+def label_codes(labels, classes=None) -> tuple:
+    """(classes, codes): the sorted distinct labels, or the order given, and
+    each label's index into it. A label outside a given order is a DataError."""
+    labels = as_labels(labels)
+    present = set(labels)
+    classes = tuple(sorted(present) if classes is None else classes)
+    unknown = present.difference(classes)
+    if unknown:
+        raise DataError(f"labels {sorted(unknown)} missing from the class order")
+    index = dict(zip(classes, range(len(classes))))
+    return classes, np.fromiter(map(index.__getitem__, labels), dtype=int, count=len(labels))
 
 
 @dataclass(frozen=True)
@@ -167,7 +180,7 @@ class FeatureMatrix:
         return self.data.shape[1]
 
     def classes(self) -> tuple:
-        return tuple(sorted(set(self.labels)))
+        return label_codes(self.labels)[0]
 
     def rows_of(self, label: str) -> np.ndarray:
         return np.asarray(self.data[self.labels == label])
@@ -194,13 +207,14 @@ class ClassDistribution:
 
 
 def class_distribution(labels) -> ClassDistribution:
-    """Count classes; majority is the largest count, ties going to the
-    lexicographically first label."""
-    labels = as_labels(labels)
-    if not len(labels):
+    """Count classes, in class order; majority is the largest count, ties
+    going to the first class."""
+    classes, codes = label_codes(labels)
+    if not len(codes):
         raise DataError("empty label vector")
-    counts = dict(Counter(labels))
-    majority = min(counts, key=lambda c: (-counts[c], c))
+    n = np.bincount(codes)
+    counts = dict(zip(classes, n.tolist()))
+    majority = classes[int(np.argmax(n))]
     ratios = {c: counts[majority] / counts[c] for c in counts}
     return ClassDistribution(counts=counts, majority_label=majority, ratios=ratios)
 

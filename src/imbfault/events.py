@@ -72,9 +72,8 @@ def event_confusion(predicted, true_intervals, timestamps) -> tuple:
     over labels.
     """
     timestamps = np.asarray(timestamps, dtype=float)
-    labels = sorted({ev.label for ev in predicted} | {iv.label for iv in true_intervals})
     fn = fp = 0
-    for label in labels:
+    for label in {ev.label for ev in predicted} | {iv.label for iv in true_intervals}:
         true_mask = coverage(true_intervals, timestamps, label)
         pred_mask = coverage(predicted, timestamps, label)
         fn += int(np.sum(true_mask & ~pred_mask))

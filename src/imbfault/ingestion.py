@@ -205,15 +205,17 @@ def label_timestamps(frame: TimeSeriesFrame, intervals, default_label: str = "no
     """
     ts = frame.timestamps
     labels = np.array([default_label] * len(ts), dtype=object)
+    covered = np.zeros(len(ts), dtype=bool)    # ticks some interval has labelled
     for iv in intervals:
         mask = iv.covers(ts)
-        clash = mask & (labels != default_label) & (labels != iv.label)
+        clash = mask & covered & (labels != iv.label)
         if np.any(clash):
             t_bad = ts[clash][0]
             raise LabelConflictError(
                 f"timestamp {t_bad} covered by labels {labels[clash][0]!r} and {iv.label!r}"
             )
         labels[mask] = iv.label
+        covered |= mask
     return LabeledSeries(frame=frame, labels=labels)
 
 

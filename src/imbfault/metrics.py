@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_labels
+from .core import as_labels, label_codes
 from .errors import DataError
 
 METRIC_KEYS = ("precision", "recall", "f_measure", "auc", "mcc", "fam")
@@ -55,16 +55,10 @@ def confusion(y_true, y_pred, classes=None) -> ConfusionMatrix:
     y_pred = as_labels(y_pred)
     if len(y_true) != len(y_pred):
         raise DataError("label vectors differ in length")
-    if classes is None:
-        classes = sorted(set(y_true) | set(y_pred))
-    classes = tuple(classes)
-    index = {c: i for i, c in enumerate(classes)}
-    unknown = (set(y_true) | set(y_pred)) - set(classes)
-    if unknown:
-        raise DataError(f"labels {sorted(unknown)} missing from the class order")
-    counts = np.zeros((len(classes), len(classes)), dtype=int)
-    for t, p in zip(y_true, y_pred):
-        counts[index[t], index[p]] += 1
+    classes, codes = label_codes(np.concatenate([y_true, y_pred]), classes)
+    true, pred = codes.reshape(2, -1)
+    c = len(classes)
+    counts = np.bincount(true * c + pred, minlength=c * c).reshape(c, c)
     return ConfusionMatrix(classes=classes, counts=counts)
 
 
@@ -151,14 +145,11 @@ def macro_metrics(y_true, y_pred, scores, classes=None) -> dict:
     Returns {"per_class": {label: {...}}, "macro": {...}}.
     """
     y_true = as_labels(y_true)
-    y_pred = as_labels(y_pred)
-    if classes is None:
-        classes = sorted(set(y_true) | set(y_pred))
-    classes = tuple(classes)
+    cm = confusion(y_true, y_pred, classes)
+    classes = cm.classes
     scores = np.asarray(scores, dtype=float)
     if scores.shape != (len(y_true), len(classes)):
         raise DataError(f"scores must be ({len(y_true)}, {len(classes)})")
-    cm = confusion(y_true, y_pred, classes)
     per_class = {}
     for ci, c in enumerate(classes):
         tp, fp, fn, tn = cm.one_vs_rest(c)

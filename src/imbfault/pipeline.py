@@ -15,11 +15,11 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .classifier import GbtModel, GbtParams, gbt_train
-from .core import FeatureMatrix, SamplerParams, as_labels
+from .core import FeatureMatrix, SamplerParams, label_codes
 from .errors import ConfigError, DataError
 from .features import FeatureConfig, Standardizer, featurize
 from .ingestion import LabeledSeries, write_csv, write_feature_csv, write_intervals_csv
-from .metrics import METRIC_KEYS, macro_metrics, mean_metrics, roc_points
+from .metrics import METRIC_KEYS, confusion, macro_metrics, mean_metrics, roc_points
 from .events import coverage, event_confusion, merge_events, windows_to_events
 from .reduction import lda_fit, lda_transform, pca_fit, pca_transform
 from .rng import Pcg32
@@ -97,18 +97,17 @@ def stratified_folds(labels, n_folds: int, rng: Pcg32) -> list:
     """Disjoint test folds preserving class ratios: each class is shuffled
     and dealt round-robin. Classes smaller than n_folds leave some folds
     without that class (warned, allowed)."""
-    labels = as_labels(labels)
     if n_folds < 2:
         raise ConfigError("need at least 2 folds")
-    folds = [[] for _ in range(n_folds)]
-    for c in sorted(set(labels)):
-        idx = np.flatnonzero(labels == c)
+    classes, codes = label_codes(labels)
+    fold_of = np.empty(len(codes), dtype=int)
+    for k, c in enumerate(classes):
+        idx = np.flatnonzero(codes == k)
         if len(idx) < n_folds:
             warnings.warn(f"class {c!r} has {len(idx)} rows for {n_folds} folds")
         rng.shuffle(idx)
-        for i, row in enumerate(idx):
-            folds[i % n_folds].append(int(row))
-    return [np.array(sorted(f), dtype=int) for f in folds]
+        fold_of[idx] = np.arange(len(idx)) % n_folds
+    return [np.flatnonzero(fold_of == f) for f in range(n_folds)]
 
 
 @dataclass
@@ -221,8 +220,7 @@ def run_crossval(features: FeatureMatrix, cfg: PipelineConfig, out_dir) -> dict:
     _write_csv(os.path.join(out_dir, "mean_metrics.csv"), ["class", *columns],
                rows(mean_report))
 
-    pooled = macro_metrics(features.labels, oof_pred, oof_scores, classes)
-    cm = pooled["confusion"]
+    cm = confusion(features.labels, oof_pred, classes)
     _write_csv(
         os.path.join(out_dir, "confusion.csv"),
         ["true\\pred", *classes],

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import FeatureMatrix, as_labels, as_rows
+from .core import FeatureMatrix, as_rows, label_codes
 from .errors import ConfigError, DataError
 
 
@@ -101,18 +101,17 @@ def lda_fit(X, labels=None, n_components: int | None = None) -> Projection:
         labels = X.labels
     if labels is None:
         raise DataError("LDA needs labels")
-    labels = as_labels(labels)
-    if len(labels) != data.shape[0]:
+    classes, codes = label_codes(labels)
+    if len(codes) != data.shape[0]:
         raise DataError("labels length must equal row count")
-    classes = sorted(set(labels))
     if len(classes) < 2:
         raise DataError("LDA needs at least 2 classes")
     m, d = data.shape
     mean = data.mean(axis=0)
     sw = np.zeros((d, d))
     sb = np.zeros((d, d))
-    for c in classes:
-        rows = data[labels == c]
+    for k in range(len(classes)):
+        rows = data[codes == k]
         mu_c = rows.mean(axis=0)
         centered = rows - mu_c
         sw += centered.T @ centered

@@ -383,15 +383,13 @@ def resample_multiclass(fm: FeatureMatrix, method: str, params: SamplerParams,
     dist = class_distribution(fm.labels)
     target = dist.counts[dist.majority_label]
     blocks = [fm.data]
-    label_blocks = [list(fm.labels)]
-    for ci, c in enumerate(sorted(cl for cl in dist.counts if cl != dist.majority_label)):
+    label_blocks = [fm.labels]
+    for ci, c in enumerate(cl for cl in dist.counts if cl != dist.majority_label):
         n_new = target - dist.counts[c]
         if n_new <= 0:
             continue
         s_min = fm.data[fm.labels == c]
         s_maj = fm.data[fm.labels != c]
         blocks.append(SAMPLERS[method](s_min, s_maj, n_new, params, rng.child(ci)))
-        label_blocks.append([c] * n_new)
-    data = np.vstack(blocks)
-    labels = [lab for block in label_blocks for lab in block]
-    return FeatureMatrix(data, labels, fm.feature_names)
+        label_blocks.append(np.full(n_new, c, dtype=object))
+    return FeatureMatrix(np.vstack(blocks), np.concatenate(label_blocks), fm.feature_names)

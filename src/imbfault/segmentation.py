@@ -7,7 +7,7 @@ import logging
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import WindowBatch
+from .core import WindowBatch, label_codes
 from .errors import ConfigError, DataError
 from .ingestion import LabeledSeries
 
@@ -44,34 +44,26 @@ def segment(series: LabeledSeries, window_len: int, slide_len: int,
 
 def _window_labels(tick_labels, starts, window_len: int, rule: str,
                    default_label: str) -> np.ndarray:
-    """majority and any_fault count each distinct tick label with one cumulative
-    sum. Faults are visited in sorted order and a later one takes a window only
-    with strictly more ticks, so ties go to the first."""
+    """majority and any_fault read a (window, label) table of tick counts, each
+    a difference of two prefix sums. With the default label's column zeroed,
+    the first maximum is the best fault, so ties go to the first in class order."""
     if rule == "midpoint":
         return tick_labels[starts + (window_len - 1) // 2]
-    names = sorted(set(tick_labels))
-    code = {name: k for k, name in enumerate(names)}
-    codes = np.fromiter(map(code.__getitem__, tick_labels), dtype=int, count=len(tick_labels))
+    names, codes = label_codes(tick_labels)
     names = np.array(names, dtype=object)
-    n_default = 0                                # ticks of the default label
-    top = np.zeros(len(starts), dtype=int)       # ticks of the best fault
-    best = np.zeros(len(starts), dtype=int)      # its index into names
-    n_tied = np.zeros(len(starts), dtype=int)    # faults sharing that count
-    cum = np.zeros(len(codes) + 1, dtype=int)
-    for k, name in enumerate(names):
-        np.cumsum(codes == k, out=cum[1:])
-        n = cum[starts + window_len] - cum[starts]
-        if name == default_label:
-            n_default = n
-            continue
-        n_tied[(n == top) & (n > 0)] += 1
-        more = n > top
-        top[more], best[more], n_tied[more] = n[more], k, 1
-    ambiguous = n_tied > 1
-    for start, n in zip(starts[ambiguous], top[ambiguous]):
-        counts = np.bincount(codes[start:start + window_len], minlength=len(names))
-        tied = names[(counts == n) & (names != default_label)].tolist()
-        log.warning("ambiguous window: fault labels %s tie at %d timestamps", tied, n)
+    cum = np.zeros((len(codes) + 1, len(names)), dtype=int)
+    np.cumsum(codes[:, None] == np.arange(len(names)), axis=0, out=cum[1:])
+    table = cum[starts + window_len] - cum[starts]
+    is_default = names == default_label
+    n_default = table[:, is_default].sum(axis=1)
+    table[:, is_default] = 0
+    best = table.argmax(axis=1)
+    top = table.max(axis=1)
+    tied = (table == top[:, None]) & (top[:, None] > 0)
+    ambiguous = tied.sum(axis=1) > 1
+    for row, n in zip(tied[ambiguous], top[ambiguous]):
+        log.warning("ambiguous window: fault labels %s tie at %d timestamps",
+                    names[row].tolist(), n)
     fault_wins = top > 0
     if rule == "majority":
         fault_wins &= top >= n_default

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FaultInterval, FeatureMatrix, TimeSeriesFrame
+from .core import FaultInterval, FeatureMatrix, TimeSeriesFrame, label_codes
 from .errors import DataError
 from .rng import Pcg32
 
@@ -121,12 +121,11 @@ def synthetic_timeseries(n_ticks: int, intervals, n_channels: int, shift: float,
     timestamps = np.arange(n_ticks, dtype=float)
     values = rng.normals(n_channels * n_ticks).reshape(n_channels, n_ticks)
     intervals = [FaultInterval(iv.t_start, iv.t_end, iv.label) for iv in intervals]
-    labels = sorted({iv.label for iv in intervals})
-    scale = {lab: i + 1 for i, lab in enumerate(labels)}
-    for iv in intervals:
+    codes = label_codes(np.array([iv.label for iv in intervals], dtype=object))[1]
+    for iv, code in zip(intervals, codes.tolist()):
         mask = iv.covers(timestamps)
         for ch in range(n_channels):
-            values[ch, mask] += shift * scale[iv.label] * (1.0 + 0.25 * ch)
+            values[ch, mask] += shift * (code + 1) * (1.0 + 0.25 * ch)
     frame = TimeSeriesFrame(
         timestamps=timestamps,
         channel_names=tuple(f"ch{i}" for i in range(n_channels)),

@@ -1,7 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-verdicts. Oracles are written independently inside this module.
+verdicts. The scalar oracles live in `oracles.py`, shared with the module
+tests and written independently of the library.
 """
 
 import math
@@ -14,6 +15,9 @@ import pytest
 import imbfault as ib
 from imbfault.rng import Pcg32
 
+from oracles import (auc_pair_oracle, average_linkage_oracle, dense_solve_oracle, knn_oracle,
+                     naive_dft_magnitude, stats_oracle, union_sweep_oracle)
+
 warnings.filterwarnings("ignore", category=UserWarning)
 
 
@@ -24,69 +28,6 @@ def _verdict(num, name, ok, detail=""):
 
 # ---------------------------------------------------------------- criterion 1
 
-def _knn_oracle(query, pool, k):
-    scored = sorted((np.linalg.norm(p - query), i) for i, p in enumerate(pool))
-    return [i for _, i in scored[:k]]
-
-
-def _linkage_oracle(points, cp):
-    n = len(points)
-    if n == 1:
-        return [{0}]
-    nn = [min(np.linalg.norm(points[i] - points[j]) for j in range(n) if j != i)
-          for i in range(n)]
-    threshold = cp * sum(nn) / n
-    clusters = [{i} for i in range(n)]
-    while len(clusters) > 1:
-        best = None
-        for a in range(len(clusters)):
-            for b in range(a + 1, len(clusters)):
-                d = np.mean([np.linalg.norm(points[i] - points[j])
-                             for i in clusters[a] for j in clusters[b]])
-                if best is None or d < best[0] - 1e-12:
-                    best = (d, a, b)
-        if best[0] > threshold:
-            break
-        clusters[best[1]] |= clusters[best[2]]
-        del clusters[best[2]]
-    return clusters
-
-
-def _auc_pairs(y, s, positive):
-    pos = [v for v, t in zip(s, y) if t == positive]
-    neg = [v for v, t in zip(s, y) if t != positive]
-    total = sum(1.0 if p > n else 0.5 if p == n else 0.0 for p in pos for n in neg)
-    return total / (len(pos) * len(neg))
-
-
-def _union_sweep(events):
-    by_label = {}
-    for ev in events:
-        by_label.setdefault(ev.label, []).append((ev.t_start, ev.t_end))
-    out = []
-    for label in sorted(by_label):
-        merged = []
-        for s, e in sorted(by_label[label]):
-            if merged and s <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], e))
-            else:
-                merged.append((s, e))
-        out += [ib.FaultEvent(s, e, label) for s, e in merged]
-    return sorted(out)
-
-
-def _dense_solve(mean, cov, ridge, x, missing):
-    d = len(mean)
-    miss = sorted(missing)
-    obs = [i for i in range(d) if i not in miss]
-    sig_oo = cov[np.ix_(obs, obs)] + ridge * np.eye(len(obs))
-    sig_mo = cov[np.ix_(miss, obs)]
-    est = mean[miss] + sig_mo @ np.linalg.inv(sig_oo) @ (x[obs] - mean[obs])
-    out = x.copy()
-    out[miss] = est
-    return out
-
-
 def test_criterion_1_oracle_equivalence():
     t0 = time.monotonic()
     rng = Pcg32(100)
@@ -94,14 +35,14 @@ def test_criterion_1_oracle_equivalence():
     for _ in range(30):
         pool = rng.normals(300).reshape(100, 3)
         q = rng.normals(3)
-        assert ib.knn(q, pool, 5).tolist() == _knn_oracle(q, pool, 5)
+        assert ib.knn(q, pool, 5).tolist() == knn_oracle(q, pool, 5)
 
     for _ in range(25):
         n = 4 + rng.randint(9)       # <= 12 points
         pts = rng.normals(n * 2).reshape(n, 2) * (1 + rng.randint(3))
         labels = ib.agglomerative_clusters(pts, 2.5)
         got = {frozenset(np.flatnonzero(labels == c).tolist()) for c in set(labels)}
-        want = {frozenset(c) for c in _linkage_oracle(pts, 2.5)}
+        want = {frozenset(c) for c in average_linkage_oracle(pts, 2.5)}
         assert got == want
 
     for _ in range(40):
@@ -109,7 +50,7 @@ def test_criterion_1_oracle_equivalence():
         y = ["p" if rng.random() < 0.5 else "n" for _ in range(n)]
         y[0], y[1] = "p", "n"
         s = [round(rng.random(), 1) for _ in range(n)]
-        assert abs(ib.auc(y, s, "p") - _auc_pairs(y, s, "p")) < 1e-9
+        assert abs(ib.auc(y, s, "p") - auc_pair_oracle(y, s, "p")) < 1e-9
 
     for _ in range(500):
         events = []
@@ -118,7 +59,7 @@ def test_criterion_1_oracle_equivalence():
             events.append(ib.FaultEvent(float(start), float(start + rng.randint(20)),
                                         f"F{rng.randint(3)}"))
         got = ib.merge_events(events)
-        want = _union_sweep(events)
+        want = union_sweep_oracle(events)
         assert len(got) == len(want)
         assert all(abs(a.t_start - b.t_start) < 1e-9 and abs(a.t_end - b.t_end) < 1e-9
                    and a.label == b.label for a, b in zip(got, want))
@@ -131,7 +72,7 @@ def test_criterion_1_oracle_equivalence():
         x = rng.normals(5)
         missing = sorted({rng.randint(5), rng.randint(5)})
         got = ib.impute_conditional(model, x, missing)
-        want = _dense_solve(mean, cov, 1e-8, x, missing)
+        want = dense_solve_oracle(mean, cov, 1e-8, x, missing)
         assert np.max(np.abs(got - want)) < 1e-9
 
     elapsed = time.monotonic() - t0
@@ -294,46 +235,20 @@ def test_criterion_6_sampler_invariants():
 
 # ---------------------------------------------------------------- criterion 7
 
-def _stats_oracle(x):
-    l = len(x)
-    mean = sum(x) / l
-    rms = math.sqrt(sum(v * v for v in x) / l)
-    mx, mn = max(x), min(x)
-    s = sorted(x)
-    med = s[l // 2] if l % 2 else (s[l // 2 - 1] + s[l // 2]) / 2
-    max_abs = max(abs(v) for v in x)
-    mean_abs = sum(abs(v) for v in x) / l
-    mean_sqrt_sq = (sum(math.sqrt(abs(v)) for v in x) / l) ** 2
-    crest = max_abs / rms if rms > 0 else 0.0
-    impulse = max_abs / mean_abs if mean_abs > 0 else 0.0
-    margin = max_abs / mean_sqrt_sq if mean_sqrt_sq > 0 else 0.0
-    return np.array([mean, rms, mx, mn, med, mx - mn, crest, impulse, margin])
-
-
-def _naive_dft(x):
-    l = len(x)
-    out = np.empty(l)
-    for k in range(l):
-        re = sum(x[n] * math.cos(-2 * math.pi * k * n / l) for n in range(l))
-        im = sum(x[n] * math.sin(-2 * math.pi * k * n / l) for n in range(l))
-        out[k] = math.hypot(re, im)
-    return out
-
-
 def test_criterion_7_feature_correctness():
     rng = Pcg32(700)
     worst_stats = 0.0
     for _ in range(1000):
         x = rng.normals(2 + rng.randint(40)) * (1 + rng.randint(4))
         worst_stats = max(worst_stats,
-                          float(np.max(np.abs(ib.time_stats(x) - _stats_oracle(list(x))))))
+                          float(np.max(np.abs(ib.time_stats(x) - stats_oracle(list(x))))))
     assert worst_stats < 1e-12
 
     worst_fft = 0.0
     for l in range(2, 65):
         x = rng.normals(l)
         worst_fft = max(worst_fft,
-                        float(np.max(np.abs(ib.fft_magnitude(x) - _naive_dft(x)))))
+                        float(np.max(np.abs(ib.fft_magnitude(x) - naive_dft_magnitude(x)))))
     assert worst_fft < 1e-9
 
     worst_parseval = 0.0

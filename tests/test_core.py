@@ -4,7 +4,7 @@ import pytest
 from imbfault.classifier import GbtParams, gbt_train
 from imbfault.core import (ClassDistribution, FaultInterval, FeatureMatrix,
                            SamplerParams, TimeSeriesFrame, WindowBatch,
-                           as_labels, as_rows, class_distribution)
+                           as_labels, as_rows, class_distribution, label_codes)
 from imbfault.errors import ConfigError, DataError
 from imbfault.features import Standardizer
 from imbfault.imputation import fit_gaussian, impute_conditional
@@ -44,9 +44,31 @@ class TestClassDistribution:
         dist = class_distribution(["b", "a", "b", "a"])
         assert dist.majority_label == "a"
 
+    def test_tied_majority_counts(self):
+        dist = class_distribution(["c", "b", "a", "b", "c", "a", "d"])
+        assert dist.majority_label == "a"
+        assert list(dist.counts.items()) == [("a", 2), ("b", 2), ("c", 2), ("d", 1)]
+        assert dist.ratios == {"a": 1.0, "b": 1.0, "c": 1.0, "d": 2.0}
+
     def test_empty_labels_error(self):
         with pytest.raises(DataError):
             class_distribution([])
+
+
+class TestLabelCodes:
+    def test_sorted_order_by_default(self):
+        classes, codes = label_codes(["b", "c", "a", "b"])
+        assert classes == ("a", "b", "c")
+        assert codes.tolist() == [1, 2, 0, 1]
+
+    def test_given_order(self):
+        classes, codes = label_codes(["b", "c", "b"], ["c", "a", "b"])
+        assert classes == ("c", "a", "b")
+        assert codes.tolist() == [2, 0, 2]
+
+    def test_label_outside_given_order(self):
+        with pytest.raises(DataError, match=r"labels \['x'\] missing"):
+            label_codes(["a", "x"], ["a"])
 
 
 class TestPcg32:

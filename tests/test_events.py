@@ -6,22 +6,7 @@ from imbfault.errors import DataError
 from imbfault.events import coverage, event_confusion, merge_events, windows_to_events
 from imbfault.rng import Pcg32
 
-
-def union_sweep_oracle(events):
-    """Per-label interval union by sort-and-sweep."""
-    by_label = {}
-    for ev in events:
-        by_label.setdefault(ev.label, []).append((ev.t_start, ev.t_end))
-    out = []
-    for label in sorted(by_label):
-        merged = []
-        for s, e in sorted(by_label[label]):
-            if merged and s <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], e))
-            else:
-                merged.append((s, e))
-        out += [FaultEvent(s, e, label) for s, e in merged]
-    return sorted(out, key=lambda ev: (ev.t_start, ev.t_end, ev.label))
+from oracles import union_sweep_oracle
 
 
 def pairwise_fixpoint_oracle(events):

@@ -12,35 +12,7 @@ from imbfault.features import (DOMAINS, STAT_NAMES, FeatureConfig, Standardizer,
                                wpt_decompose, wpt_stats)
 from imbfault.rng import Pcg32
 
-
-def stats_oracle(x):
-    """Direct transcription of the nine statistics, one by one."""
-    x = np.asarray(x, dtype=float)
-    l = len(x)
-    mean = sum(x) / l
-    rms = math.hypot(*x) / math.sqrt(l)       # no underflow of tiny squares
-    mx, mn = max(x), min(x)
-    s = sorted(x)
-    med = s[l // 2] if l % 2 else (s[l // 2 - 1] + s[l // 2]) / 2
-    rng = mx - mn
-    max_abs = max(abs(v) for v in x)
-    mean_abs = sum(abs(v) for v in x) / l
-    mean_sqrt_sq = (sum(math.sqrt(abs(v)) for v in x) / l) ** 2
-    crest = max_abs / rms if rms > 0 else 0.0
-    impulse = max_abs / mean_abs if mean_abs > 0 else 0.0
-    margin = max_abs / mean_sqrt_sq if mean_sqrt_sq > 0 else 0.0
-    return np.array([mean, rms, mx, mn, med, rng, crest, impulse, margin])
-
-
-def naive_dft_magnitude(x):
-    x = np.asarray(x, dtype=float)
-    l = len(x)
-    out = np.empty(l)
-    for k in range(l):
-        re = sum(x[n] * math.cos(-2 * math.pi * k * n / l) for n in range(l))
-        im = sum(x[n] * math.sin(-2 * math.pi * k * n / l) for n in range(l))
-        out[k] = math.hypot(re, im)
-    return out
+from oracles import naive_dft_magnitude, stats_oracle
 
 
 _SQRT2, _SQRT3 = math.sqrt(2.0), math.sqrt(3.0)

@@ -6,21 +6,7 @@ from imbfault.imputation import GaussianModel, fit_gaussian, impute_conditional
 from imbfault.rng import Pcg32
 from imbfault.synthgen import gaussian_blobs
 
-
-def dense_solve_oracle(mean, cov, ridge, x, missing):
-    """Independent route: explicit inverse and index bookkeeping."""
-    d = len(mean)
-    miss = sorted(missing)
-    obs = [i for i in range(d) if i not in miss]
-    sig_oo = np.array([[cov[i][j] for j in obs] for i in obs]) + ridge * np.eye(len(obs))
-    sig_mo = np.array([[cov[i][j] for j in obs] for i in miss])
-    inv = np.linalg.inv(sig_oo)
-    delta = np.array([x[j] - mean[j] for j in obs])
-    filled = np.array(x, dtype=float)
-    est = [mean[i] for i in miss] + sig_mo @ inv @ delta
-    for pos, i in enumerate(miss):
-        filled[i] = est[pos]
-    return filled
+from oracles import dense_solve_oracle
 
 
 class TestFitGaussian:

@@ -177,6 +177,14 @@ class TestLabelTimestamps:
             label_timestamps(self._frame(),
                              [FaultInterval(0, 4, "F1"), FaultInterval(3, 6, "F2")], "N")
 
+    @pytest.mark.parametrize("ivs", [
+        [FaultInterval(2, 5, "normal"), FaultInterval(4, 7, "F")],
+        [FaultInterval(4, 7, "F"), FaultInterval(2, 5, "normal")],
+    ])
+    def test_default_label_interval_conflicts_in_either_order(self, ivs):
+        with pytest.raises(LabelConflictError, match="timestamp 4.0 covered by labels"):
+            label_timestamps(self._frame(), ivs, "normal")
+
     def test_same_label_overlap_merges_silently(self):
         series = label_timestamps(self._frame(),
                                   [FaultInterval(0, 4, "F"), FaultInterval(3, 6, "F")], "N")

@@ -10,19 +10,7 @@ from imbfault.metrics import (ConfusionMatrix, auc, confusion, fam, macro_metric
                               mcc, precision_recall_f, roc_points)
 from imbfault.rng import Pcg32
 
-
-def auc_pair_oracle(y_true, scores, positive):
-    """Brute-force concordant / tied pair counting."""
-    pos = [s for s, t in zip(scores, y_true) if t == positive]
-    neg = [s for s, t in zip(scores, y_true) if t != positive]
-    total = 0.0
-    for p in pos:
-        for n in neg:
-            if p > n:
-                total += 1.0
-            elif p == n:
-                total += 0.5
-    return total / (len(pos) * len(neg))
+from oracles import auc_pair_oracle
 
 
 def auc_rank_loop_oracle(y_true, scores, positive):
@@ -92,9 +80,27 @@ class TestConfusion:
         for i, c in enumerate(classes):
             assert cm.counts[i].sum() == y_true.count(c)
 
+    def test_vs_row_loop_oracle_with_shuffled_class_order(self):
+        rng = Pcg32(5)
+        for _ in range(30):
+            classes = np.array([f"k{i}" for i in range(1 + rng.randint(6))], dtype=object)
+            rng.shuffle(classes)
+            classes = classes.tolist()
+            n = rng.randint(80)
+            y_true = [classes[rng.randint(len(classes))] for _ in range(n)]
+            y_pred = [classes[rng.randint(len(classes))] for _ in range(n)]
+            want = np.zeros((len(classes), len(classes)), dtype=int)
+            for t, p in zip(y_true, y_pred):
+                want[classes.index(t), classes.index(p)] += 1
+            cm = confusion(y_true, y_pred, classes)
+            assert cm.classes == tuple(classes)
+            assert np.array_equal(cm.counts, want)
+
     def test_unknown_label_rejected(self):
         with pytest.raises(DataError):
             confusion(["a"], ["b"], classes=["a"])
+        with pytest.raises(DataError, match=r"^labels \['b', 'c'\] missing from the class order$"):
+            confusion(["a", "c"], ["b", "a"], classes=["a"])
 
     def test_negative_counts_rejected(self):
         with pytest.raises(DataError):

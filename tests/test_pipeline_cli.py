@@ -34,7 +34,35 @@ def small_cfg(**kw):
     return PipelineConfig(**defaults)
 
 
+def append_and_sort_folds_oracle(labels, n_folds, rng):
+    """Each class, in sorted order, is shuffled and dealt row by row onto the
+    folds; each fold is then sorted."""
+    labels = np.asarray(labels, dtype=object)
+    folds = [[] for _ in range(n_folds)]
+    for c in sorted(set(labels)):
+        idx = np.flatnonzero(labels == c)
+        rng.shuffle(idx)
+        for i, row in enumerate(idx):
+            folds[i % n_folds].append(int(row))
+    return [sorted(f) for f in folds]
+
+
 class TestStratifiedFolds:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_append_and_sort_dealing(self, seed):
+        draw = Pcg32(300 + seed)
+        n_folds = 2 + draw.randint(9)
+        counts = [1 + draw.randint(25) for _ in range(1 + draw.randint(4))]
+        labels = [f"c{k}" for k, n in enumerate(counts) for _ in range(n)]
+        order = np.arange(len(labels))
+        draw.shuffle(order)
+        labels = [labels[i] for i in order]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)    # classes below n_folds
+            got = stratified_folds(labels, n_folds, Pcg32(seed))
+        assert [f.tolist() for f in got] == append_and_sort_folds_oracle(
+            labels, n_folds, Pcg32(seed))
+
     def test_disjoint_cover_and_sizes(self):
         labels = ["N"] * 80 + ["F"] * 20
         folds = stratified_folds(labels, 10, Pcg32(0))

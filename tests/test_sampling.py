@@ -14,18 +14,14 @@ from imbfault.sampling import (METHODS, SAMPLERS, _nearest, agglomerative_cluste
                                knn, mwmote, random_oversample, resample_multiclass,
                                selection_probabilities, smote)
 
+from oracles import average_linkage_oracle, knn_oracle
+
 P = SamplerParams()
 
 
 def no_maj(s_min):
     """An empty majority set matching s_min's width, for samplers that ignore it."""
     return np.empty((0, np.shape(s_min)[1]))
-
-
-def knn_oracle(query, pool, k):
-    """Exhaustive sort by (distance, index)."""
-    scored = sorted((np.linalg.norm(p - query), i) for i, p in enumerate(pool))
-    return [i for _, i in scored[:k]]
 
 
 def filtered_oracle(s_min, s_maj, k1):
@@ -95,32 +91,6 @@ def information_weight(y, x_index, s_imin, nmin_indices, cf_th, cmax):
     if total == 0.0 or cf[x_index] == 0.0:
         return 0.0
     return float(cf[x_index] * cf[x_index] / total)
-
-
-def average_linkage_oracle(points, cp):
-    """O(n^3) agglomeration recomputing every cluster distance from scratch."""
-    points = np.asarray(points, dtype=float)
-    n = len(points)
-    if n == 1:
-        return [{0}]
-    nn = [min(np.linalg.norm(points[i] - points[j]) for j in range(n) if j != i)
-          for i in range(n)]
-    threshold = cp * sum(nn) / n
-    clusters = [{i} for i in range(n)]
-    while len(clusters) > 1:
-        best = None
-        for a in range(len(clusters)):
-            for b in range(a + 1, len(clusters)):
-                d = np.mean([np.linalg.norm(points[i] - points[j])
-                             for i in clusters[a] for j in clusters[b]])
-                if best is None or d < best[0] - 1e-12:
-                    best = (d, a, b)
-        if best[0] > threshold:
-            break
-        _, a, b = best
-        clusters[a] |= clusters[b]
-        del clusters[b]
-    return clusters
 
 
 def emicil_oracle(s_min, n, params, rng):

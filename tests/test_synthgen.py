@@ -110,6 +110,16 @@ class TestSyntheticTimeseries:
         assert out == ivs
         assert frame.n_ticks == 100 and frame.n_channels == 2
 
+    @pytest.mark.parametrize("seed, digest", [
+        (3, "0ad5c74a2108e175a1bd5285dccc21e12bf51842b98106cb3b8bda98f8bdb337"),
+        (11, "1032af3107d5f5cde8e8c11ad4b8b7d4928e190c85f3841ba2940b60df010c45"),
+    ])
+    def test_reversed_fault_labels_pinned(self, seed, digest):
+        # Shift multiples follow class order: F gets 1 and G gets 2, though G comes first.
+        ivs = [FaultInterval(70, 99, "G"), FaultInterval(10, 39, "F")]
+        frame, _ = synthetic_timeseries(120, ivs, 3, 1.5, seed=seed)
+        assert hashlib.sha256(frame.values.tobytes()).hexdigest() == digest
+
     def test_seed_deterministic(self):
         a, _ = synthetic_timeseries(50, [], 2, 0.0, seed=9)
         b, _ = synthetic_timeseries(50, [], 2, 0.0, seed=9)
