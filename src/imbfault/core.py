@@ -9,6 +9,7 @@ order, fold dealing, per-class random streams and dense ids.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +48,26 @@ def as_rows(X, name: str = "X", width: int | None = None) -> np.ndarray:
     return rows
 
 
+def scale_exponent(*arrays) -> int:
+    """0 unless the largest |coordinate| of the arrays lies outside 2**±400,
+    where squares and products could overflow or underflow; then the e for
+    which 2**-e scales it into [0.5, 1). Scaling by a power of two is exact,
+    so work on rows scaled by 2**-e gives the unscaled result times a power
+    of two."""
+    top = max(max(x.max(initial=0.0), -x.min(initial=0.0)) for x in arrays)
+    if top > 0.0 and not 2.0 ** -400 <= top <= 2.0 ** 400:
+        return math.frexp(top)[1]
+    return 0
+
+
+_to_str = np.frompyfunc(str, 1, 1)
+
+
 def as_labels(values) -> np.ndarray:
-    """`values` flattened into a read-only 1-d object array of `str` labels."""
-    labels = np.array([str(v) for v in np.asarray(values).ravel()], dtype=object)
+    """`values` flattened into a read-only 1-d object array of `str` labels.
+    The values never pass through a fixed-width str array, which would drop
+    trailing NULs and merge labels that differ only by them."""
+    labels = _to_str(np.asarray(values, dtype=object).ravel())
     labels.setflags(write=False)
     return labels
 

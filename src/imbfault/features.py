@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FeatureMatrix, WindowBatch, as_rows
+from .core import FeatureMatrix, WindowBatch, as_rows, scale_exponent
 from .errors import ConfigError, DataError
 
 STAT_NAMES = ("mean", "rms", "max", "min", "median", "range", "crest", "impulse", "margin")
@@ -200,7 +200,9 @@ def featurize(windows: WindowBatch, config: FeatureConfig) -> FeatureMatrix:
 class Standardizer:
     """Per-column z-score fitted on training rows only.
 
-    Zero-variance columns keep scale 1 so transforms stay finite.
+    Zero-variance columns keep scale 1 so transforms stay finite. The
+    moments are taken on rows scaled by the power of two `scale_exponent`
+    picks, so rows near the float limits neither overflow nor underflow.
     """
 
     mean_: np.ndarray = field(default=None, repr=False)
@@ -210,8 +212,10 @@ class Standardizer:
         X = as_rows(X)
         if not len(X):
             raise DataError("cannot fit a standardizer on zero rows")
-        self.mean_ = X.mean(axis=0)
-        scale = X.std(axis=0)
+        e = scale_exponent(X)
+        X = np.ldexp(X, -e)
+        self.mean_ = np.ldexp(X.mean(axis=0), e)
+        scale = np.ldexp(X.std(axis=0), e)
         scale[scale == 0.0] = 1.0
         self.scale_ = scale
         return self

@@ -93,38 +93,34 @@ def _rows_after_header(fh, path):
     return reader
 
 
-def _c_columns(fh, path, cols: list, dtype=float):
-    """Columns `cols` of fh's data rows as a (rows, len(cols)) array, parsed
-    by numpy's C reader; None when it refuses a row or finds none. Also None
-    for no `cols`: without a cell to parse it would count all-blank rows."""
-    if not cols:
-        return None
-    _rows_after_header(fh, path)
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        try:
-            cells = np.loadtxt(fh, dtype=dtype, delimiter=",", usecols=cols, comments=None,
-                               quotechar='"', ndmin=2)
-        except ValueError:
-            return None
-    return cells if len(cells) else None
-
-
 def _read_cells(fh, path, cols: list, names: list, label_col: int | None = None):
     """The float cells of columns `cols` (named `names`) of every data row,
     shape (rows, len(cols)), and the stripped cells of `label_col` as an
     object array of `str` (none without one), so no trailing NUL is lost.
 
-    numpy's C reader parses the floats and, as Python strings, the labels.
-    When it refuses the file, the row parser reads it instead and raises
-    the ParseError or DataError that names the row."""
-    cells = _c_columns(fh, path, cols)
-    if cells is not None and label_col is None:
+    numpy's C reader parses the floats and, as Python strings, the labels,
+    in one pass. When it refuses the file or finds no row, the row parser
+    reads it instead and raises the ParseError or DataError that names the
+    row; so it does with no `cols`, where the C reader would count all-blank
+    rows."""
+    if label_col is None:
+        dtype, usecols, ndmin = float, cols, 2
+    else:   # ndmin=1 keeps a one-row file's records 1-d
+        dtype, usecols, ndmin = [("v", float, (len(cols),)), ("l", object)], [*cols, label_col], 1
+    cells = []
+    if cols:
+        _rows_after_header(fh, path)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            try:
+                cells = np.loadtxt(fh, dtype=dtype, delimiter=",", usecols=usecols,
+                                   comments=None, quotechar='"', ndmin=ndmin)
+            except ValueError:
+                pass
+    if len(cells) and label_col is None:
         return cells, []
-    if cells is not None:
-        labels = _c_columns(fh, path, [label_col], object)
-        if labels is not None:
-            return cells, np.array([label.strip() for label in labels[:, 0]], dtype=object)
+    if len(cells):
+        return cells["v"], np.array([label.strip() for label in cells["l"]], dtype=object)
     width = max([*cols, -1 if label_col is None else label_col]) + 1
     rows, labels = [], []
     for row_num, row in _data_rows(_rows_after_header(fh, path), width, path):

@@ -2,7 +2,9 @@
 
 Both fits return a Projection. Eigenvector signs are fixed by making each
 vector's largest-magnitude entry positive, so fits are identical across
-platforms. Fits and transforms accept a FeatureMatrix or a plain 2-d array.
+platforms. Both fit on rows scaled by the power of two `scale_exponent`
+picks, so rows near the float limits neither overflow nor underflow. Fits
+and transforms accept a FeatureMatrix or a plain 2-d array.
 """
 
 from __future__ import annotations
@@ -11,9 +13,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .core import FeatureMatrix, as_rows, label_codes
+from .core import FeatureMatrix, as_rows, label_codes, scale_exponent
 from .errors import ConfigError, DataError
 
 
@@ -63,6 +64,8 @@ def pca_fit(X, n_components: int | None = None, variance: float | None = None) -
     m, d = data.shape
     if m < 2 or d == 0:
         raise DataError(f"PCA needs at least 2 rows and 1 column, got {m} x {d}")
+    e = scale_exponent(data)
+    data = np.ldexp(data, -e)
     mean = data.mean(axis=0)
     centered = data - mean
     cov = centered.T @ centered / (m - 1)
@@ -86,13 +89,15 @@ def pca_fit(X, n_components: int | None = None, variance: float | None = None) -
         if r > rank:
             warnings.warn(f"requested {r} components but rank is {rank}; clipping")
             r = rank
-    return Projection(mean, _fix_signs(eigvecs[:, :r]), ratios[:r], "pc")
+    return Projection(np.ldexp(mean, e), _fix_signs(eigvecs[:, :r]), ratios[:r], "pc")
 
 
 def lda_fit(X, labels=None, n_components: int | None = None) -> Projection:
     """Generalized eigenvectors of between-class vs within-class scatter.
 
-    The within-class scatter is ridge-regularized by 1e-6 * trace / d. The
+    The within-class scatter is ridge-regularized by 1e-6 * trace / d and
+    factored as L L^T; the eigenvectors W of L^-1 S_b L^-T map back to
+    components L^-T W, which are orthonormal in the ridged scatter. The
     projection dimension is capped at n_classes - 1; larger requests are
     clipped with a warning.
     """
@@ -107,6 +112,8 @@ def lda_fit(X, labels=None, n_components: int | None = None) -> Projection:
     if len(classes) < 2:
         raise DataError("LDA needs at least 2 classes")
     m, d = data.shape
+    e = scale_exponent(data)
+    data = np.ldexp(data, -e)
     mean = data.mean(axis=0)
     sw = np.zeros((d, d))
     sb = np.zeros((d, d))
@@ -120,7 +127,9 @@ def lda_fit(X, labels=None, n_components: int | None = None) -> Projection:
     trace = np.trace(sw)
     ridge = 1e-6 * (trace / d if trace > 0 else 1.0)
     sw_r = (sw + sw.T) / 2.0 + ridge * np.eye(d)
-    eigvals, eigvecs = scipy.linalg.eigh((sb + sb.T) / 2.0, sw_r)
+    whiten = np.linalg.inv(np.linalg.cholesky(sw_r))
+    eigvals, eigvecs = np.linalg.eigh(whiten @ ((sb + sb.T) / 2.0) @ whiten.T)
+    eigvecs = whiten.T @ eigvecs
     order = np.argsort(eigvals, kind="stable")[::-1]
     eigvals, eigvecs = eigvals[order], eigvecs[:, order]
     cap = min(len(classes) - 1, d)
@@ -130,4 +139,5 @@ def lda_fit(X, labels=None, n_components: int | None = None) -> Projection:
         r = cap
     if r < 1:
         raise ConfigError("LDA needs at least 1 component")
-    return Projection(mean, _fix_signs(eigvecs[:, :r]), eigvals[:r], "ld")
+    return Projection(np.ldexp(mean, e), _fix_signs(np.ldexp(eigvecs[:, :r], -e)),
+                      eigvals[:r], "ld")

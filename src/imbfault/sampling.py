@@ -26,32 +26,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FeatureMatrix, SamplerParams, as_rows, class_distribution
+from .core import FeatureMatrix, SamplerParams, as_rows, class_distribution, scale_exponent
 from .errors import ConfigError, DataError
 from .imputation import fit_gaussian, impute_conditional
 from .rng import Pcg32
 
 
-def _scale_exponent(*arrays) -> int:
-    """0 unless the largest |coordinate| of the arrays lies outside 2**±400,
-    where squares and products could overflow or underflow; then the e for
-    which 2**-e scales it into [0.5, 1). Scaling by a power of two is exact,
-    so work on rows scaled by 2**-e gives the unscaled result times a power
-    of two."""
-    top = max(max(x.max(initial=0.0), -x.min(initial=0.0)) for x in arrays)
-    if top > 0.0 and not 2.0 ** -400 <= top <= 2.0 ** 400:
-        return math.frexp(top)[1]
-    return 0
-
-
 def _cross_sq_dists(a: np.ndarray, b: np.ndarray):
     """Squared Euclidean distances, shape (len(a), len(b)), of a and b scaled
-    by 2**-e, and e, the `_scale_exponent` of both; ranks do not change.
+    by 2**-e, and e, the `scale_exponent` of both; ranks do not change.
 
     Quadratic expansion instead of a (n, m, d) difference tensor so large
     minority/majority sets stay within memory; clipped at 0 against float
     cancellation."""
-    e = _scale_exponent(a, b)
+    e = scale_exponent(a, b)
     if e:
         a, b = np.ldexp(a, -e), np.ldexp(b, -e)
     sq_a = np.einsum("ij,ij->i", a, a)
@@ -232,7 +220,7 @@ def agglomerative_clusters(points, cp: float) -> np.ndarray:
         return np.zeros(1, dtype=int)
     # Exact row differences, so duplicated rows sit at distance 0, of rows
     # scaled clear of over- and underflow: clusters do not depend on scale.
-    points = np.ldexp(points, -_scale_exponent(points))
+    points = np.ldexp(points, -scale_exponent(points))
     cd = np.array([np.linalg.norm(points - p, axis=1) for p in points])
     np.fill_diagonal(cd, np.inf)
     threshold = cp * cd.min(axis=1).sum() / n
@@ -276,7 +264,7 @@ def _impute_each(s_min: np.ndarray, rows: np.ndarray, attrs: np.ndarray,
     Gaussian fitted on s_min: one batched call per distinct attribute. Fit
     and fill run on rows scaled clear of over- and underflow, and the result
     is scaled back."""
-    e = _scale_exponent(s_min)
+    e = scale_exponent(s_min)
     model = fit_gaussian(np.ldexp(s_min, -e), ridge)
     rows = np.ldexp(rows, -e)
     out = np.empty_like(rows)

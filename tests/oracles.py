@@ -5,6 +5,7 @@ of the library code it checks."""
 import math
 
 import numpy as np
+import scipy.linalg
 
 from imbfault.core import FaultEvent
 
@@ -86,6 +87,27 @@ def dense_solve_oracle(mean, cov, ridge, x, missing):
     for pos, i in enumerate(miss):
         filled[i] = est[pos]
     return filled
+
+
+def lda_oracle(X, labels):
+    """LDA's generalized eigenpairs from scipy.linalg.eigh(S_b, S_w + ridge I),
+    largest first, as lda_fit solved them before it whitened by Cholesky: the
+    same scatter sums in class order, the ridge 1e-6 * trace(S_w) / d (1e-6
+    when the trace is 0), and each eigenvector v has v^T (S_w + ridge I) v = 1."""
+    X = np.asarray(X, dtype=float)
+    labels = np.asarray(labels, dtype=object)
+    d = X.shape[1]
+    mean = X.mean(axis=0)
+    sw, sb = np.zeros((d, d)), np.zeros((d, d))
+    for c in sorted(set(labels)):
+        rows = X[labels == c]
+        mu = rows.mean(axis=0)
+        sw += (rows - mu).T @ (rows - mu)
+        sb += len(rows) * np.outer(mu - mean, mu - mean)
+    trace = np.trace(sw)
+    ridge = 1e-6 * (trace / d if trace > 0 else 1.0)
+    values, vectors = scipy.linalg.eigh(sb, (sw + sw.T) / 2.0 + ridge * np.eye(d))
+    return values[::-1], vectors[:, ::-1]
 
 
 def stats_oracle(x):

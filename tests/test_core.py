@@ -175,6 +175,13 @@ class TestCoreTypes:
         with pytest.raises(ValueError):
             labels[0] = "x"
 
+    def test_labels_differing_by_a_trailing_nul_stay_apart(self):
+        # A fixed-width str array would drop the NUL and merge the two classes.
+        assert as_labels(["F\x00", "F"]).tolist() == ["F\x00", "F"]
+        fm = FeatureMatrix(np.zeros((2, 1)), ["F\x00", "F"], ("a",))
+        assert fm.classes() == ("F", "F\x00")
+        assert class_distribution(fm.labels).counts == {"F": 1, "F\x00": 1}
+
     @pytest.mark.parametrize("bounds", [(np.nan, 5), (0, np.inf), (-np.inf, 0),
                                         (np.nan, np.nan)])
     def test_interval_non_finite(self, bounds):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -304,6 +305,24 @@ class TestStandardizer:
         Z = Standardizer().fit(X).transform(X)
         assert np.all(np.isfinite(Z))
         np.testing.assert_array_equal(Z[:, 0], 0.0)
+
+    @pytest.mark.parametrize("exp", [660, -660])
+    def test_extreme_magnitudes_scale_exactly(self, exp):
+        # At 2**660 the squared deviations overflow and at 2**-660 they
+        # underflow. The fit takes its moments on rows scaled by a power of
+        # two, so mean and scale are the unscaled ones times 2**exp and the
+        # transform is bit-equal; the zero-variance column still gets 1.
+        X = Pcg32(8).normals(60).reshape(20, 3) * 5 + 2
+        X[:, 1] = 3.0
+        want = Standardizer().fit(X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = Standardizer().fit(np.ldexp(X, exp))
+            Z = got.transform(np.ldexp(X, exp))
+        assert got.mean_.tobytes() == np.ldexp(want.mean_, exp).tobytes()
+        assert got.scale_[1] == 1.0 and got.scale_[[0, 2]].tobytes() == np.ldexp(
+            want.scale_[[0, 2]], exp).tobytes()
+        assert Z.tobytes() == want.transform(X).tobytes()
 
     def test_unfitted_errors(self):
         with pytest.raises(DataError):

@@ -330,16 +330,16 @@ def _outcome(read, path):
     return ("ok", [(a.shape, a.tobytes()) for a in arrays], names, labels)
 
 
+def _refuse(*args, **kwargs):
+    raise ValueError("refused")
+
+
 def _assert_same_as_row_parser(read, path, text):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(text)
     got = _outcome(read, path)
-
-    def refuse(*args, **kwargs):
-        raise ValueError("refused")
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ingestion.np, "loadtxt", refuse)
+        mp.setattr(ingestion.np, "loadtxt", _refuse)
         want = _outcome(read, path)
     assert got == want
 
@@ -399,7 +399,7 @@ def test_label_nul_reads_the_same_in_every_reader(tmp_path, monkeypatch, c_reade
     """A str array would drop the trailing NUL that an object array keeps."""
     p = _write(tmp_path / "s.csv", "t,a,label\n0,1.0,F\x00\n1,2.0,N\n")
     if not c_reader:
-        monkeypatch.setattr(ingestion, "_c_columns", lambda *args, **kwargs: None)
+        monkeypatch.setattr(ingestion.np, "loadtxt", _refuse)
     assert list(read_feature_csv(p).labels) == ["F\x00", "N"]
     assert list(read_labeled_csv(p, "t").labels) == ["F\x00", "N"]
 

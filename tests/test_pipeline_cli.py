@@ -1,12 +1,15 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import imbfault
 from imbfault import cli, pipeline
 from imbfault.classifier import GbtModel
 from imbfault.cli import build_parser, main
@@ -537,6 +540,45 @@ class TestCli:
                    "--out", str(out), "--out-intervals", str(out_ivs), "--seed", "1"])
         assert rc == 0
         assert read_intervals_csv(out_ivs) == [FaultInterval(50, 120, "F")]
+
+
+def _fresh_python(*args):
+    """Run a fresh interpreter that imports imbfault from this checkout."""
+    src = os.path.dirname(os.path.dirname(imbfault.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=300)
+
+
+def test_import_loads_no_scipy():
+    out = _fresh_python("-c", "import sys, imbfault, imbfault.cli; "
+                              "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    assert out.returncode == 0 and out.stdout == "[]\n", out.stderr
+
+
+@pytest.mark.parametrize("flags", [
+    ["--standardize", "false", "--reduce", "lda"],
+    ["--standardize", "false", "--reduce", "pca", "--pca-dims", "1"],
+    [],
+], ids=["lda", "pca", "standardize"])
+def test_crossval_on_features_near_1e200(tmp_path, flags):
+    """Features times 2**665 (about 1e200) run without a warning or an error,
+    and give the reports of the unscaled features: the standardizer, PCA and
+    LDA fit on rows scaled by a power of two."""
+    fm = gaussian_blobs([((0, 0, 0), 1.0, 60, "N"), ((2, 1, 0), 1.0, 15, "F"),
+                         ((0, 2, 1), 1.0, 12, "G")], seed=4)
+    write_feature_csv(fm, tmp_path / "small.csv")
+    write_feature_csv(fm.with_data(np.ldexp(fm.data, 665)), tmp_path / "big.csv")
+    args = ["--rounds", "10", "--max-depth", "2", "--folds", "3", *flags]
+    for name in ("small", "big"):
+        out = _fresh_python("-m", "imbfault.cli", "crossval", "--features",
+                            str(tmp_path / f"{name}.csv"), *args,
+                            "--out-dir", str(tmp_path / name))
+        assert (out.returncode, out.stderr) == (0, "")
+    for report in ("fold_metrics", "mean_metrics", "confusion", "roc_points"):
+        assert ((tmp_path / "big" / f"{report}.csv").read_bytes()
+                == (tmp_path / "small" / f"{report}.csv").read_bytes())
 
 
 MINIMAL_ARGV = {

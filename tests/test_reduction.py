@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from imbfault.errors import ConfigError, DataError
 from imbfault.reduction import (Projection, _fix_signs, lda_fit, lda_transform, pca_fit,
                                 pca_transform)
 from imbfault.rng import Pcg32
+
+from oracles import lda_oracle
 
 
 def _random(m, d, seed=0, scale=1.0):
@@ -227,3 +231,94 @@ class TestLda:
         model_a = lda_fit(X, y)
         model_b = lda_fit(X.copy(), list(y))
         np.testing.assert_array_equal(model_a.components, model_b.components)
+
+
+@pytest.mark.parametrize("exp", [660, -660])
+def test_extreme_magnitudes_scale_exactly(exp):
+    # PCA's covariance and LDA's scatters overflow at 2**660 and underflow at
+    # 2**-660. Both fit on rows scaled by a power of two, so PCA's transform
+    # is the unscaled one times 2**exp and LDA's is bit-equal to it.
+    rng = Pcg32(9)
+    X = np.vstack([rng.normals(60).reshape(20, 3) + off
+                   for off in ([0, 0, 0], [3, 0, 0], [0, 3, 1])])
+    y = ["a"] * 20 + ["b"] * 20 + ["c"] * 20
+    big = np.ldexp(X, exp)
+    pca, lda = pca_fit(X, n_components=2), lda_fit(X, y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pca_big, lda_big = pca_fit(big, n_components=2), lda_fit(big, y)
+        pca_out, lda_out = pca_big.transform(big), lda_big.transform(big)
+    assert pca_out.tobytes() == np.ldexp(pca.transform(X), exp).tobytes()
+    assert pca_big.spectrum.tobytes() == pca.spectrum.tobytes()
+    assert lda_big.components.tobytes() == np.ldexp(lda.components, -exp).tobytes()
+    assert lda_out.tobytes() == lda.transform(X).tobytes()
+    assert lda_big.spectrum.tobytes() == lda.spectrum.tobytes()
+
+
+def _lda_problem(kind, seed):
+    """(X, labels) of one random LDA problem with 2-5 classes and d in 1..29.
+
+    random    1-40 rows a class around class means of random spread;
+    rounded   the same, rounded to 0.1, so rows and means tie;
+    few_rows  each class has fewer rows than features (d >= 2), so S_w is
+              often rank-deficient;
+    tied      classes at s * e_k with the same isotropic cloud, so the
+              C - 1 discriminant eigenvalues are equal."""
+    rng = Pcg32(seed)
+    n_classes = 2 + rng.randint(4)
+    if kind == "tied":
+        d = n_classes + rng.randint(8)
+        cloud = np.vstack([np.eye(d), -np.eye(d)]) * (0.5 + rng.random())
+        blocks = [cloud + 3.0 * np.eye(d)[k] for k in range(n_classes)]
+    else:
+        d = 2 + rng.randint(28) if kind == "few_rows" else 1 + rng.randint(29)
+        most = d - 1 if kind == "few_rows" else 40
+        spread = 10.0 ** (rng.random() * 4 - 2)
+        blocks = []
+        for _ in range(n_classes):
+            n = 1 + rng.randint(most)
+            center = rng.normals(d, sigma=spread)
+            blocks.append(rng.normals(n * d).reshape(n, d) * (0.2 + rng.random()) + center)
+    X = np.vstack(blocks)
+    if kind == "rounded":
+        X = np.round(X, 1)
+    labels = [f"c{k}" for k, block in enumerate(blocks) for _ in block]
+    return X, labels
+
+
+def _lda_vs_oracle(X, labels, tie=1e-6):
+    """The largest relative differences of lda_fit's eigenvalues and
+    components from lda_oracle's. Eigenvalues whose gap is below `tie`
+    times the largest are one block, whose kept span is compared through
+    the projector V V^T; each other component is compared up to sign."""
+    model = lda_fit(X, labels)
+    values, vectors = lda_oracle(X, labels)
+    r = model.components.shape[1]
+    scale = max(np.abs(values).max(), np.finfo(float).tiny)
+    eig_diff = np.abs(model.spectrum - values[:r]).max() / scale
+    comp_diff = 0.0
+    cuts = [0, *[j + 1 for j in range(len(values) - 1)
+                 if values[j] - values[j + 1] > tie * scale], len(values)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        if lo >= r:
+            break
+        assert hi <= r, "a tie across the cap leaves no unique kept span"
+        got, want = model.components[:, lo:hi], vectors[:, lo:hi]
+        if hi - lo == 1:
+            got = got * np.sign(got[:, 0] @ want[:, 0])
+        else:
+            got, want = got @ got.T, want @ want.T
+        comp_diff = max(comp_diff, np.abs(got - want).max() / np.abs(want).max())
+    return eig_diff, comp_diff
+
+
+@pytest.mark.parametrize("kind, count", [
+    ("random", 200), ("rounded", 150), ("few_rows", 150), ("tied", 100)])
+def test_lda_matches_scipy_generalized_eigh(kind, count):
+    """Cholesky whitening gives scipy.linalg.eigh(a, b)'s eigenpairs to 1e-9."""
+    for seed in range(count):
+        X, labels = _lda_problem(kind, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eig_diff, comp_diff = _lda_vs_oracle(X, labels)
+        assert eig_diff <= 1e-9 and comp_diff <= 1e-9, (kind, seed, eig_diff, comp_diff)
