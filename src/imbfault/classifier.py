@@ -310,7 +310,7 @@ class GbtModel:
             "classes": list(self.classes),
             "n_features": self.n_features,
             "binary": self.binary,
-            "init": [float(v) for v in self.init],
+            "init": self.init.tolist(),
             **asdict(self.params),
             "trees": self.trees,
         }

@@ -200,8 +200,8 @@ def featurize(windows: WindowBatch, config: FeatureConfig) -> FeatureMatrix:
 class Standardizer:
     """Per-column z-score fitted on training rows only.
 
-    Zero-variance columns keep scale 1 so transforms stay finite. The
-    moments are taken on rows scaled by the power of two `scale_exponent`
+    Zero-variance columns keep scale 1 so transforms stay finite. Fits and
+    transforms work on rows scaled by the power of two `scale_exponent`
     picks, so rows near the float limits neither overflow nor underflow.
     """
 
@@ -224,4 +224,5 @@ class Standardizer:
         if self.mean_ is None:
             raise DataError("standardizer not fitted")
         X = as_rows(X, "X", self.mean_.shape[0])
-        return (X - self.mean_) / self.scale_
+        e = scale_exponent(X, self.mean_)
+        return (np.ldexp(X, -e) - np.ldexp(self.mean_, -e)) / np.ldexp(self.scale_, -e)

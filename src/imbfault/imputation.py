@@ -54,7 +54,6 @@ def fit_gaussian(rows, ridge_scale: float = 1e-6) -> GaussianModel:
     mean = X.mean(axis=0)
     centered = X - mean
     cov = centered.T @ centered / (m - 1)
-    cov = (cov + cov.T) / 2.0
     trace = float(np.trace(cov))
     ridge = max(ridge_scale * trace / d, 1e-12)
     return GaussianModel(mean=mean, covariance=cov, ridge=ridge)

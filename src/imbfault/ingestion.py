@@ -1,8 +1,8 @@
 """CSV ingestion: time-series files, fault-interval files, label joining.
 
 Files are UTF-8 (else a ParseError), comma-separated, with a header row.
-Interval files carry exactly the columns ``t_start,t_end,label``. Floats are
-written with ``repr`` so a write/read round trip is bit-exact.
+Interval files carry exactly the columns ``t_start,t_end,label``. Writers
+pass Python floats to ``csv.writer``, so a write/read round trip is bit-exact.
 
 The series, labeled and feature readers parse their float columns with
 numpy's C reader (``np.loadtxt``). Where it refuses a file, the row parser
@@ -179,8 +179,9 @@ def read_intervals_csv(path) -> list:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a CSV table: the header row, then `rows`, whose cells are
-    already text."""
+    """Write a CSV table: the header row, then `rows`. A cell is a Python
+    `str`, written as it is, or an `int` or `float`, written by `str()`;
+    for a float that is its shortest round-trip text."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -189,7 +190,7 @@ def write_csv(path, header, rows) -> None:
 
 def write_intervals_csv(intervals, path) -> None:
     write_csv(path, INTERVAL_COLUMNS,
-              ([repr(float(iv.t_start)), repr(float(iv.t_end)), iv.label] for iv in intervals))
+              ([float(iv.t_start), float(iv.t_end), iv.label] for iv in intervals))
 
 
 def label_timestamps(frame: TimeSeriesFrame, intervals, default_label: str = "normal") -> LabeledSeries:
@@ -216,10 +217,10 @@ def label_timestamps(frame: TimeSeriesFrame, intervals, default_label: str = "no
 
 
 def write_labeled_csv(series: LabeledSeries, path, timestamp_col: str = "timestamp") -> None:
-    """Write timestamp, channels..., label. Floats use repr (round-trip exact)."""
+    """Write timestamp, channels..., label."""
     frame = series.frame
-    rows = ([repr(float(t)), *[repr(float(v)) for v in values], label]
-            for t, values, label in zip(frame.timestamps, frame.values.T, series.labels))
+    rows = ([*row.tolist(), label] for row, label in
+            zip(np.column_stack((frame.timestamps, frame.values.T)), series.labels))
     write_csv(path, [timestamp_col, *frame.channel_names, "label"], rows)
 
 
@@ -239,11 +240,15 @@ def read_labeled_csv(path, timestamp_col: str = "timestamp") -> LabeledSeries:
 def write_feature_csv(fm, path, extra_columns=None) -> None:
     """Feature matrix CSV: feature columns, then `label`, then any extras.
 
-    extra_columns: optional dict name -> sequence (e.g. a synthetic flag).
+    extra_columns: optional dict name -> sequence of one cell per row (e.g.
+    a synthetic flag); a column of another length is a DataError.
     """
     extras = extra_columns or {}
-    rows = ([*[repr(float(v)) for v in fm.data[i]], fm.labels[i],
-             *[str(col[i]) for col in extras.values()]] for i in range(fm.n_rows))
+    for name, col in extras.items():
+        if len(col) != fm.n_rows:
+            raise DataError(f"extra column {name!r} has {len(col)} values for {fm.n_rows} rows")
+    rows = ([*fm.data[i].tolist(), fm.labels[i], *[col[i] for col in extras.values()]]
+            for i in range(fm.n_rows))
     write_csv(path, [*fm.feature_names, "label", *extras.keys()], rows)
 
 

@@ -160,18 +160,6 @@ def apply_transforms(fold: FoldModel, fm: FeatureMatrix) -> FeatureMatrix:
     return work
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
-
-
-def _write_csv(path, header, rows) -> None:
-    write_csv(path, header, ([v if isinstance(v, str) else _fmt(v) for v in row] for row in rows))
-
-
 def run_crossval(features: FeatureMatrix, cfg: PipelineConfig, out_dir) -> dict:
     """Stratified k-fold cross-validation with per-fold and mean reports.
 
@@ -213,25 +201,23 @@ def run_crossval(features: FeatureMatrix, cfg: PipelineConfig, out_dir) -> dict:
     columns = [*METRIC_KEYS, "degenerate"]
 
     def rows(table, *lead):
-        return [[*lead, c, *[m[k] for k in columns]] for c, m in table.items()]
+        return [[*lead, c, *[m[k] for k in METRIC_KEYS], int(m["degenerate"])]
+                for c, m in table.items()]
 
-    _write_csv(os.path.join(out_dir, "fold_metrics.csv"), ["fold", "class", *columns],
-               [row for fi, t in enumerate(tables) for row in rows(t, fi)])
-    _write_csv(os.path.join(out_dir, "mean_metrics.csv"), ["class", *columns],
-               rows(mean_report))
+    write_csv(os.path.join(out_dir, "fold_metrics.csv"), ["fold", "class", *columns],
+              [row for fi, t in enumerate(tables) for row in rows(t, fi)])
+    write_csv(os.path.join(out_dir, "mean_metrics.csv"), ["class", *columns],
+              rows(mean_report))
 
     cm = confusion(features.labels, oof_pred, classes)
-    _write_csv(
-        os.path.join(out_dir, "confusion.csv"),
-        ["true\\pred", *classes],
-        [[c, *cm.counts[i]] for i, c in enumerate(classes)],
-    )
+    write_csv(os.path.join(out_dir, "confusion.csv"), ["true\\pred", *classes],
+              [[c, *counts] for c, counts in zip(classes, cm.counts.tolist())])
 
     roc_rows = []
     for ci, c in enumerate(classes):   # training needs 2 classes, so each has both sides
-        for fpr, tpr in roc_points(features.labels, oof_scores[:, ci], c):
+        for fpr, tpr in roc_points(features.labels, oof_scores[:, ci], c).tolist():
             roc_rows.append([c, fpr, tpr])
-    _write_csv(os.path.join(out_dir, "roc_points.csv"), ["class", "fpr", "tpr"], roc_rows)
+    write_csv(os.path.join(out_dir, "roc_points.csv"), ["class", "fpr", "tpr"], roc_rows)
 
     return {"classes": classes, "folds": fold_reports, "mean": mean_report,
             "confusion": cm, "out_dir": out_dir}
@@ -274,9 +260,8 @@ def run_predict_events(train_series: LabeledSeries, test_series: LabeledSeries,
         ts = test_series.frame.timestamps
         fn, fp = event_confusion(events, true_intervals, ts)
         faulty = int(coverage(true_intervals, ts).sum())
-        _write_csv(os.path.join(out_dir, "event_report.csv"),
-                   ["fn_ticks", "fp_ticks", "true_faulty_ticks"],
-                   [[fn, fp, faulty]])
+        write_csv(os.path.join(out_dir, "event_report.csv"),
+                  ["fn_ticks", "fp_ticks", "true_faulty_ticks"], [[fn, fp, faulty]])
         result.update({"fn_ticks": fn, "fp_ticks": fp, "true_faulty_ticks": faulty})
     return result
 

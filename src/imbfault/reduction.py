@@ -2,9 +2,10 @@
 
 Both fits return a Projection. Eigenvector signs are fixed by making each
 vector's largest-magnitude entry positive, so fits are identical across
-platforms. Both fit on rows scaled by the power of two `scale_exponent`
-picks, so rows near the float limits neither overflow nor underflow. Fits
-and transforms accept a FeatureMatrix or a plain 2-d array.
+platforms. Fits, and the centering in transforms, work on rows scaled by
+the power of two `scale_exponent` picks, so rows near the float limits
+neither overflow nor underflow; only a score past the float range itself
+overflows. Fits and transforms accept a FeatureMatrix or a plain 2-d array.
 """
 
 from __future__ import annotations
@@ -39,7 +40,10 @@ class Projection:
     def transform(self, X):
         """A FeatureMatrix comes back with its labels and features named
         name_prefix + component index; an array comes back as an array."""
-        reduced = (as_rows(X, "X", self.mean.shape[0]) - self.mean) @ self.components
+        rows = as_rows(X, "X", self.mean.shape[0])
+        e = scale_exponent(rows, self.mean)
+        reduced = (np.ldexp(rows, -e) - np.ldexp(self.mean, -e)) @ self.components
+        np.ldexp(reduced, e, out=reduced)
         if not isinstance(X, FeatureMatrix):
             return reduced
         names = tuple(f"{self.name_prefix}{i}" for i in range(reduced.shape[1]))

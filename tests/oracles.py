@@ -2,6 +2,7 @@
 acceptance gate. Each is written directly from its definition, independent
 of the library code it checks."""
 
+import csv
 import math
 
 import numpy as np
@@ -139,3 +140,48 @@ def naive_dft_magnitude(x):
         im = sum(x[n] * math.sin(-2 * math.pi * k * n / l) for n in range(l))
         out[k] = math.hypot(re, im)
     return out
+
+
+# Byte oracles for the CSV writers. Each formats its own cells as text before
+# csv.writer sees them: every float by repr(float(x)), extra cells by str, and
+# report cells by report_cell_oracle. The library passes Python values to
+# csv.writer instead, and must write the same bytes.
+
+def _write_text_rows_oracle(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def report_cell_oracle(v) -> str:
+    """A report cell: bools as 0/1, integers in decimal, floats by repr."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return repr(float(v))
+
+
+def write_intervals_oracle(intervals, path):
+    _write_text_rows_oracle(path, ("t_start", "t_end", "label"),
+                            [[repr(float(iv.t_start)), repr(float(iv.t_end)), iv.label]
+                             for iv in intervals])
+
+
+def write_labeled_oracle(series, path, timestamp_col="timestamp"):
+    frame = series.frame
+    _write_text_rows_oracle(
+        path, [timestamp_col, *frame.channel_names, "label"],
+        [[repr(float(t)), *[repr(float(v)) for v in values], label]
+         for t, values, label in zip(frame.timestamps, frame.values.T, series.labels)])
+
+
+def write_feature_oracle(fm, path, extra_columns=None):
+    extras = extra_columns or {}
+    _write_text_rows_oracle(
+        path, [*fm.feature_names, "label", *extras.keys()],
+        [[*[repr(float(v)) for v in fm.data[i]], fm.labels[i],
+          *[str(col[i]) for col in extras.values()]] for i in range(fm.n_rows)])

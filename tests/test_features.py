@@ -324,6 +324,16 @@ class TestStandardizer:
             want.scale_[[0, 2]], exp).tobytes()
         assert Z.tobytes() == want.transform(X).tobytes()
 
+    def test_transform_near_the_float_limit_stays_finite(self):
+        # X - mean overflows here; the transform subtracts on scaled rows.
+        X = np.array([[1.5e308, 1.0], [-1.5e308, 2.0], [1e308, 0.5], [1.2e308, 0.7]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Z = Standardizer().fit(X).transform(X)
+        assert np.all(np.isfinite(Z))
+        np.testing.assert_allclose(Z[:, 0].mean(), 0.0, atol=1e-12)
+        np.testing.assert_allclose(Z[:, 0].std(), 1.0, rtol=1e-12)
+
     def test_unfitted_errors(self):
         with pytest.raises(DataError):
             Standardizer().transform(np.ones((2, 2)))

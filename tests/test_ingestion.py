@@ -12,6 +12,7 @@ from imbfault.ingestion import (INTERVAL_COLUMNS, LabeledSeries, label_timestamp
                                 write_intervals_csv, write_labeled_csv)
 from imbfault.core import FeatureMatrix, TimeSeriesFrame
 from imbfault.rng import Pcg32
+from oracles import write_feature_oracle, write_intervals_oracle, write_labeled_oracle
 
 
 def _write(path, text):
@@ -245,6 +246,106 @@ class TestRoundTrips:
         back = read_feature_csv(p)
         assert back.feature_names == ("x",)
         assert back.n_rows == 2
+
+
+# The writers pass Python values to csv.writer. Their bytes must equal the
+# oracles', which format every float by repr(float(x)) and every extra cell
+# by str themselves.
+
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                   -1.7976931348623157e308, 1e16, 1e-05, 1e-4, 700.0, -3.0, 2.0 ** 53, 0.1]
+_finite_floats = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64)))
+    .filter(np.isfinite),                                   # any finite bit pattern
+    st.floats(allow_nan=False, allow_infinity=False),       # subnormals included
+    st.sampled_from(_SPECIAL_FLOATS),
+    st.integers(-10 ** 6, 10 ** 6).map(float))
+_labels = st.sampled_from(["N", "F", "a,b", 'q"t', " pad "])
+_WRITER_PROPERTY = settings(max_examples=150, deadline=None)
+
+
+def _same_bytes(tmp_dir, write, oracle, data, *rest):
+    got, want = tmp_dir / "got.csv", tmp_dir / "want.csv"
+    write(data, got, *rest)
+    oracle(data, want, *rest)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def writer_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("writers")
+
+
+@_WRITER_PROPERTY
+@given(data=st.data(), n_ticks=st.integers(1, 6), n_channels=st.integers(1, 3))
+def test_labeled_writer_matches_repr_oracle(writer_dir, data, n_ticks, n_channels):
+    ts = sorted(data.draw(st.lists(_finite_floats, min_size=n_ticks, max_size=n_ticks,
+                                   unique=True)))
+    values = data.draw(st.lists(_finite_floats, min_size=n_ticks * n_channels,
+                                max_size=n_ticks * n_channels))
+    labels = data.draw(st.lists(_labels, min_size=n_ticks, max_size=n_ticks))
+    frame = TimeSeriesFrame(ts, tuple(f"c{i}" for i in range(n_channels)),
+                            np.reshape(values, (n_channels, n_ticks)))
+    _same_bytes(writer_dir, write_labeled_csv, write_labeled_oracle,
+                LabeledSeries(frame, labels))
+
+
+_extra_cells = st.one_of(st.integers(-10 ** 20, 10 ** 20), st.booleans(),
+                         st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+                         _finite_floats.map(np.float64))
+
+
+@_WRITER_PROPERTY
+@given(data=st.data(), n_rows=st.integers(1, 5), n_cols=st.integers(1, 4),
+       n_extras=st.integers(0, 2))
+def test_feature_writer_matches_repr_oracle(writer_dir, data, n_rows, n_cols, n_extras):
+    cells = data.draw(st.lists(_finite_floats, min_size=n_rows * n_cols,
+                               max_size=n_rows * n_cols))
+    labels = data.draw(st.lists(_labels, min_size=n_rows, max_size=n_rows))
+    fm = FeatureMatrix(np.reshape(cells, (n_rows, n_cols)), labels,
+                       tuple(f"f{i}" for i in range(n_cols)))
+    extras = {f"x{j}": data.draw(st.lists(_extra_cells, min_size=n_rows, max_size=n_rows))
+              for j in range(n_extras)}
+    _same_bytes(writer_dir, write_feature_csv, write_feature_oracle, fm, extras or None)
+
+
+@_WRITER_PROPERTY
+@given(bounds=st.lists(st.tuples(st.one_of(_finite_floats, st.integers(-10 ** 6, 10 ** 6)),
+                                 st.one_of(_finite_floats, st.integers(-10 ** 6, 10 ** 6))),
+                       max_size=4),
+       labels=st.lists(_labels, min_size=4, max_size=4))
+def test_intervals_writer_matches_repr_oracle(writer_dir, bounds, labels):
+    intervals = [FaultInterval(*sorted(b), label) for b, label in zip(bounds, labels)]
+    _same_bytes(writer_dir, write_intervals_csv, write_intervals_oracle, intervals)
+
+
+class TestWriterCells:
+    def test_integer_interval_bounds_write_as_floats(self, tmp_path):
+        p = tmp_path / "ivs.csv"
+        write_intervals_csv([FaultInterval(700, 899, "F")], p)
+        assert p.read_bytes() == b"t_start,t_end,label\r\n700.0,899.0,F\r\n"
+
+    def test_extras_keep_their_text(self, tmp_path):
+        fm = FeatureMatrix([[0.5], [1e16]], ["a", "b"], ("x",))
+        extras = {"i": [3, -1], "i64": [np.int64(4), np.int64(2 ** 62)], "b": [True, False],
+                  "f64": [np.float64(0.25), np.float64(1e-05)]}
+        p = tmp_path / "f.csv"
+        write_feature_csv(fm, p, extra_columns=extras)
+        assert p.read_text().splitlines() == [
+            "x,label,i,i64,b,f64",
+            "0.5,a,3,4,True,0.25",
+            "1e+16,b,-1,4611686018427387904,False,1e-05",
+        ]
+        write_feature_oracle(fm, tmp_path / "want.csv", extras)
+        assert p.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("flags", [[1], [0, 0, 1, 1, 0]])
+    def test_extra_column_of_wrong_length_is_rejected_before_writing(self, tmp_path, flags):
+        fm = FeatureMatrix(np.ones((3, 2)), ["a", "b", "a"], ("f0", "f1"))
+        p = tmp_path / "f.csv"
+        with pytest.raises(DataError, match=f"'synthetic' has {len(flags)} values for 3 rows"):
+            write_feature_csv(fm, p, extra_columns={"synthetic": flags})
+        assert not p.exists()
 
 
 # Fuzzing. The series, labeled and feature readers parse floats with numpy's

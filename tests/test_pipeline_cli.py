@@ -24,6 +24,7 @@ from imbfault.reduction import pca_transform
 from imbfault.rng import Pcg32
 from imbfault.sampling import resample_multiclass
 from imbfault.synthgen import gaussian_blobs, synthetic_timeseries
+from oracles import report_cell_oracle
 
 
 def _blobs(seed=0, n_maj=120, n_min=24):
@@ -197,6 +198,31 @@ class TestRunCrossval:
         folds = (tmp_path / "fold_metrics.csv").read_text().splitlines()
         assert "3,C,0.0,0.0,0.0,0.0,0.0,0.0,1" in folds
         assert (tmp_path / "mean_metrics.csv").read_text().splitlines()[-1].endswith(",1")
+
+    def test_report_cells_match_per_cell_formatting(self, tmp_path):
+        # The metric tables and the confusion matrix, rebuilt from the returned
+        # metrics with the old per-cell formatting, are the files' exact text:
+        # degenerate is 0/1, counts are integers and metrics float reprs.
+        fm = gaussian_blobs([((0, 0), 1.0, 30, "N"), ((3, 0), 0.6, 10, "A"),
+                             ((0, 3), 0.6, 8, "B"), ((3, 3), 0.4, 3, "C")], seed=17)
+        with pytest.warns(UserWarning, match="class 'C' has 3 rows for 5 folds"):
+            result = run_crossval(fm, PipelineConfig(rounds=5, max_depth=2, folds=5, seed=29),
+                                  tmp_path)
+        columns = [*pipeline.METRIC_KEYS, "degenerate"]
+        tables = [{**r["per_class"], "__macro__": r["macro"]} for r in result["folds"]]
+        want = {
+            "fold_metrics": [[fi, c, *[m[k] for k in columns]]
+                             for fi, t in enumerate(tables) for c, m in t.items()],
+            "mean_metrics": [[c, *[m[k] for k in columns]] for c, m in result["mean"].items()],
+            "confusion": [[c, *row] for c, row in zip(result["classes"],
+                                                      result["confusion"].counts)],
+        }
+        for name, rows in want.items():
+            lines = (tmp_path / f"{name}.csv").read_text().splitlines()[1:]
+            assert lines == [",".join(report_cell_oracle(v) for v in row) for row in rows]
+        degenerate = {line.rsplit(",", 1)[1] for line in
+                      (tmp_path / "fold_metrics.csv").read_text().splitlines()[1:]}
+        assert degenerate == {"0", "1"}
 
     def test_lda_reduction_path(self, tmp_path):
         fm = _blobs(seed=7)

@@ -255,6 +255,17 @@ def test_extreme_magnitudes_scale_exactly(exp):
     assert lda_big.spectrum.tobytes() == lda.spectrum.tobytes()
 
 
+def test_lda_transform_near_the_float_limit_stays_finite():
+    # X - mean overflows here; the transform subtracts on scaled rows and
+    # scales the product back. (PCA's first score of these rows is itself
+    # past the float range, so only LDA's can be finite.)
+    X = np.array([[1.5e308, 1.0], [-1.5e308, 2.0], [1e308, 0.5], [1.2e308, 0.7]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scores = lda_fit(X, ["a", "a", "b", "b"]).transform(X)
+    assert scores.shape == (4, 1) and np.all(np.isfinite(scores))
+
+
 def _lda_problem(kind, seed):
     """(X, labels) of one random LDA problem with 2-5 classes and d in 1..29.
 
