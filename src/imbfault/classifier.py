@@ -7,6 +7,13 @@ use the logistic loss with one tree per round, more use softmax with one tree
 per class per round. Both run through one boosting loop and one link
 function. Nothing is randomized, so identical data and parameters give
 identical models.
+
+Rows that repeat exactly, with the same feature bytes and the same class, are
+fit once. Oversamplers repeat rows (EWMOTE's conditional means, random
+duplication), and every copy of a row has the same margin, so one distinct
+row of weight w, with gradient w·g and hessian w·h, stands for its w copies;
+min_leaf still counts training rows. Where no row repeats, the fit is the
+unweighted one, bit for bit.
 """
 
 from __future__ import annotations
@@ -17,13 +24,14 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .core import FeatureMatrix, as_rows
+from .core import FeatureMatrix, as_rows, label_codes
 from .errors import ConfigError, DataError
 
 _EPS = 1e-16
 _FORMAT = "imbfault-gbt"
 _VERSION = 1
 _TREE_KEYS = ("feature", "threshold", "left", "right", "value")
+_KEY_STEP = np.uint64(0x9E3779B97F4A7C15)   # odd: multiplying by it mod 2**64 loses no bits
 
 
 @dataclass
@@ -83,10 +91,15 @@ class _SplitScan:
     once; when the root has no tied values no node has any, and every
     position is scored without looking for ties. The scratch buffers are
     sized for the root and reused by every node, because each node finishes
-    its scan before its children start."""
+    its scan before its children start.
 
-    def __init__(self, X: np.ndarray):
+    `w`, when given, is each row's weight: the number of training rows it
+    stands for. Only min_leaf reads it here, as a count of training rows;
+    the gradients and hessians the trees pass in are already weighted."""
+
+    def __init__(self, X: np.ndarray, w: np.ndarray | None = None):
         n, d = X.shape
+        self.w = w
         self.cols = np.ascontiguousarray(X.T)
         self.orders = np.argsort(self.cols, axis=1, kind="stable")
         self.offsets = np.arange(0, d * n, n)[:, None]
@@ -117,20 +130,31 @@ class _SplitScan:
     def best_split(self, order: np.ndarray, G: float, H: float, min_leaf: int):
         """Return `(feature, threshold)` of the node whose rows are `order`
         per feature, or `(-1, 0.0)` when no split gains more than 1e-12: the
-        split after each feature's sorted position p, min_leaf - 1 <= p <
-        m - min_leaf, between distinct values, scored by the second-order
-        gain; the first feature wins equal gains.
+        split after each feature's sorted position p, with at least min_leaf
+        training rows on each side, between distinct values, scored by the
+        second-order gain; the first feature wins equal gains.
+
+        Without weights the sides' row counts are p + 1 and m - p - 1, so
+        the positions min_leaf - 1 <= p < m - min_leaf qualify. With weights
+        and min_leaf > 1 they are the prefix sums of the weights in each
+        feature's order, which differ between features.
 
         The prefix sums run over every row. Unless the training set is tie
         free, only the split positions' sums are gathered into one compact
         vector and scored, and their gains are put back into a `-inf` row
         per feature, so each feature's argmax is the one a full scan gives."""
         d, m = order.shape
-        lo, hi = min_leaf - 1, m - min_leaf
+        big_enough = None
+        if self.w is None or min_leaf == 1:
+            lo, hi = min_leaf - 1, m - min_leaf
+        else:
+            lo, hi = 0, m - 1
+            rows_left = np.cumsum(self.w.take(order), axis=1)
+            big_enough = (rows_left >= min_leaf) & (rows_left <= rows_left[0, -1] - min_leaf)
         prefix = self.prefix[:d * m].reshape(d, m)
         self.gh.take(order, out=prefix, mode="clip")
         np.cumsum(prefix, axis=1, out=prefix)
-        if self.tie_free:
+        if self.tie_free and big_enough is None:
             k = hi - lo
             gains = self.work[0, :d * k].reshape(d, k)
             _gain(prefix.real[:, lo:hi], prefix.imag[:, lo:hi], G, H, gains,
@@ -139,6 +163,8 @@ class _SplitScan:
         else:
             splits = (self.root_splits if order is self.orders and lo == 0
                       else self._splits(order, lo, hi))
+            if big_enough is not None:
+                splits = splits & big_enough
             # The sums go to `work`, free once the mask is built, and the
             # scores to `prefix`, which is not read again.
             at = np.flatnonzero(splits)
@@ -180,40 +206,48 @@ class _SplitScan:
 def _fit_tree(scan: _SplitScan, g: np.ndarray, h: np.ndarray, params: GbtParams):
     """Fit one tree on the training set of `scan`; returns `(tree, fitted)`,
     where `fitted[i]` is the value of the leaf training row i reaches.
+    `g[i]` and `h[i]` are row i's own gradient and hessian. When the scan
+    holds weights, the trees see w·g and w·h, and a node holds as many
+    training rows as its weights add up to.
 
     Each node scans every feature in one pass over its own rows in each
     feature's order, and hands each child its side's rows, still in order,
     with their gradients, hessians and sums. A node whose rows all share one
     (g, h) pair with h >= eps is a leaf without a scan: the eps clamps never
     act there, so every split has gain GL²/HL + GR²/HR - G²/H = 0, and any
-    split a scan took would be rounding noise. When neither child of a split
-    is scanned, their per-feature orders are not formed either."""
+    split a scan took would be rounding noise. The pairs compared are the
+    unweighted ones, since w copies of a pair are still that pair. When
+    neither child of a split is scanned, their per-feature orders are not
+    formed either."""
     n = len(g)
     nodes = []   # (feature, threshold, left, right, value) of each node, in preorder
     fitted = np.empty(n)
-    scan.gh.real = g
-    scan.gh.imag = h
+    w = scan.w
+    scan.gh.real = g if w is None else w * g
+    scan.gh.imag = h if w is None else w * h
+    weighted = (g, h) if w is None else (scan.gh.real, scan.gh.imag, w)
 
     def side(idx: np.ndarray, gh: np.ndarray) -> tuple:
-        # A node's rows in increasing order, their gradients and hessians
-        # as the two rows of `gh`, and the sums of those rows.
-        G, H = np.add.reduce(gh, axis=1).tolist()
-        return idx, gh, G, H
+        # A node's rows in increasing order; their weighted gradients and
+        # hessians (and weights) as the rows of `gh`; the sums G and H of
+        # those, and W, the training rows the node holds.
+        sums = np.add.reduce(gh, axis=1).tolist()
+        return idx, gh, sums[0], sums[1], len(idx) if w is None else sums[2]
 
-    def scanned(idx, gh, G: float, H: float, depth: int) -> bool:
-        # m copies of (g0, h0) sum to within a few dozen ulps of m·(g0, h0)
+    def scanned(idx, gh, G: float, H: float, W: float, depth: int) -> bool:
+        # W copies of (g0, h0) sum to within a few dozen ulps of W·(g0, h0)
         # (pairwise summation), so the O(1) test on the sums rejects almost
-        # every node with distinct pairs before the O(m) one runs.
-        m = len(idx)
-        if depth >= params.max_depth or m < 2 * params.min_leaf:
+        # every node with distinct pairs before the O(m) one runs. A node
+        # of one distinct row has no value to split between.
+        if depth >= params.max_depth or W < 2 * params.min_leaf or len(idx) < 2:
             return False
-        g0, h0 = gh[:, 0].tolist()
-        if not h0 >= _EPS or abs(G - m * g0) > 1e-12 * m * abs(g0) \
-                or abs(H - m * h0) > 1e-12 * m * h0:
+        g0, h0 = float(g[idx[0]]), float(h[idx[0]])
+        if not h0 >= _EPS or abs(G - W * g0) > 1e-12 * W * abs(g0) \
+                or abs(H - W * h0) > 1e-12 * W * h0:
             return True
-        return not (gh == gh[:, :1]).all()
+        return not ((g.take(idx) == g0).all() and (h.take(idx) == h0).all())
 
-    def build(idx, gh, G, H, order, depth) -> int:
+    def build(idx, gh, G, H, W, order, depth) -> int:
         # order: the per-feature orders of idx, or None when it is not scanned.
         nid = len(nodes)
         nodes.append(None)
@@ -233,7 +267,7 @@ def _fit_tree(scan: _SplitScan, g: np.ndarray, h: np.ndarray, params: GbtParams)
         nodes[nid] = (best_feature, best_threshold, left, right, 0.0)
         return nid
 
-    root = side(np.arange(n), np.stack((g, h)))
+    root = side(np.arange(n), np.stack(weighted))
     build(*root, scan.orders if scanned(*root, 0) else None, 0)
     build = None   # break the build <-> closure cycle: g and h are freed now, not by gc
     return {key: list(col) for key, col in zip(_TREE_KEYS, zip(*nodes))}, fitted
@@ -375,27 +409,58 @@ class GbtModel:
                 raise ValueError(f"ensemble {c}: leaf values could overflow the margin")
 
 
+def _distinct_rows(X: np.ndarray, codes: np.ndarray) -> tuple:
+    """`(X, codes, w)` with each (row bytes, class) pair kept once, at its
+    first occurrence, and `w` the number of rows it stands for; the inputs
+    themselves and `w = None` when no pair repeats.
+
+    Equal pairs share a 64-bit key made from their bits, so when every key
+    differs no pair repeats, and the rows are neither sorted nor copied.
+    (`np.unique` is not used: its first call imports `numpy.ma`, which
+    raised the peak RSS of a run that needs nothing else from it.)"""
+    bits = X.view(np.uint64)
+    key = codes.astype(np.uint64)
+    for column in bits.T:
+        key = key * _KEY_STEP + column   # wraps around
+    key.sort()
+    if (key[1:] != key[:-1]).all():
+        return X, codes, None
+    order = np.lexsort((*bits.T, codes))   # stable: a group's first row comes first
+    new = np.ones(len(order), dtype=bool)
+    sorted_bits, sorted_codes = bits[order], codes[order]
+    np.any(sorted_bits[1:] != sorted_bits[:-1], axis=1, out=new[1:])
+    new[1:] |= sorted_codes[1:] != sorted_codes[:-1]
+    starts = np.flatnonzero(new)
+    if len(starts) == len(order):   # keys collided, rows did not
+        return X, codes, None
+    first, w = order[starts], np.diff(starts, append=len(order))
+    keep = np.argsort(first)
+    first = first[keep]
+    return X[first], codes[first], w[keep].astype(float)
+
+
 def gbt_train(fm: FeatureMatrix, params: GbtParams | None = None) -> GbtModel:
     """Stagewise fitting of depth-limited regression trees to loss gradients.
 
     Margins start at the class prior log-odds, so a model with a vanishing
-    learning rate predicts the prior.
+    learning rate predicts the prior. Repeated rows are fit once, weighted
+    by their count (see `_distinct_rows`).
     """
     params = params or GbtParams()
-    classes = fm.classes()
+    classes, codes = label_codes(fm.labels)
     if len(classes) < 2:
         raise DataError("training set must contain at least 2 classes")
-    X = fm.data
     binary = len(classes) == 2
-    y = np.column_stack([(fm.labels == c).astype(float)
-                         for c in (classes[1:] if binary else classes)])
+    prior = np.bincount(codes, minlength=len(classes)) / len(codes)
+    X, codes, w = _distinct_rows(fm.data, codes)
+    y = (codes[:, None] == np.arange(int(binary), len(classes))).astype(float)
     if binary:
-        p1 = min(max(float(y.mean()), 1e-6), 1.0 - 1e-6)
+        p1 = min(max(float(prior[1]), 1e-6), 1.0 - 1e-6)
         init = np.array([math.log(p1 / (1.0 - p1))])
     else:
-        init = np.log(np.clip(y.mean(axis=0), 1e-6, None))
+        init = np.log(np.clip(prior, 1e-6, None))
     margins = np.tile(init, (len(X), 1))
-    scan = _SplitScan(X)
+    scan = _SplitScan(X, w)
     trees = []
     for _ in range(params.rounds):
         proba = _link(margins, binary)

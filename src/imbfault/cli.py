@@ -316,7 +316,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args, _pipeline_config(args))
-    except (DataError, ConfigError, OSError, np.linalg.LinAlgError) as exc:
+    except (DataError, ConfigError, OSError, np.linalg.LinAlgError, MemoryError) as exc:
         payload = {"type": type(exc).__name__, "message": str(exc)}
         print("error: " + json.dumps(payload), file=sys.stderr)
         return 2

@@ -10,6 +10,7 @@ order, fold dealing, per-class random streams and dense ids.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,19 +49,26 @@ def as_rows(X, name: str = "X", width: int | None = None) -> np.ndarray:
     return rows
 
 
-def scale_exponent(*arrays) -> int:
+def scale_exponent(*arrays, axis=None):
     """0 unless the largest |coordinate| of the arrays lies outside 2**±400,
     where squares and products could overflow or underflow; then the e for
     which 2**-e scales it into [0.5, 1). Scaling by a power of two is exact,
     so work on rows scaled by 2**-e gives the unscaled result times a power
-    of two."""
-    top = max(max(x.max(initial=0.0), -x.min(initial=0.0)) for x in arrays)
-    if top > 0.0 and not 2.0 ** -400 <= top <= 2.0 ** 400:
-        return math.frexp(top)[1]
-    return 0
+    of two. With `axis=0`, the 2-d arrays get one exponent per column, as
+    an int array."""
+    if axis is None:
+        top = max(max(x.max(initial=0.0), -x.min(initial=0.0)) for x in arrays)
+        if top > 0.0 and not 2.0 ** -400 <= top <= 2.0 ** 400:
+            return math.frexp(top)[1]
+        return 0
+    top = np.max([np.maximum(x.max(axis, initial=0.0), -x.min(axis, initial=0.0))
+                  for x in arrays], axis=0)
+    far = (top > 0.0) & ((top < 2.0 ** -400) | (top > 2.0 ** 400))
+    return np.where(far, np.frexp(top)[1], 0)
 
 
 _to_str = np.frompyfunc(str, 1, 1)
+_made_labels = weakref.WeakValueDictionary()   # id -> an array as_labels returned
 
 
 def as_labels(values) -> np.ndarray:
@@ -69,20 +77,24 @@ def as_labels(values) -> np.ndarray:
     trailing NULs and merge labels that differ only by them."""
     labels = _to_str(np.asarray(values, dtype=object).ravel())
     labels.setflags(write=False)
+    _made_labels[id(labels)] = labels
     return labels
 
 
 def label_codes(labels, classes=None) -> tuple:
     """(classes, codes): the sorted distinct labels, or the order given, and
-    each label's index into it. A label outside a given order is a DataError."""
-    labels = as_labels(labels)
-    present = set(labels)
+    each label's index into it. A label outside a given order is a DataError.
+    An array `as_labels` returned, still read-only, is used as it is."""
+    if _made_labels.get(id(labels)) is not labels or labels.flags.writeable:
+        labels = as_labels(labels)
+    values = labels.tolist()
+    present = set(values)
     classes = tuple(sorted(present) if classes is None else classes)
     unknown = present.difference(classes)
     if unknown:
         raise DataError(f"labels {sorted(unknown)} missing from the class order")
     index = dict(zip(classes, range(len(classes))))
-    return classes, np.fromiter(map(index.__getitem__, labels), dtype=int, count=len(labels))
+    return classes, np.fromiter(map(index.__getitem__, values), dtype=int, count=len(values))
 
 
 @dataclass(frozen=True)

@@ -201,8 +201,9 @@ class Standardizer:
     """Per-column z-score fitted on training rows only.
 
     Zero-variance columns keep scale 1 so transforms stay finite. Fits and
-    transforms work on rows scaled by the power of two `scale_exponent`
-    picks, so rows near the float limits neither overflow nor underflow.
+    transforms work on columns scaled by the power of two `scale_exponent`
+    picks for each, so values near the float limits neither overflow nor
+    underflow, and neither do ordinary columns beside them.
     """
 
     mean_: np.ndarray = field(default=None, repr=False)
@@ -212,7 +213,7 @@ class Standardizer:
         X = as_rows(X)
         if not len(X):
             raise DataError("cannot fit a standardizer on zero rows")
-        e = scale_exponent(X)
+        e = scale_exponent(X, axis=0)
         X = np.ldexp(X, -e)
         self.mean_ = np.ldexp(X.mean(axis=0), e)
         scale = np.ldexp(X.std(axis=0), e)
@@ -224,5 +225,5 @@ class Standardizer:
         if self.mean_ is None:
             raise DataError("standardizer not fitted")
         X = as_rows(X, "X", self.mean_.shape[0])
-        e = scale_exponent(X, self.mean_)
+        e = scale_exponent(X, self.mean_[None], axis=0)
         return (np.ldexp(X, -e) - np.ldexp(self.mean_, -e)) / np.ldexp(self.scale_, -e)

@@ -96,10 +96,13 @@ class PipelineConfig:
 def stratified_folds(labels, n_folds: int, rng: Pcg32) -> list:
     """Disjoint test folds preserving class ratios: each class is shuffled
     and dealt round-robin. Classes smaller than n_folds leave some folds
-    without that class (warned, allowed)."""
+    without that class (warned, allowed). More folds than rows is a
+    ConfigError: most folds would be empty."""
     if n_folds < 2:
         raise ConfigError("need at least 2 folds")
     classes, codes = label_codes(labels)
+    if n_folds > len(codes):
+        raise ConfigError(f"{n_folds} folds for {len(codes)} rows: need at most one fold per row")
     fold_of = np.empty(len(codes), dtype=int)
     for k, c in enumerate(classes):
         idx = np.flatnonzero(codes == k)

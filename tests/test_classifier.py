@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from imbfault.classifier import (_EPS, _TREE_KEYS, GbtModel, GbtParams, _fit_tree,
-                                 _predict_tree, _SplitScan, gbt_train)
+from imbfault import classifier
+from imbfault.classifier import (_EPS, _KEY_STEP, _TREE_KEYS, GbtModel, GbtParams,
+                                 _distinct_rows, _fit_tree, _predict_tree, _SplitScan,
+                                 gbt_train)
 from imbfault.core import FeatureMatrix
 from imbfault.errors import ConfigError, DataError
 from imbfault.rng import Pcg32
@@ -286,9 +289,9 @@ class TestPinnedModels:
             assert fitted.tobytes() == want_fitted.tobytes()
 
 
-def _spied_scan(X):
+def _spied_scan(X, w=None):
     """A split scan that records each call of its best_split and partition."""
-    scan, calls = _SplitScan(X), []
+    scan, calls = _SplitScan(X, w), []
     for name in ("best_split", "partition"):
         def spy(*args, _name=name, _method=getattr(scan, name)):
             calls.append(_name)
@@ -308,6 +311,20 @@ class TestUniformNodes:
         scan, calls = _spied_scan(X)
         tree, fitted = _fit_tree(scan, g, h, GbtParams(max_depth=2))
         value = -float(g.sum()) / float(h.sum())
+        assert tree == {"feature": [-1], "threshold": [0.0], "left": [0], "right": [0],
+                        "value": [value]}
+        assert set(fitted.tolist()) == {value}
+        assert calls == []
+
+    def test_uniform_node_of_weighted_rows_is_one_leaf(self):
+        """The same with weights 1-3: the weighted pairs differ, but the
+        5,999 training rows they stand for share one pair."""
+        n = 2000
+        X = np.arange(n, dtype=float)[:, None]
+        g, h, w = np.full(n, 0.9), np.full(n, 0.09), 1.0 + np.arange(n) % 3
+        scan, calls = _spied_scan(X, w)
+        tree, fitted = _fit_tree(scan, g, h, GbtParams(max_depth=2, min_leaf=2))
+        value = -float(np.sum(w * g)) / float(np.sum(w * h))
         assert tree == {"feature": [-1], "threshold": [0.0], "left": [0], "right": [0],
                         "value": [value]}
         assert set(fitted.tolist()) == {value}
@@ -357,6 +374,99 @@ class TestUniformNodes:
         want_tree, want_fitted = fit_tree_oracle(X, g, h, params)
         assert json.dumps(tree) == json.dumps(want_tree)
         assert fitted.tobytes() == want_fitted.tobytes()
+
+
+class TestRepeatedRows:
+    """gbt_train fits each distinct (row, class) pair once, with the number
+    of rows it stands for as its weight."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(base=st.integers(1, 20), cols=st.integers(1, 4), levels=st.sampled_from([1, 2, 3, 2**30]),
+           pattern=st.sampled_from(["some repeat", "every row repeats", "constant column"]),
+           pairs=st.sampled_from([1, 2, 65]), min_leaf=st.integers(1, 4),
+           max_depth=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_weighted_distinct_rows_fit_like_every_row(self, base, cols, levels, pattern, pairs,
+                                                       min_leaf, max_depth, seed):
+        """Gradients and hessians are multiples of 2**-4 of at most 2 in
+        magnitude, over at most 100 rows, so every sum is exact in any
+        order, and fitting the distinct rows with their
+        weights must give the tree that fitting every row gives: min_leaf
+        counts training rows, and a node whose rows share one (g, h) pair
+        is a leaf whatever its weights."""
+        rng = Pcg32(seed)
+        rows = np.floor(rng.uniforms(base * cols) * levels).reshape(base, cols) / levels
+        if pattern == "constant column":
+            rows[:, rng.randint(cols)] = 0.5
+        copies = rng.randints([4] * base) + (2 if pattern == "every row repeats" else 1)
+        which = np.repeat(np.arange(base), copies)
+        rng.shuffle(which)
+        X = rows[which]
+        U, _, w = _distinct_rows(X, np.zeros(len(X), dtype=int))
+        if w is None:
+            U, w = X, np.ones(len(X))
+        assert w.sum() == len(X)
+        index = {u.tobytes(): i for i, u in enumerate(U)}
+        of = np.array([index[x.tobytes()] for x in X])   # each row's distinct row
+        g_pairs = (rng.randints([65] * pairs) - 32.0) / 16
+        h_pairs = rng.randints([33] * pairs) / 16.0
+        pair = rng.randints([pairs] * len(U))
+        g, h = g_pairs[pair], h_pairs[pair]
+        params = GbtParams(max_depth=max_depth, min_leaf=min_leaf)
+        tree, fitted = _fit_tree(_SplitScan(U, w), g, h, params)
+        want_tree, want_fitted = _fit_tree(_SplitScan(X), g[of], h[of], params)
+        oracle_tree, oracle_fitted = fit_tree_oracle(X, g[of], h[of], params)
+        assert json.dumps(tree) == json.dumps(want_tree) == json.dumps(oracle_tree)
+        assert fitted[of].tobytes() == want_fitted.tobytes() == oracle_fitted.tobytes()
+
+    def test_distinct_rows_in_first_occurrence_order(self, monkeypatch):
+        """Rows repeat only with the same bytes and the same class: -0.0 is
+        not 0.0, and one row under two classes is two rows."""
+        scans = []
+
+        class RecordingScan(_SplitScan):
+            def __init__(self, X, w=None):
+                scans.append((X, w))
+                super().__init__(X, w)
+
+        monkeypatch.setattr(classifier, "_SplitScan", RecordingScan)
+        fm = _fm([[0.0, 1.0], [2.0, 3.0], [0.0, 1.0], [0.0, 1.0], [2.0, 3.0], [-0.0, 1.0]],
+                 ["a", "b", "a", "b", "b", "a"])
+        gbt_train(fm, GbtParams(rounds=1))
+        X, w = scans.pop()
+        assert X.tobytes() == fm.data[[0, 1, 3, 5]].tobytes() and w.tolist() == [2, 2, 1, 1]
+        fm = _separable_1d()
+        gbt_train(fm, GbtParams(rounds=1))
+        X, w = scans.pop()
+        assert X is fm.data and w is None   # no row repeats: nothing is copied
+
+    def test_rows_whose_keys_collide_stay_apart(self):
+        """(5e-324, 1.0) and (0.0, x), where x's bits are 1.0's plus the key
+        step, get one key: 1·step + bits(1.0) = 0·step + bits(x)."""
+        x = (np.array([1.0]).view(np.uint64) + _KEY_STEP).view(float)[0]
+        X = np.array([[5e-324, 1.0], [0.0, x]])
+        U, codes, w = _distinct_rows(X, np.zeros(2, dtype=int))
+        assert U is X and w is None
+        U, codes, w = _distinct_rows(X[[0, 1, 0]], np.zeros(3, dtype=int))
+        assert U.tobytes() == X.tobytes() and w.tolist() == [2, 1]
+
+    @pytest.mark.parametrize("min_leaf, split", [(3, True), (4, False)])
+    def test_min_leaf_counts_training_rows(self, min_leaf, split):
+        """Two distinct rows of three copies each: each side of the one
+        split holds three training rows."""
+        fm = _fm([[0.0]] * 3 + [[1.0]] * 3, ["a"] * 3 + ["b"] * 3)
+        tree = gbt_train(fm, GbtParams(rounds=1, min_leaf=min_leaf)).trees[0][0]
+        assert (tree["feature"][0] == 0) is split
+
+    def test_prior_counts_every_row(self):
+        fm = _fm([[0.0], [0.0], [0.0], [1.0]], ["a", "a", "a", "b"])
+        assert gbt_train(fm, GbtParams(rounds=1)).init.tolist() == [math.log(0.25 / 0.75)]
+        fm = _fm([[0.0], [0.0], [1.0], [1.0], [2.0]], ["a", "a", "b", "b", "c"])
+        assert gbt_train(fm, GbtParams(rounds=1)).init.tolist() == np.log([0.4, 0.4, 0.2]).tolist()
+
+    def test_rows_without_features(self):
+        fm = FeatureMatrix(np.zeros((4, 0)), ["a", "b", "a", "b"], ())
+        model = gbt_train(fm, GbtParams(rounds=2))
+        assert model.predict_proba(fm).tolist() == [[0.5, 0.5]] * 4
 
 
 class TestPredictProba:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from imbfault import core
 from imbfault.classifier import GbtParams, gbt_train
 from imbfault.core import (ClassDistribution, FaultInterval, FeatureMatrix,
                            SamplerParams, TimeSeriesFrame, WindowBatch,
@@ -69,6 +70,32 @@ class TestLabelCodes:
     def test_label_outside_given_order(self):
         with pytest.raises(DataError, match=r"labels \['x'\] missing"):
             label_codes(["a", "x"], ["a"])
+
+    def test_labels_as_labels_made_are_used_as_they_are(self, monkeypatch):
+        """A FeatureMatrix's labels skip the str conversion and give the
+        codes the converting path gives, trailing NULs included."""
+        values = ["b", "a\x00", "a", "b", "a\x00\x00", "a"]
+        fm = FeatureMatrix(np.zeros((6, 1)), values, ("f",))
+        want = label_codes(list(values))
+
+        def no_conversion(values):
+            raise AssertionError("as_labels called again")
+
+        monkeypatch.setattr(core, "as_labels", no_conversion)
+        got = label_codes(fm.labels)
+        assert got[0] == want[0] == ("a", "a\x00", "a\x00\x00", "b")
+        assert got[1].tolist() == want[1].tolist() == [3, 1, 0, 3, 2, 0]
+        assert got[1].dtype == want[1].dtype
+
+    def test_other_object_arrays_are_converted(self):
+        # Read-only but not made by as_labels, or made by it and written since.
+        foreign = np.array([1, "1", 2], dtype=object)
+        foreign.setflags(write=False)
+        assert label_codes(foreign)[0] == ("1", "2")
+        labels = as_labels(["a", "b"])
+        labels.setflags(write=True)
+        labels[0] = 3
+        assert label_codes(labels)[0] == ("3", "b")
 
 
 class TestPcg32:

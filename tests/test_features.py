@@ -334,6 +334,24 @@ class TestStandardizer:
         np.testing.assert_allclose(Z[:, 0].mean(), 0.0, atol=1e-12)
         np.testing.assert_allclose(Z[:, 0].std(), 1.0, rtol=1e-12)
 
+    def test_ordinary_column_beside_one_near_the_float_limit(self):
+        # Each column is scaled by its own power of two, so column 1 is fit
+        # as it would be alone instead of underflowing toward 2**-1024.
+        X = np.array([[1.5e308, 1.0], [-1.5e308, 2.0], [1e308, 0.5], [1.2e308, 0.7]])
+        std = Standardizer().fit(X)
+        alone = Standardizer().fit(X[:, 1:])
+        np.testing.assert_allclose(std.scale_[1], 0.5766, rtol=1e-4)
+        assert std.mean_[1:].tobytes() == alone.mean_.tobytes()
+        assert std.scale_[1:].tobytes() == alone.scale_.tobytes()
+        assert std.transform(X)[:, 1:].tobytes() == alone.transform(X[:, 1:]).tobytes()
+
+    def test_ordinary_rows_keep_their_bits(self):
+        X = Pcg32(12).normals(600).reshape(200, 3) * [1e-100, 1.0, 1e100] + [0.0, 2.0, 0.0]
+        std = Standardizer().fit(X)
+        assert std.mean_.tobytes() == X.mean(axis=0).tobytes()
+        assert std.scale_.tobytes() == X.std(axis=0).tobytes()
+        assert std.transform(X).tobytes() == ((X - X.mean(axis=0)) / X.std(axis=0)).tobytes()
+
     def test_unfitted_errors(self):
         with pytest.raises(DataError):
             Standardizer().transform(np.ones((2, 2)))

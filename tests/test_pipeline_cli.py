@@ -556,6 +556,36 @@ class TestCli:
         assert rc == 2
         assert calls == []
 
+    def test_memory_error_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        def exhausted(args, cfg):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(cli, "cmd_synthgen", exhausted)
+        rc = main(["synthgen", "--kind", "timeseries", "--ticks", "1000000000000",
+                   "--out", str(tmp_path / "s.csv")])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        payload = json.loads(lines[0][len("error: "):])
+        assert payload == {"type": "MemoryError",
+                           "message": "Unable to allocate 7.28 TiB for an array"}
+
+    def test_more_folds_than_rows_fails_before_fitting(self, tmp_path, monkeypatch, capsys):
+        """One empty-fold warning per fold would flood stderr first."""
+        feat = tmp_path / "f.csv"
+        write_feature_csv(_blobs(n_maj=30, n_min=6), feat)
+        calls = []
+        monkeypatch.setattr(pipeline, "fit_fold", lambda *a: calls.append(a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["crossval", "--features", str(feat), "--folds", "20000",
+                       "--out-dir", str(tmp_path / "o")])
+        assert rc == 2 and calls == []
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        payload = json.loads(lines[0][len("error: "):])
+        assert payload["type"] == "ConfigError" and "20000 folds for 36 rows" in payload["message"]
+
     def test_synthgen_timeseries_cli(self, tmp_path):
         ivs_path = tmp_path / "ivs.csv"
         write_intervals_csv([FaultInterval(50, 120, "F")], ivs_path)
