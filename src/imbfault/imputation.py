@@ -3,7 +3,8 @@
 The minority training rows are complete, so the maximum-likelihood mean and
 covariance are already the fixed point of the usual iterative estimator and
 no iteration is needed. Masked attributes are filled with the conditional
-Gaussian expectation given the observed ones.
+Gaussian expectation given the observed ones: one solve with the ridged
+covariance serves a whole batch of rows, each with its own masked set.
 """
 
 from __future__ import annotations
@@ -29,7 +30,11 @@ class GaussianModel:
         cov = np.asarray(self.covariance, dtype=float)
         if cov.shape != (mean.size, mean.size):
             raise DataError("covariance shape must match the mean")
-        if np.max(np.abs(cov - cov.T)) > 1e-12 * max(1.0, np.max(np.abs(cov))):
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise DataError("mean and covariance must be finite")
+        if not 0 <= self.ridge < np.inf:
+            raise DataError("ridge must be finite and >= 0")
+        if np.abs(cov - cov.T).max(initial=0.0) > 1e-12 * max(1.0, np.abs(cov).max(initial=0.0)):
             raise DataError("covariance must be symmetric")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", (cov + cov.T) / 2.0)
@@ -48,8 +53,8 @@ def fit_gaussian(rows, ridge_scale: float = 1e-6) -> GaussianModel:
     X = as_rows(rows, "rows")
     if X.shape[0] < 2:
         raise DataError("need at least 2 complete rows to fit a Gaussian")
-    if ridge_scale < 0:
-        raise DataError("ridge_scale must be >= 0")
+    if not 0 <= ridge_scale < np.inf:
+        raise DataError("ridge_scale must be finite and >= 0")
     m, d = X.shape
     mean = X.mean(axis=0)
     centered = X - mean
@@ -59,40 +64,47 @@ def fit_gaussian(rows, ridge_scale: float = 1e-6) -> GaussianModel:
     return GaussianModel(mean=mean, covariance=cov, ridge=ridge)
 
 
-def _split_indices(model: GaussianModel, missing) -> tuple:
-    miss = np.unique(np.asarray(missing, dtype=int))
-    if miss.size == 0:
+def _index_sets(missing, n: int, d: int) -> np.ndarray:
+    """`missing` as a (1, k) index set shared by all n rows, or (n, k), one per row."""
+    try:
+        miss = np.asarray(missing, dtype=int)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"missing is not an index array: {exc}") from None
+    shared = miss.ndim < 2
+    miss = miss.reshape(1, -1) if shared else miss
+    if miss.ndim > 2 or not (shared or len(miss) == n):
+        raise DataError(f"missing must be one index set or one per row of x, got shape {miss.shape}")
+    if miss.shape[1] == 0:
         raise DataError("missing index set is empty")
-    if np.any(miss < 0) or np.any(miss >= model.dim):
+    if np.any(miss < 0) or np.any(miss >= d):
         raise DataError("missing index out of range")
-    if miss.size == model.dim:
+    if miss.shape[1] >= d:
         raise DataError("cannot impute with every attribute missing")
-    obs = np.setdiff1d(np.arange(model.dim), miss)
-    return miss, obs
-
-
-def _conditional(model: GaussianModel, x: np.ndarray, miss, obs):
-    """Conditional mean of the missing coordinates of x, one row (d,) or a
-    batch (n, d); a batch is one solve with n right-hand sides."""
-    cov = model.covariance
-    sig_oo = cov[np.ix_(obs, obs)] + model.ridge * np.eye(obs.size)
-    sig_mo = cov[np.ix_(miss, obs)]
-    sol = np.linalg.solve(sig_oo, (x[..., obs] - model.mean[obs]).T)
-    return model.mean[miss] + (sig_mo @ sol).T
+    if np.any(np.diff(np.sort(miss, axis=1), axis=1) == 0):
+        raise DataError("missing index repeated in a set")
+    return miss
 
 
 def impute_conditional(model: GaussianModel, x, missing) -> np.ndarray:
-    """Fill x at the missing indices with the conditional mean.
-
-    x is one row (d,) or a batch of rows (n, d) that share the missing set.
-    Observed coordinates are returned untouched; the result is deterministic.
-    """
+    """Fill x, one row (d,) or rows (n, d), at the missing indices with the
+    conditional mean: `missing` is one index set shared by every row or an
+    (n, k) array of per-row sets. With z = x - mean zeroed at M, the block
+    inverse of A = covariance + ridge*I gives mean_M - ((A^-1)_MM)^-1 (A^-1 z)_M
+    from one LU of A for every row (an explicit inverse times z loses digits).
+    Observed coordinates are returned untouched."""
     try:
         one_row = np.ndim(x) == 1
     except ValueError:                  # ragged; as_rows names it
         one_row = False
-    x = as_rows([x], "x", model.dim)[0] if one_row else as_rows(x, "x", model.dim)
-    miss, obs = _split_indices(model, missing)
+    d = model.dim
+    x = as_rows([x] if one_row else x, "x", d)
+    miss = _index_sets(missing, len(x), d)
+    rows = np.arange(len(x))[:, None]
+    z = x - model.mean
+    z[rows, miss] = 0.0
+    # sol = [A^-1 | A^-1 z^T]: (A^-1)_MM from its left block, (A^-1 z)_M from its right.
+    sol = np.linalg.solve(model.covariance + model.ridge * np.eye(d), np.hstack([np.eye(d), z.T]))
     out = x.copy()
-    out[..., miss] = _conditional(model, x, miss, obs)
-    return out
+    out[rows, miss] = model.mean[miss] - np.linalg.solve(
+        sol[miss[:, :, None], miss[:, None, :]], sol[miss, d + rows][..., None])[..., 0]
+    return out[0] if one_row else out

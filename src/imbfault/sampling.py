@@ -261,17 +261,12 @@ def _draw_base(cum: np.ndarray, u):
 def _impute_each(s_min: np.ndarray, rows: np.ndarray, attrs: np.ndarray,
                  ridge: float) -> np.ndarray:
     """rows[t] with attribute attrs[t] filled by the conditional mean of the
-    Gaussian fitted on s_min: one batched call per distinct attribute. Fit
-    and fill run on rows scaled clear of over- and underflow, and the result
-    is scaled back."""
+    Gaussian fitted on s_min: one call, so one solve, for every row. Fit and
+    fill run on rows scaled clear of over- and underflow, and the result is
+    scaled back."""
     e = scale_exponent(s_min)
     model = fit_gaussian(np.ldexp(s_min, -e), ridge)
-    rows = np.ldexp(rows, -e)
-    out = np.empty_like(rows)
-    for a in np.unique(attrs):
-        sel = attrs == a
-        out[sel] = impute_conditional(model, rows[sel], [a])
-    return np.ldexp(out, e)
+    return np.ldexp(impute_conditional(model, np.ldexp(rows, -e), attrs[:, None]), e)
 
 
 def mwmote(s_min, s_maj, n: int, params: SamplerParams, rng: Pcg32) -> np.ndarray:

@@ -90,6 +90,18 @@ def dense_solve_oracle(mean, cov, ridge, x, missing):
     return filled
 
 
+def conditional_oracle(model, x, miss, obs):
+    """Conditional mean of the missing coordinates of x, one row (d,) or a
+    batch (n, d) sharing the missing set; a batch is one solve with n
+    right-hand sides. The per-set route: the observed block's own
+    (Sigma_OO + ridge*I) system for each missing set."""
+    cov = model.covariance
+    sig_oo = cov[np.ix_(obs, obs)] + model.ridge * np.eye(obs.size)
+    sig_mo = cov[np.ix_(miss, obs)]
+    sol = np.linalg.solve(sig_oo, (x[..., obs] - model.mean[obs]).T)
+    return model.mean[miss] + (sig_mo @ sol).T
+
+
 def lda_oracle(X, labels):
     """LDA's generalized eigenpairs from scipy.linalg.eigh(S_b, S_w + ridge I),
     largest first, as lda_fit solved them before it whitened by Cholesky: the

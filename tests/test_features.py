@@ -334,6 +334,16 @@ class TestStandardizer:
         np.testing.assert_allclose(Z[:, 0].mean(), 0.0, atol=1e-12)
         np.testing.assert_allclose(Z[:, 0].std(), 1.0, rtol=1e-12)
 
+    def test_zero_variance_column_near_the_float_limit_stays_finite(self):
+        # Column 0 is constant (scale 1) at 1e308: the transform's scaled
+        # difference over the scaled scale must not overflow where
+        # (x - mean) / 1 is finite.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Z = Standardizer().fit([[1e308, 1.0], [1e308, 2.0]]).transform([[1.5e308, 1.0]])
+        assert np.all(np.isfinite(Z))
+        np.testing.assert_allclose(Z, [[5e307, -1.0]], rtol=1e-12)
+
     def test_ordinary_column_beside_one_near_the_float_limit(self):
         # Each column is scaled by its own power of two, so column 1 is fit
         # as it would be alone instead of underflowing toward 2**-1024.

@@ -6,7 +6,7 @@ from imbfault.imputation import GaussianModel, fit_gaussian, impute_conditional
 from imbfault.rng import Pcg32
 from imbfault.synthgen import gaussian_blobs
 
-from oracles import dense_solve_oracle
+from oracles import conditional_oracle, dense_solve_oracle
 
 
 class TestFitGaussian:
@@ -42,6 +42,26 @@ class TestFitGaussian:
     def test_asymmetric_covariance_rejected(self):
         with pytest.raises(DataError):
             GaussianModel(np.zeros(2), np.array([[1.0, 0.5], [0.2, 1.0]]), 0.0)
+
+    @pytest.mark.parametrize("ridge_scale", [np.nan, np.inf, -1.0])
+    def test_ridge_scale_must_be_finite_and_non_negative(self, ridge_scale):
+        with pytest.raises(DataError):
+            fit_gaussian([[0.0, 1.0], [2.0, 3.0], [1.0, 0.0]], ridge_scale)
+
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf, -1.0])
+    def test_ridge_must_be_finite_and_non_negative(self, ridge):
+        with pytest.raises(DataError):
+            GaussianModel(np.zeros(2), np.eye(2), ridge)
+
+    @pytest.mark.parametrize("mean, cov", [
+        ([0.0, 0.0], [[1.0, np.nan], [np.nan, 1.0]]),
+        ([0.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]]),
+        ([np.inf, 0.0], [[1.0, 0.5], [0.5, 1.0]]),
+        ([np.nan, 0.0], [[1.0, 0.5], [0.5, 1.0]]),
+    ])
+    def test_mean_and_covariance_must_be_finite(self, mean, cov):
+        with pytest.raises(DataError):
+            GaussianModel(np.array(mean), np.array(cov), 0.0)
 
 
 class TestImputeConditional:
@@ -95,13 +115,27 @@ class TestImputeConditional:
         assert mid == pytest.approx((filled(a) + filled(b)) / 2, abs=1e-12)
 
     def test_bad_missing_sets(self):
-        model = GaussianModel(np.zeros(2), np.eye(2), 0.0)
-        with pytest.raises(DataError):
-            impute_conditional(model, [1.0, 2.0], [])
-        with pytest.raises(DataError):
-            impute_conditional(model, [1.0, 2.0], [0, 1])
-        with pytest.raises(DataError):
-            impute_conditional(model, [1.0, 2.0], [5])
+        model = GaussianModel(np.zeros(4), np.eye(4), 0.0)
+        row, rows = [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0, 4.0]] * 2
+        for x, missing in [
+            (row, []),
+            (row, [0, 1, 2, 3]),
+            (row, [5]),
+            (row, [-1]),
+            (row, [1, 1]),
+            (rows, [[0, 2], [1, 1]]),                  # repeated in a row
+            (rows, [[0], [1], [2]]),                   # 3 sets for 2 rows
+            (rows, [[0]]),
+            (row, [[0], [1]]),
+            (rows, [[0], [4]]),
+            (rows, [[0, 1, 2, 3], [3, 2, 1, 0]]),      # every attribute
+            (rows, np.empty((2, 0), dtype=int)),       # (n, 0)
+            (rows, np.zeros((2, 1, 1), dtype=int)),
+            (rows, [[0], [1, 2]]),                     # ragged
+            (row, None),
+        ]:
+            with pytest.raises(DataError):
+                impute_conditional(model, x, missing)
 
 
 class TestImputeConditionalBatch:
@@ -125,6 +159,8 @@ class TestImputeConditionalBatch:
     def test_empty_and_single_row_batches(self):
         model, rng = self._model(4, 0)
         assert impute_conditional(model, np.empty((0, 4)), [1]).shape == (0, 4)
+        assert impute_conditional(model, np.empty((0, 4)),
+                                  np.empty((0, 2), dtype=int)).shape == (0, 4)
         x = rng.normals(4)
         np.testing.assert_allclose(impute_conditional(model, x[None, :], [2])[0],
                                    impute_conditional(model, x, [2]), rtol=0, atol=1e-12)
@@ -134,3 +170,46 @@ class TestImputeConditionalBatch:
         model, _ = self._model(4, 1)
         with pytest.raises(DataError):
             impute_conditional(model, np.zeros(shape), [0])
+
+
+class TestImputeConditionalPerRowSets:
+    def test_one_solve_matches_the_solve_per_missing_set(self):
+        # 600 Gaussians fit on m > d, m <= d, rank-deficient and 0.1-rounded
+        # sets with repeated rows, each imputed with per-row (n, 1), per-row
+        # (n, 2) or shared index sets, against one (Sigma_OO + ridge*I)
+        # system per missing set. As in emicil and ewmote, the imputed rows
+        # are rows of the fitted set. The bound is relative to the set's
+        # largest |coordinate|: near-zero cells make per-cell relative error
+        # meaningless on the rounded sets.
+        rng = Pcg32(22)
+        for case in range(600):
+            d = 3 + rng.randint(10)
+            kind = case % 4
+            m = 2 + rng.randint(d - 1) if kind == 1 else d + 1 + rng.randint(2 * d)
+            if kind == 2:
+                r = 1 + rng.randint(d - 1)
+                points = rng.normals(m * r).reshape(m, r) @ rng.normals(r * d).reshape(r, d)
+            else:
+                points = rng.normals(m * d).reshape(m, d)
+            points = points * 10.0 ** (rng.randint(7) - 3) + rng.normals(d)
+            if kind == 3:
+                points = np.round(points, 1)
+                points = np.vstack([points, points[: 1 + rng.randint(m)]])
+            model = fit_gaussian(points)
+            n = 6
+            x = points[[rng.randint(len(points)) for _ in range(n)]]
+            if case % 3 == 0:
+                missing = np.array([[rng.randint(d)] for _ in range(n)])
+            elif case % 3 == 1:
+                firsts = [rng.randint(d) for _ in range(n)]
+                missing = np.array([[a, (a + 1 + rng.randint(d - 1)) % d] for a in firsts])
+            else:
+                missing = np.array(sorted({rng.randint(d), rng.randint(d)}))
+            got = impute_conditional(model, x, missing)
+            bound = 1e-9 * np.abs(points).max()
+            for t in range(n):
+                miss = np.unique(missing[t] if missing.ndim == 2 else missing)
+                obs = np.setdiff1d(np.arange(d), miss)
+                want = conditional_oracle(model, x[t], miss, obs)
+                assert np.max(np.abs(got[t, miss] - want)) <= bound, (case, t)
+                assert got[t, obs].tobytes() == x[t, obs].tobytes()
