@@ -8,12 +8,13 @@ per class per round. Both run through one boosting loop and one link
 function. Nothing is randomized, so identical data and parameters give
 identical models.
 
-Rows that repeat exactly, with the same feature bytes and the same class, are
-fit once. Oversamplers repeat rows (EWMOTE's conditional means, random
-duplication), and every copy of a row has the same margin, so one distinct
-row of weight w, with gradient w·g and hessian w·h, stands for its w copies;
-min_leaf still counts training rows. Where no row repeats, the fit is the
-unweighted one, bit for bit.
+Every training row carries a weight, and rows that repeat exactly, with the
+same feature bytes and the same class, are fit once. Oversamplers repeat rows
+(EWMOTE's conditional means, random duplication), and every copy of a row has
+the same margin, so one distinct row of weight w, with gradient w·g and
+hessian w·h, stands for its w copies; min_leaf counts training rows, the sum
+of the weights. A row that does not repeat has weight 1, and 1·g is g, so
+its fit is the same, bit for bit, as fitting every row.
 """
 
 from __future__ import annotations
@@ -86,18 +87,17 @@ class _SplitScan:
     gradients and hessians travel together as one complex vector: one
     gather and one in-place cumsum give both prefix sums, and since real and
     imaginary parts add independently each equals its own real cumsum bit
-    for bit. Only positions between distinct values are scored. With
-    min_leaf 1 the root's are the same for every tree, so they are found
-    once; when the root has no tied values no node has any, and every
-    position is scored without looking for ties. The scratch buffers are
-    sized for the root and reused by every node, because each node finishes
-    its scan before its children start.
+    for bit. Only positions between distinct values are scored. The root's
+    are the same for every tree, so they are found once; when the root has
+    no tied values no node has any. The scratch buffers are sized for the
+    root and reused by every node, because each node finishes its scan
+    before its children start.
 
-    `w`, when given, is each row's weight: the number of training rows it
-    stands for. Only min_leaf reads it here, as a count of training rows;
-    the gradients and hessians the trees pass in are already weighted."""
+    `w` is each row's weight: the number of training rows it stands for.
+    Only min_leaf reads it here, as a count of training rows; the gradients
+    and hessians the trees pass in are already weighted."""
 
-    def __init__(self, X: np.ndarray, w: np.ndarray | None = None):
+    def __init__(self, X: np.ndarray, w: np.ndarray):
         n, d = X.shape
         self.w = w
         self.cols = np.ascontiguousarray(X.T)
@@ -110,21 +110,21 @@ class _SplitScan:
         self.mask = np.empty(d * n, dtype=bool)
         self.goes_left = np.empty(n, dtype=bool)
         self.below = np.empty(d * n, dtype=np.intp)
-        self.root_splits = self._splits(self.orders, 0, n - 1).copy()
+        self.root_splits = self._splits(self.orders).copy()
         self.tie_free = bool(self.root_splits[:, :n - 1].all())
 
-    def _splits(self, order: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """A `(features, rows)` mask of the sorted positions p, lo <= p < hi,
-        where the value is below the next one: the splits between distinct
-        values. The values are sorted and finite, so `<` here is `!=`."""
+    def _splits(self, order: np.ndarray) -> np.ndarray:
+        """A `(features, rows)` mask of the sorted positions where the value
+        is below the next one: the splits between distinct values. The
+        values are sorted and finite, so `<` here is `!=`."""
         d, m = order.shape
         at = self.work[1].view(np.intp)[:d * m].reshape(d, m)
         xs = self.work[0, :d * m].reshape(d, m)
         np.add(order, self.offsets, out=at)
         self.cols.take(at, out=xs, mode="clip")
         out = self.mask[:d * m].reshape(d, m)
-        out[:, :lo] = out[:, hi:] = False
-        np.less(xs[:, lo:hi], xs[:, lo + 1:hi + 1], out=out[:, lo:hi])
+        out[:, m - 1:] = False
+        np.less(xs[:, :m - 1], xs[:, 1:], out=out[:, :m - 1])
         return out
 
     def best_split(self, order: np.ndarray, G: float, H: float, min_leaf: int):
@@ -134,37 +134,29 @@ class _SplitScan:
         training rows on each side, between distinct values, scored by the
         second-order gain; the first feature wins equal gains.
 
-        Without weights the sides' row counts are p + 1 and m - p - 1, so
-        the positions min_leaf - 1 <= p < m - min_leaf qualify. With weights
-        and min_leaf > 1 they are the prefix sums of the weights in each
-        feature's order, which differ between features.
+        The sides' training rows are the prefix sums of the weights in each
+        feature's order, which differ between features; with min_leaf 1 any
+        nonempty side qualifies, so they are summed only for a larger one.
 
-        The prefix sums run over every row. Unless the training set is tie
-        free, only the split positions' sums are gathered into one compact
-        vector and scored, and their gains are put back into a `-inf` row
-        per feature, so each feature's argmax is the one a full scan gives."""
+        The prefix sums run over every row. With min_leaf 1 on a tie-free
+        training set every position but the last is scored. Otherwise only
+        the split positions' sums are gathered into one compact vector and
+        scored, and their gains are put back into a `-inf` row per feature,
+        so each feature's argmax is the one a full scan gives."""
         d, m = order.shape
-        big_enough = None
-        if self.w is None or min_leaf == 1:
-            lo, hi = min_leaf - 1, m - min_leaf
-        else:
-            lo, hi = 0, m - 1
-            rows_left = np.cumsum(self.w.take(order), axis=1)
-            big_enough = (rows_left >= min_leaf) & (rows_left <= rows_left[0, -1] - min_leaf)
         prefix = self.prefix[:d * m].reshape(d, m)
         self.gh.take(order, out=prefix, mode="clip")
         np.cumsum(prefix, axis=1, out=prefix)
-        if self.tie_free and big_enough is None:
-            k = hi - lo
+        if self.tie_free and min_leaf == 1:
+            k = m - 1
             gains = self.work[0, :d * k].reshape(d, k)
-            _gain(prefix.real[:, lo:hi], prefix.imag[:, lo:hi], G, H, gains,
+            _gain(prefix.real[:, :k], prefix.imag[:, :k], G, H, gains,
                   self.work[1, :d * k].reshape(d, k))
-            first = lo   # the position of gains' first column
         else:
-            splits = (self.root_splits if order is self.orders and lo == 0
-                      else self._splits(order, lo, hi))
-            if big_enough is not None:
-                splits = splits & big_enough
+            splits = self.root_splits if order is self.orders else self._splits(order)
+            if min_leaf > 1:
+                rows_left = np.cumsum(self.w.take(order), axis=1)
+                splits = splits & (rows_left >= min_leaf) & (rows_left <= rows_left[0, -1] - min_leaf)
             # The sums go to `work`, free once the mask is built, and the
             # scores to `prefix`, which is not read again.
             at = np.flatnonzero(splits)
@@ -175,13 +167,13 @@ class _SplitScan:
             row = self.work[0, :d * m]
             row.fill(-np.inf)
             row[at] = scores[:s]
-            gains, first = row.reshape(d, m), 0
+            gains = row.reshape(d, m)
         ps = np.argmax(gains, axis=1)
         best_gain, best_feature, best_threshold = 0.0, -1, 0.0
         for f, (p, gain) in enumerate(zip(ps.tolist(), gains[self.features, ps].tolist())):
             if gain > best_gain + 1e-12:
                 best_gain, best_feature = gain, f
-                a, b = self.cols[f].take(order[f, first + p:first + p + 2]).tolist()
+                a, b = self.cols[f].take(order[f, p:p + 2]).tolist()
                 best_threshold = _between(a, b)
         return best_feature, best_threshold
 
@@ -206,8 +198,8 @@ class _SplitScan:
 def _fit_tree(scan: _SplitScan, g: np.ndarray, h: np.ndarray, params: GbtParams):
     """Fit one tree on the training set of `scan`; returns `(tree, fitted)`,
     where `fitted[i]` is the value of the leaf training row i reaches.
-    `g[i]` and `h[i]` are row i's own gradient and hessian. When the scan
-    holds weights, the trees see w·g and w·h, and a node holds as many
+    `g[i]` and `h[i]` are row i's own gradient and hessian; the tree sees
+    w·g and w·h, with w the scan's weights, and a node holds as many
     training rows as its weights add up to.
 
     Each node scans every feature in one pass over its own rows in each
@@ -222,17 +214,14 @@ def _fit_tree(scan: _SplitScan, g: np.ndarray, h: np.ndarray, params: GbtParams)
     n = len(g)
     nodes = []   # (feature, threshold, left, right, value) of each node, in preorder
     fitted = np.empty(n)
-    w = scan.w
-    scan.gh.real = g if w is None else w * g
-    scan.gh.imag = h if w is None else w * h
-    weighted = (g, h) if w is None else (scan.gh.real, scan.gh.imag, w)
+    scan.gh.real = scan.w * g
+    scan.gh.imag = scan.w * h
 
     def side(idx: np.ndarray, gh: np.ndarray) -> tuple:
-        # A node's rows in increasing order; their weighted gradients and
-        # hessians (and weights) as the rows of `gh`; the sums G and H of
+        # A node's rows in increasing order; their weighted gradients,
+        # hessians and weights as the rows of `gh`; the sums G and H of
         # those, and W, the training rows the node holds.
-        sums = np.add.reduce(gh, axis=1).tolist()
-        return idx, gh, sums[0], sums[1], len(idx) if w is None else sums[2]
+        return (idx, gh, *np.add.reduce(gh, axis=1).tolist())
 
     def scanned(idx, gh, G: float, H: float, W: float, depth: int) -> bool:
         # W copies of (g0, h0) sum to within a few dozen ulps of W·(g0, h0)
@@ -267,7 +256,7 @@ def _fit_tree(scan: _SplitScan, g: np.ndarray, h: np.ndarray, params: GbtParams)
         nodes[nid] = (best_feature, best_threshold, left, right, 0.0)
         return nid
 
-    root = side(np.arange(n), np.stack(weighted))
+    root = side(np.arange(n), np.stack((scan.gh.real, scan.gh.imag, scan.w)))
     build(*root, scan.orders if scanned(*root, 0) else None, 0)
     build = None   # break the build <-> closure cycle: g and h are freed now, not by gc
     return {key: list(col) for key, col in zip(_TREE_KEYS, zip(*nodes))}, fitted
@@ -374,11 +363,18 @@ class GbtModel:
         return model
 
     def _check(self) -> None:
-        """Raise ValueError unless every tree can be evaluated. Children are
-        numbered in preorder, so child ids above the parent's rule out cycles.
-        Each ensemble's margin is bounded by its init plus every round's
-        largest leaf; rounding is monotone, so a finite bound keeps every
-        margin finite."""
+        """Raise ValueError unless the boosting params are well typed,
+        `rounds` is the number of rounds of trees, and every tree can be
+        evaluated. Children are numbered in preorder, so child ids above the
+        parent's rule out cycles. Each ensemble's margin is bounded by its
+        init plus every round's largest leaf; rounding is monotone, so a
+        finite bound keeps every margin finite."""
+        p = self.params
+        if any(type(v) is not int for v in (p.rounds, p.max_depth, p.min_leaf)) \
+                or type(p.learning_rate) not in (int, float):
+            raise ValueError("rounds, max_depth and min_leaf must be ints, learning_rate a number")
+        if p.rounds != len(self.trees):
+            raise ValueError(f"rounds is {p.rounds}, but there are {len(self.trees)} rounds of trees")
         if type(self.n_features) is not int or self.n_features < 1:
             raise ValueError(f"n_features must be an int >= 1, not {self.n_features!r}")
         if type(self.binary) is not bool:
@@ -412,7 +408,7 @@ class GbtModel:
 def _distinct_rows(X: np.ndarray, codes: np.ndarray) -> tuple:
     """`(X, codes, w)` with each (row bytes, class) pair kept once, at its
     first occurrence, and `w` the number of rows it stands for; the inputs
-    themselves and `w = None` when no pair repeats.
+    themselves, with unit weights, when no pair repeats.
 
     Equal pairs share a 64-bit key made from their bits, so when every key
     differs no pair repeats, and the rows are neither sorted nor copied.
@@ -424,15 +420,13 @@ def _distinct_rows(X: np.ndarray, codes: np.ndarray) -> tuple:
         key = key * _KEY_STEP + column   # wraps around
     key.sort()
     if (key[1:] != key[:-1]).all():
-        return X, codes, None
+        return X, codes, np.ones(len(X))
     order = np.lexsort((*bits.T, codes))   # stable: a group's first row comes first
     new = np.ones(len(order), dtype=bool)
     sorted_bits, sorted_codes = bits[order], codes[order]
     np.any(sorted_bits[1:] != sorted_bits[:-1], axis=1, out=new[1:])
     new[1:] |= sorted_codes[1:] != sorted_codes[:-1]
     starts = np.flatnonzero(new)
-    if len(starts) == len(order):   # keys collided, rows did not
-        return X, codes, None
     first, w = order[starts], np.diff(starts, append=len(order))
     keep = np.argsort(first)
     first = first[keep]

@@ -108,7 +108,7 @@ def _wpt_bands(x: np.ndarray, depth: int, wavelet: str) -> np.ndarray:
     (..., n) -> (..., 2**depth, m), in natural filter-bank order."""
     if depth < 1:
         raise DataError("depth must be >= 1")
-    if x.shape[-1] < 2 ** depth:
+    if x.shape[-1] >> depth == 0:       # n < 2**depth, without making 2**depth
         raise DataError(f"segment of length {x.shape[-1]} too short for depth {depth}")
     lo, hi = _filter_pair(wavelet)
     bands = x[..., None, :]

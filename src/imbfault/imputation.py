@@ -65,11 +65,14 @@ def fit_gaussian(rows, ridge_scale: float = 1e-6) -> GaussianModel:
 
 
 def _index_sets(missing, n: int, d: int) -> np.ndarray:
-    """`missing` as a (1, k) index set shared by all n rows, or (n, k), one per row."""
+    """`missing` as a (1, k) index set shared by all n rows, or (n, k), one per row.
+    Indices of any other than an integer dtype (floats, bools) are refused, not truncated."""
     try:
-        miss = np.asarray(missing, dtype=int)
+        miss = np.asarray(missing)
     except (TypeError, ValueError) as exc:
         raise DataError(f"missing is not an index array: {exc}") from None
+    if miss.size and miss.dtype.kind not in "iu":
+        raise DataError(f"missing indices must be integers, not {miss.dtype}")
     shared = miss.ndim < 2
     miss = miss.reshape(1, -1) if shared else miss
     if miss.ndim > 2 or not (shared or len(miss) == n):

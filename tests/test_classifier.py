@@ -187,7 +187,7 @@ class TestPinnedModels:
         X = np.floor(rng.uniforms(rows * cols) * levels).reshape(rows, cols)   # ties
         g = rng.normals(rows)
         h = rng.uniforms(rows) + 0.01
-        tree, fitted = _fit_tree(_SplitScan(X), g, h,
+        tree, fitted = _fit_tree(_SplitScan(X, np.ones(len(X))), g, h,
                                  GbtParams(max_depth=max_depth, min_leaf=min_leaf))
         assert fitted.tobytes() == _predict_tree(tree, X).tobytes()
 
@@ -208,7 +208,7 @@ class TestPinnedModels:
         g = rng.normals(rows)
         h = rng.uniforms(rows) + 0.01
         params = GbtParams(max_depth=max_depth, min_leaf=min_leaf)
-        tree, fitted = _fit_tree(_SplitScan(X), g, h, params)
+        tree, fitted = _fit_tree(_SplitScan(X, np.ones(len(X))), g, h, params)
         want_tree, want_fitted = fit_tree_oracle(X, g, h, params)
         assert json.dumps(tree) == json.dumps(want_tree)
         assert fitted.tobytes() == want_fitted.tobytes()
@@ -232,7 +232,7 @@ class TestPinnedModels:
         else:
             h = np.ldexp(h, -1070)   # subnormal, some rounded to 0
         params = GbtParams(max_depth=max_depth, min_leaf=min_leaf)
-        tree, fitted = _fit_tree(_SplitScan(X), g, h, params)
+        tree, fitted = _fit_tree(_SplitScan(X, np.ones(len(X))), g, h, params)
         want_tree, want_fitted = fit_tree_oracle(X, g, h, params)
         assert json.dumps(tree) == json.dumps(want_tree)
         assert fitted.tobytes() == want_fitted.tobytes()
@@ -245,13 +245,13 @@ class TestPinnedModels:
         gradients, hessians, depth or min_leaf."""
         rng = Pcg32(seed)
         X = np.floor(rng.uniforms(rows * cols) * levels).reshape(rows, cols) / levels
-        shared = _SplitScan(X)
+        shared = _SplitScan(X, np.ones(len(X)))
         for _ in range(trees):
             g = rng.normals(rows)
             h = rng.uniforms(rows) + 0.01
             params = GbtParams(max_depth=1 + rng.randint(4), min_leaf=1 + rng.randint(4))
             tree, fitted = _fit_tree(shared, g, h, params)
-            fresh_tree, fresh_fitted = _fit_tree(_SplitScan(X), g, h, params)
+            fresh_tree, fresh_fitted = _fit_tree(_SplitScan(X, np.ones(len(X))), g, h, params)
             want_tree, want_fitted = fit_tree_oracle(X, g, h, params)
             assert json.dumps(tree) == json.dumps(fresh_tree) == json.dumps(want_tree)
             assert fitted.tobytes() == fresh_fitted.tobytes() == want_fitted.tobytes()
@@ -277,7 +277,7 @@ class TestPinnedModels:
             X[:, j] = rng.uniforms(rows // 2)[np.minimum(np.arange(rows) // 2, rows // 2 - 1)]
         else:
             X = np.argsort(rng.uniforms(rows * cols).reshape(cols, rows), axis=1).T / rows
-        shared = _SplitScan(X)
+        shared = _SplitScan(X, np.ones(len(X)))
         assert shared.tie_free == all(len(set(X[:, f])) == rows for f in range(cols))
         for _ in range(trees):
             g = rng.normals(rows)
@@ -289,7 +289,7 @@ class TestPinnedModels:
             assert fitted.tobytes() == want_fitted.tobytes()
 
 
-def _spied_scan(X, w=None):
+def _spied_scan(X, w):
     """A split scan that records each call of its best_split and partition."""
     scan, calls = _SplitScan(X, w), []
     for name in ("best_split", "partition"):
@@ -308,7 +308,7 @@ class TestUniformNodes:
         n = 2000
         X = np.arange(n, dtype=float)[:, None]
         g, h = np.full(n, 0.9), np.full(n, 0.09)
-        scan, calls = _spied_scan(X)
+        scan, calls = _spied_scan(X, np.ones(len(X)))
         tree, fitted = _fit_tree(scan, g, h, GbtParams(max_depth=2))
         value = -float(g.sum()) / float(h.sum())
         assert tree == {"feature": [-1], "threshold": [0.0], "left": [0], "right": [0],
@@ -338,7 +338,7 @@ class TestUniformNodes:
         X = np.floor(Pcg32(9).uniforms(n * 2) * 8).reshape(n, 2)
         g, h = np.full(n, 0.4), np.full(n, h0)
         params = GbtParams(max_depth=3)
-        scan, calls = _spied_scan(X)
+        scan, calls = _spied_scan(X, np.ones(len(X)))
         tree, fitted = _fit_tree(scan, g, h, params)
         want_tree, want_fitted = fit_tree_oracle(X, g, h, params)
         assert calls[0] == "best_split"
@@ -350,7 +350,7 @@ class TestUniformNodes:
         so their per-feature orders are never formed."""
         X = np.arange(40, dtype=float)[:, None]
         g = np.repeat([-0.5, 0.5], 20)
-        scan, calls = _spied_scan(X)
+        scan, calls = _spied_scan(X, np.ones(len(X)))
         tree, fitted = _fit_tree(scan, g, np.full(40, 0.25), GbtParams(max_depth=3))
         assert calls == ["best_split"]
         assert tree["feature"] == [0, -1, -1] and tree["threshold"][0] == 19.5
@@ -370,7 +370,7 @@ class TestUniformNodes:
         which = rng.randints([pairs] * rows)
         g, h = (p - (np.arange(pairs) % 2))[which], (p * (1.0 - p))[which]
         params = GbtParams(max_depth=max_depth, min_leaf=min_leaf)
-        tree, fitted = _fit_tree(_SplitScan(X), g, h, params)
+        tree, fitted = _fit_tree(_SplitScan(X, np.ones(len(X))), g, h, params)
         want_tree, want_fitted = fit_tree_oracle(X, g, h, params)
         assert json.dumps(tree) == json.dumps(want_tree)
         assert fitted.tobytes() == want_fitted.tobytes()
@@ -402,8 +402,6 @@ class TestRepeatedRows:
         rng.shuffle(which)
         X = rows[which]
         U, _, w = _distinct_rows(X, np.zeros(len(X), dtype=int))
-        if w is None:
-            U, w = X, np.ones(len(X))
         assert w.sum() == len(X)
         index = {u.tobytes(): i for i, u in enumerate(U)}
         of = np.array([index[x.tobytes()] for x in X])   # each row's distinct row
@@ -413,7 +411,7 @@ class TestRepeatedRows:
         g, h = g_pairs[pair], h_pairs[pair]
         params = GbtParams(max_depth=max_depth, min_leaf=min_leaf)
         tree, fitted = _fit_tree(_SplitScan(U, w), g, h, params)
-        want_tree, want_fitted = _fit_tree(_SplitScan(X), g[of], h[of], params)
+        want_tree, want_fitted = _fit_tree(_SplitScan(X, np.ones(len(X))), g[of], h[of], params)
         oracle_tree, oracle_fitted = fit_tree_oracle(X, g[of], h[of], params)
         assert json.dumps(tree) == json.dumps(want_tree) == json.dumps(oracle_tree)
         assert fitted[of].tobytes() == want_fitted.tobytes() == oracle_fitted.tobytes()
@@ -424,7 +422,7 @@ class TestRepeatedRows:
         scans = []
 
         class RecordingScan(_SplitScan):
-            def __init__(self, X, w=None):
+            def __init__(self, X, w):
                 scans.append((X, w))
                 super().__init__(X, w)
 
@@ -437,7 +435,7 @@ class TestRepeatedRows:
         fm = _separable_1d()
         gbt_train(fm, GbtParams(rounds=1))
         X, w = scans.pop()
-        assert X is fm.data and w is None   # no row repeats: nothing is copied
+        assert X is fm.data and w.tolist() == [1] * len(X)   # no row repeats: nothing is copied
 
     def test_rows_whose_keys_collide_stay_apart(self):
         """(5e-324, 1.0) and (0.0, x), where x's bits are 1.0's plus the key
@@ -445,7 +443,7 @@ class TestRepeatedRows:
         x = (np.array([1.0]).view(np.uint64) + _KEY_STEP).view(float)[0]
         X = np.array([[5e-324, 1.0], [0.0, x]])
         U, codes, w = _distinct_rows(X, np.zeros(2, dtype=int))
-        assert U is X and w is None
+        assert U.tobytes() == X.tobytes() and w.tolist() == [1, 1]
         U, codes, w = _distinct_rows(X[[0, 1, 0]], np.zeros(3, dtype=int))
         assert U.tobytes() == X.tobytes() and w.tolist() == [2, 1]
 
@@ -647,6 +645,12 @@ MALFORMED = {
     "value_neg_inf": _set_node("value", -1, float("-inf")),
     "value_null": _set_node("value", -1, None),
     "learning_rate_zero": _set("learning_rate", 0.0),
+    "learning_rate_true": _set("learning_rate", True),
+    "rounds_float": _set("rounds", 2.5),
+    "rounds_not_len_trees": _set("rounds", 2),
+    "rounds_true": _set("rounds", True),
+    "max_depth_true": _set("max_depth", True),
+    "min_leaf_float": _set("min_leaf", 1e300),
     "classes_repeated": _set("classes", ["a", "b", "a"]),
     "classes_equal_numbers": _set("classes", [1, 1.0, 2]),
     "classes_string": _set("classes", "abc"),

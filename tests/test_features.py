@@ -280,7 +280,7 @@ class TestFeaturize:
             np.testing.assert_allclose(fm.data[i], featurize_oracle(values[i], config),
                                        rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("length,depth", [(3, 2), (1, 1), (7, 3)])
+    @pytest.mark.parametrize("length,depth", [(3, 2), (1, 1), (7, 3), (20, 2**62)])
     def test_window_too_short_for_depth(self, length, depth):
         windows = self._windows(3, 2, length)
         with pytest.raises(DataError, match="too short"):

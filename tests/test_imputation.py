@@ -133,6 +133,9 @@ class TestImputeConditional:
             (rows, np.zeros((2, 1, 1), dtype=int)),
             (rows, [[0], [1, 2]]),                     # ragged
             (row, None),
+            (row, [1.7]),                              # not integers: never truncated
+            (row, [True]),
+            (rows, np.array([[1.2], [2.9]])),
         ]:
             with pytest.raises(DataError):
                 impute_conditional(model, x, missing)
