@@ -53,17 +53,19 @@ class GbtParams:
             raise ConfigError("min_leaf must be >= 1")
 
 
-def _gain(gl, hl, G: float, H: float, gains, right):
+def _gain(gl, hl, G: float, H: float, gains, right, clamps):
     """Write gl²/max(hl, eps) + (G - gl)²/max(H - hl, eps) - G²/max(H, eps)
     into `gains`, one step at a time in place: `right` is scratch, and hl's
-    slot takes H - hl once hl has been read."""
+    slot takes H - hl once hl has been read. `clamps` says which of the two
+    eps clamps (on hl, on H - hl) to apply; a caller drops one only where
+    it cannot act, so the gains are the same bits either way."""
     np.multiply(gl, gl, out=gains)
-    np.maximum(hl, _EPS, out=right)
-    np.divide(gains, right, out=gains)
+    np.divide(gains, np.maximum(hl, _EPS, out=right) if clamps[0] else hl, out=gains)
     np.subtract(G, gl, out=right)
     np.square(right, out=right)
     np.subtract(H, hl, out=hl)
-    np.maximum(hl, _EPS, out=hl)
+    if clamps[1]:
+        np.maximum(hl, _EPS, out=hl)
     np.divide(right, hl, out=right)
     np.add(gains, right, out=gains)
     np.subtract(gains, G * G / max(H, _EPS), out=gains)
@@ -127,6 +129,13 @@ class _SplitScan:
         np.less(xs[:, :m - 1], xs[:, 1:], out=out[:, :m - 1])
         return out
 
+    def _enough_rows(self, order: np.ndarray, min_leaf: int) -> np.ndarray:
+        """A `(features, rows)` mask of the sorted positions whose split
+        leaves at least min_leaf training rows on each side, by prefix sums
+        of the weights in each feature's order."""
+        rows_left = np.cumsum(self.w.take(order), axis=1)
+        return (rows_left >= min_leaf) & (rows_left <= rows_left[:, -1:] - min_leaf)
+
     def best_split(self, order: np.ndarray, G: float, H: float, min_leaf: int):
         """Return `(feature, threshold)` of the node whose rows are `order`
         per feature, or `(-1, 0.0)` when no split gains more than 1e-12: the
@@ -138,32 +147,43 @@ class _SplitScan:
         feature's order, which differ between features; with min_leaf 1 any
         nonempty side qualifies, so they are summed only for a larger one.
 
-        The prefix sums run over every row. With min_leaf 1 on a tie-free
-        training set every position but the last is scored. Otherwise only
-        the split positions' sums are gathered into one compact vector and
-        scored, and their gains are put back into a `-inf` row per feature,
-        so each feature's argmax is the one a full scan gives."""
+        The prefix sums run over every row. On a tie-free training set every
+        position but the last is scored, and with min_leaf > 1 the positions
+        whose sides hold too few training rows are set to `-inf`. Otherwise
+        only the split positions' sums are gathered into one compact vector
+        and scored, and their gains are put back into a `-inf` row per
+        feature, so each feature's argmax is the one a full scan gives.
+
+        Both paths score only positions 0..m-2. hl, a cumsum of w·h >= 0, is
+        least at position 0 of each feature, and fl(H - hl), which does not
+        increase with hl, is least at position m-2; so an O(d) look at those
+        two columns tells when an eps clamp of the gain cannot act, and the
+        clamp is skipped."""
         d, m = order.shape
         prefix = self.prefix[:d * m].reshape(d, m)
         self.gh.take(order, out=prefix, mode="clip")
         np.cumsum(prefix, axis=1, out=prefix)
-        if self.tie_free and min_leaf == 1:
+        hl = prefix.imag
+        clamps = (hl[:, 0].min(initial=np.inf) < _EPS,
+                  (H - hl[:, m - 2]).min(initial=np.inf) < _EPS)
+        if self.tie_free:
             k = m - 1
             gains = self.work[0, :d * k].reshape(d, k)
-            _gain(prefix.real[:, :k], prefix.imag[:, :k], G, H, gains,
-                  self.work[1, :d * k].reshape(d, k))
+            _gain(prefix.real[:, :k], hl[:, :k], G, H, gains,
+                  self.work[1, :d * k].reshape(d, k), clamps)
+            if min_leaf > 1:
+                np.copyto(gains, -np.inf, where=~self._enough_rows(order, min_leaf)[:, :k])
         else:
             splits = self.root_splits if order is self.orders else self._splits(order)
             if min_leaf > 1:
-                rows_left = np.cumsum(self.w.take(order), axis=1)
-                splits = splits & (rows_left >= min_leaf) & (rows_left <= rows_left[0, -1] - min_leaf)
+                splits = splits & self._enough_rows(order, min_leaf)
             # The sums go to `work`, free once the mask is built, and the
             # scores to `prefix`, which is not read again.
             at = np.flatnonzero(splits)
             s = at.size
             sums = prefix.take(at, out=self.work.reshape(-1).view(complex)[:s], mode="clip")
             scores = self.prefix.view(float)
-            _gain(sums.real, sums.imag, G, H, scores[:s], scores[s:2 * s])
+            _gain(sums.real, sums.imag, G, H, scores[:s], scores[s:2 * s], clamps)
             row = self.work[0, :d * m]
             row.fill(-np.inf)
             row[at] = scores[:s]

@@ -10,6 +10,15 @@ Each channel of each window is a segment; a segment yields nine statistics:
 The frequency domain applies the same nine to the unnormalized full-length
 DFT magnitude spectrum; the time-frequency domain applies them to every
 terminal subband of a wavelet packet tree.
+
+`featurize` copies each batch once into sample-major layout, (samples,
+windows, channels), and every domain works on that copy: a statistic over
+n samples is a few elementwise passes over n whole slices, not one short
+reduction per segment. Every sum adds in numpy's own pairwise order for a
+contiguous row, and a zero maximum or minimum is read off the segment's
+row (numpy picks which signed zero by its reduction order), so each
+feature is bit-equal to reducing the segment's own contiguous row. The
+per-segment functions run through the same kernels on one (n, 1) segment.
 """
 
 from __future__ import annotations
@@ -36,43 +45,90 @@ WAVELETS = {
 }
 
 
-def _stats(x: np.ndarray) -> np.ndarray:
-    """The nine statistics along the last axis: (..., n) -> (..., 9).
+def _sum(x: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 in the order numpy's pairwise summation adds a
+    contiguous last axis: sequentially below 8 terms; up to 128 in 8
+    running sums combined as a tree, then the tail; above that, the two
+    halves split at n // 2 rounded down to a multiple of 8. numpy's reduce
+    starts from +0.0, which the caller adds."""
+    n = len(x)
+    if n < 8:
+        s = x[0].copy()
+        for row in x[1:]:
+            s += row
+        return s
+    if n <= 128:
+        r = x[:8].copy()
+        end = n - n % 8
+        for i in range(8, end, 8):
+            r += x[i:i + 8]
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for row in x[end:]:
+            s += row
+        return s
+    half = n // 2 - n // 2 % 8
+    return _sum(x[:half]) + _sum(x[half:])
 
-    The elementwise temporaries reuse one scratch buffer the size of x.
+
+def _mean(x: np.ndarray) -> np.ndarray:
+    """x.mean over axis 0, bit-equal to numpy's mean of the rows of a
+    contiguous (..., n) copy."""
+    return (_sum(x) + 0.0) / len(x)
+
+
+def _stats(x: np.ndarray) -> np.ndarray:
+    """The nine statistics over axis 0 of sample-major values:
+    (n, ...) -> (..., 9).
+
+    Each statistic is a few whole-array passes over the n sample slices, and
+    every sum follows numpy's own order, so the result is bit-equal to the
+    statistics of each contiguous row of n samples. The elementwise
+    temporaries reuse one scratch buffer the size of x.
     """
     if not np.all(np.isfinite(x)):
         raise DataError("segment must be finite")
-    n = x.shape[-1]
-    mx, mn = x.max(axis=-1), x.min(axis=-1)
+    n = len(x)
+    mx, mn = np.maximum.reduce(x), np.minimum.reduce(x)
+    max_abs = np.maximum(mx, -mn)
     buf = np.abs(x)
-    max_abs, mean_abs = buf.max(axis=-1), buf.mean(axis=-1)
+    mean_abs = _mean(buf)
     # libm pow rather than m * m: the square is rounded like the scalar
     # definition's Python float ``** 2``.
-    mean_sqrt_sq = np.float_power(np.sqrt(buf, out=buf).mean(axis=-1), 2)
+    mean_sqrt_sq = np.float_power(_mean(np.sqrt(buf, out=buf)), 2)
     # Square x over the power of two at or below max|x|: the scaling is exact,
     # and squares of tiny or huge segments neither lose precision nor overflow.
     scale = np.ldexp(1.0, np.frexp(max_abs)[1] - 1)
-    np.divide(x, scale[..., None], out=buf)
-    rms = scale * np.sqrt(np.square(buf, out=buf).mean(axis=-1))
-    den = np.stack([rms, mean_abs, mean_sqrt_sq], axis=-1)
-    factors = np.divide(max_abs[..., None], den, out=np.zeros_like(den), where=den > 0.0)
-    buf[...] = x
-    buf.sort(axis=-1)
-    median = buf[..., n // 2] if n % 2 else (buf[..., n // 2 - 1] + buf[..., n // 2]) / 2.0
-    return np.concatenate([np.stack([x.mean(axis=-1), rms, mx, mn, median, mx - mn], axis=-1),
-                           factors], axis=-1)
+    np.divide(x, scale, out=buf)
+    rms = scale * np.sqrt(_mean(np.square(buf, out=buf)))
+    den = np.stack([rms, mean_abs, mean_sqrt_sq])
+    factors = np.divide(max_abs, den, out=np.zeros_like(den), where=den > 0.0)
+    # The median sorts a contiguous row-layout copy, which is much faster
+    # than sorting along the strided sample axis.
+    rows = buf.reshape(*x.shape[1:], n)
+    rows[...] = np.moveaxis(x, 0, -1)
+    # Among mixed signed zeros, which zero a row's max or min is depends on
+    # numpy's reduction order; the rows whose max or min is zero take it
+    # from the row-layout copy.
+    zero = (mx == 0.0) | (mn == 0.0)
+    if zero.any():
+        mx[zero], mn[zero] = rows[zero].max(axis=-1), rows[zero].min(axis=-1)
+    rows.sort(axis=-1)
+    median = rows[..., n // 2] if n % 2 else (rows[..., n // 2 - 1] + rows[..., n // 2]) / 2.0
+    # Stacked statistic-major, so each statistic is one contiguous copy.
+    return np.moveaxis(np.stack([_mean(x), rms, mx, mn, median, mx - mn, *factors]), 0, -1)
 
 
 def _spectrum(x: np.ndarray) -> np.ndarray:
-    return np.abs(np.fft.fft(x, axis=-1))
+    """DFT magnitudes over axis 0, sample-major like x."""
+    return np.abs(np.fft.fft(x, axis=0))
 
 
 def _segment(segment) -> np.ndarray:
+    """A segment as sample-major values of one series: (n, 1)."""
     x = np.asarray(segment, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise DataError("segment must be a non-empty 1-d vector")
-    return x
+    return x[:, None]
 
 
 def time_stats(segment) -> np.ndarray:
@@ -82,16 +138,16 @@ def time_stats(segment) -> np.ndarray:
     denominator vanishes (an all-zero segment, or a margin whose squared mean
     root underflows), so downstream matrices stay finite.
     """
-    return _stats(_segment(segment))
+    return _stats(_segment(segment))[0]
 
 
 def fft_magnitude(segment) -> np.ndarray:
     """Unnormalized DFT magnitudes |X_k|, k = 0..l-1 (full spectrum)."""
-    return _spectrum(_segment(segment))
+    return _spectrum(_segment(segment))[:, 0]
 
 
 def freq_stats(segment) -> np.ndarray:
-    return _stats(fft_magnitude(segment))
+    return _stats(_spectrum(_segment(segment)))[0]
 
 
 def _filter_pair(wavelet: str):
@@ -104,28 +160,29 @@ def _filter_pair(wavelet: str):
 
 
 def _wpt_bands(x: np.ndarray, depth: int, wavelet: str) -> np.ndarray:
-    """Terminal subbands of a full wavelet-packet tree over the last axis:
-    (..., n) -> (..., 2**depth, m), in natural filter-bank order."""
+    """Terminal subbands of a full wavelet-packet tree over axis 0 of
+    sample-major values: (n, ...) -> (m, ..., 2**depth), the subbands in
+    natural filter-bank order."""
     if depth < 1:
         raise DataError("depth must be >= 1")
-    if x.shape[-1] >> depth == 0:       # n < 2**depth, without making 2**depth
-        raise DataError(f"segment of length {x.shape[-1]} too short for depth {depth}")
+    if len(x) >> depth == 0:            # n < 2**depth, without making 2**depth
+        raise DataError(f"segment of length {len(x)} too short for depth {depth}")
     lo, hi = _filter_pair(wavelet)
-    bands = x[..., None, :]
+    bands = x[..., None]
     for _ in range(depth):
         # Periodic extension; an odd-length band wraps its first sample so the
         # filter bank always halves the (possibly padded) length.
-        n = bands.shape[-1]
+        n = len(bands)
         half = (n + 1) // 2
         pos = 2 * np.arange(half)
         # Each band splits into its approximation then its detail, so stepping
         # level by level keeps the depth-first subband order.
-        out = np.zeros(bands.shape[:-1] + (2, half))
+        out = np.zeros((half,) + bands.shape[1:] + (2,))
         for j in range(len(lo)):
-            tap = bands[..., (pos + j) % (2 * half) % n]
-            out[..., 0, :] += lo[j] * tap
-            out[..., 1, :] += hi[j] * tap
-        bands = out.reshape(*out.shape[:-3], -1, half)
+            tap = bands[(pos + j) % (2 * half) % n]
+            out[..., 0] += lo[j] * tap
+            out[..., 1] += hi[j] * tap
+        bands = out.reshape(*out.shape[:-2], -1)
     return bands
 
 
@@ -135,7 +192,7 @@ def wpt_decompose(segment, depth: int, wavelet: str = "haar") -> list:
     Both approximation and detail branches are recursed; the 2^depth terminal
     subbands come back in natural filter-bank order (all-approximation first).
     """
-    return list(_wpt_bands(_segment(segment), depth, wavelet))
+    return list(_wpt_bands(_segment(segment), depth, wavelet)[:, 0].T)
 
 
 def wpt_stats(segment, depth: int, wavelet: str = "haar") -> np.ndarray:
@@ -170,16 +227,17 @@ class FeatureConfig:
             _filter_pair(self.wavelet)
 
 
-def _domain_block(x: np.ndarray, domain: str, config: FeatureConfig):
+def _domain_block(x: np.ndarray, xt: np.ndarray, domain: str, config: FeatureConfig):
     """One domain's (windows, channels, f) block of x = (windows, channels, L),
-    with the f per-channel feature names."""
+    with xt its sample-major copy (L, windows, channels), and the f
+    per-channel feature names."""
     if domain == "origin":
         return x, [f"origin.t{i}" for i in range(x.shape[-1])]
     if domain == "time":
-        return _stats(x), [f"time.{s}" for s in STAT_NAMES]
+        return _stats(xt), [f"time.{s}" for s in STAT_NAMES]
     if domain == "frequency":
-        return _stats(_spectrum(x)), [f"freq.{s}" for s in STAT_NAMES]
-    block = _stats(_wpt_bands(x, config.wpt_depth, config.wavelet))
+        return _stats(_spectrum(xt)), [f"freq.{s}" for s in STAT_NAMES]
+    block = _stats(_wpt_bands(xt, config.wpt_depth, config.wavelet))
     return (block.reshape(*x.shape[:-1], -1),
             [f"wpt{b}.{s}" for b in range(2 ** config.wpt_depth) for s in STAT_NAMES])
 
@@ -190,7 +248,8 @@ def featurize(windows: WindowBatch, config: FeatureConfig) -> FeatureMatrix:
     if len(windows) == 0:
         raise DataError("no windows to featurize")
     x = windows.values
-    blocks, names = zip(*(_domain_block(x, d, config) for d in config.domains))
+    xt = np.ascontiguousarray(np.moveaxis(x, -1, 0))
+    blocks, names = zip(*(_domain_block(x, xt, d, config) for d in config.domains))
     feature_names = [f"ch{ch}.{n}" for ch in range(x.shape[1]) for block in names for n in block]
     data = np.concatenate(blocks, axis=-1).reshape(len(windows), -1)
     return FeatureMatrix(data, windows.labels, feature_names)

@@ -154,6 +154,76 @@ def naive_dft_magnitude(x):
     return out
 
 
+# Byte oracles for featurize: the row-layout kernels featurize used before it
+# worked on a sample-major copy. Each statistic is a reduction over the last
+# axis of a contiguous (..., n) array, so every sum is numpy's own; the
+# library must give the same bytes.
+
+_SQRT2, _SQRT3 = math.sqrt(2.0), math.sqrt(3.0)
+# Low-pass analysis filters; the high-pass is g_k = (-1)^k h_{L-1-k}.
+ORACLE_FILTERS = {
+    "haar": [1 / _SQRT2, 1 / _SQRT2],
+    "db2": [v / (4 * _SQRT2) for v in (1 + _SQRT3, 3 + _SQRT3, 3 - _SQRT3, 1 - _SQRT3)],
+}
+
+
+def stats_rows_oracle(x):
+    """The nine statistics along the last axis: (..., n) -> (..., 9)."""
+    x = np.ascontiguousarray(x, dtype=float)
+    n = x.shape[-1]
+    mx, mn = x.max(axis=-1), x.min(axis=-1)
+    buf = np.abs(x)
+    max_abs, mean_abs = buf.max(axis=-1), buf.mean(axis=-1)
+    mean_sqrt_sq = np.float_power(np.sqrt(buf, out=buf).mean(axis=-1), 2)
+    scale = np.ldexp(1.0, np.frexp(max_abs)[1] - 1)
+    np.divide(x, scale[..., None], out=buf)
+    rms = scale * np.sqrt(np.square(buf, out=buf).mean(axis=-1))
+    den = np.stack([rms, mean_abs, mean_sqrt_sq], axis=-1)
+    factors = np.divide(max_abs[..., None], den, out=np.zeros_like(den), where=den > 0.0)
+    buf[...] = x
+    buf.sort(axis=-1)
+    median = buf[..., n // 2] if n % 2 else (buf[..., n // 2 - 1] + buf[..., n // 2]) / 2.0
+    return np.concatenate([np.stack([x.mean(axis=-1), rms, mx, mn, median, mx - mn], axis=-1),
+                           factors], axis=-1)
+
+
+def wpt_bands_rows_oracle(x, depth, wavelet):
+    """Terminal wavelet-packet subbands over the last axis:
+    (..., n) -> (..., 2**depth, m), in natural filter-bank order."""
+    lo = ORACLE_FILTERS[wavelet]
+    hi = [(-1) ** k * lo[len(lo) - 1 - k] for k in range(len(lo))]
+    bands = np.asarray(x, dtype=float)[..., None, :]
+    for _ in range(depth):
+        n = bands.shape[-1]
+        half = (n + 1) // 2
+        pos = 2 * np.arange(half)
+        out = np.zeros(bands.shape[:-1] + (2, half))
+        for j in range(len(lo)):
+            tap = bands[..., (pos + j) % (2 * half) % n]
+            out[..., 0, :] += lo[j] * tap
+            out[..., 1, :] += hi[j] * tap
+        bands = out.reshape(*out.shape[:-3], -1, half)
+    return bands
+
+
+def featurize_rows_oracle(values, domains, depth, wavelet):
+    """featurize's data for (windows, channels, L) values, composed from the
+    row-layout kernels: channel-major, domains in canonical order."""
+    x = np.ascontiguousarray(values, dtype=float)
+    blocks = []
+    for domain in domains:
+        if domain == "origin":
+            blocks.append(x)
+        elif domain == "time":
+            blocks.append(stats_rows_oracle(x))
+        elif domain == "frequency":
+            blocks.append(stats_rows_oracle(np.abs(np.fft.fft(x, axis=-1))))
+        else:
+            bands = stats_rows_oracle(wpt_bands_rows_oracle(x, depth, wavelet))
+            blocks.append(bands.reshape(*x.shape[:-1], -1))
+    return np.concatenate(blocks, axis=-1).reshape(len(x), -1)
+
+
 # Byte oracles for the CSV writers. Each formats its own cells as text before
 # csv.writer sees them: every float by repr(float(x)), extra cells by str, and
 # report cells by report_cell_oracle. The library passes Python values to

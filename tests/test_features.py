@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -11,16 +12,11 @@ from imbfault.errors import ConfigError, DataError
 from imbfault.features import (DOMAINS, STAT_NAMES, FeatureConfig, Standardizer,
                                featurize, fft_magnitude, freq_stats, time_stats,
                                wpt_decompose, wpt_stats)
+from imbfault.features import _mean, _sum
 from imbfault.rng import Pcg32
 
-from oracles import naive_dft_magnitude, stats_oracle
-
-
-_SQRT2, _SQRT3 = math.sqrt(2.0), math.sqrt(3.0)
-ORACLE_FILTERS = {
-    "haar": [1 / _SQRT2, 1 / _SQRT2],
-    "db2": [v / (4 * _SQRT2) for v in (1 + _SQRT3, 3 + _SQRT3, 3 - _SQRT3, 1 - _SQRT3)],
-}
+from oracles import (ORACLE_FILTERS, featurize_rows_oracle, naive_dft_magnitude,
+                     stats_oracle, stats_rows_oracle, wpt_bands_rows_oracle)
 
 
 def wpt_oracle(x, depth, wavelet):
@@ -289,6 +285,114 @@ class TestFeaturize:
     def test_labels_carried(self):
         fm = featurize(self._windows(4, 1, 6), FeatureConfig())
         assert list(fm.labels) == ["F", "N", "F", "N"]
+
+
+def _values(kind, shape, seed):
+    """Window values of one kind: random normals, all -0.0, mixed signed zeros
+    (some windows with no positive value, so a zero is their max), a constant,
+    or normals near 2**1000 or 2**-1000."""
+    rng = Pcg32(seed)
+    size = int(np.prod(shape))
+    if kind == "negative zero":
+        return np.full(shape, -0.0)
+    if kind == "constant":
+        return np.full(shape, (seed % 201 - 100) / 8.0)
+    normals = rng.normals(size).reshape(shape)
+    if kind == "signed zeros":
+        u = rng.uniforms(size).reshape(shape)
+        values = np.where(u < 0.35, -0.0, np.where(u < 0.7, 0.0, normals))
+        values[::2] = np.where(values[::2] > 0.0, -values[::2], values[::2])
+        return values
+    return np.ldexp(normals, {"random": seed % 7, "huge": 1000, "tiny": -1000}[kind])
+
+
+KINDS = ["random", "negative zero", "signed zeros", "constant", "huge", "tiny"]
+
+
+class TestSampleMajorBytes:
+    """featurize works on a sample-major copy; its bytes must be those of the
+    row-layout kernels in tests/oracles.py."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(n_windows=st.integers(1, 4), channels=st.integers(1, 3),
+           length=st.one_of(st.integers(1, 24), st.integers(1, 300)),
+           domains=st.sets(st.sampled_from(DOMAINS), min_size=1),
+           wavelet=st.sampled_from(["haar", "db2"]), depth=st.integers(1, 3),
+           kind=st.sampled_from(KINDS), seed=st.integers(0, 2 ** 32 - 1))
+    def test_featurize_bytes_equal_row_oracles(self, n_windows, channels, length, domains,
+                                               wavelet, depth, kind, seed):
+        config = FeatureConfig(domains=tuple(domains), wpt_depth=depth, wavelet=wavelet)
+        if "timefreq" in config.domains and length < 2 ** depth:
+            return
+        values = _values(kind, (n_windows, channels, length), seed)
+        fm = featurize(WindowBatch(np.arange(n_windows), values, ["N"] * n_windows), config)
+        want = featurize_rows_oracle(values, config.domains, depth, wavelet)
+        assert fm.data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("length,wavelet", [(1100, "db2"), (1283, "haar")])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_long_windows(self, length, wavelet, kind):
+        # Above 128 samples the sums split in halves, as numpy's do.
+        values = _values(kind, (2, 2, length), length)
+        config = FeatureConfig(domains=DOMAINS, wpt_depth=3, wavelet=wavelet)
+        fm = featurize(WindowBatch([0, 1], values, ["N", "F"]), config)
+        want = featurize_rows_oracle(values, DOMAINS, 3, wavelet)
+        assert fm.data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("length", [9, 16, 33, 200])
+    def test_zero_max_and_min_keep_numpys_sign(self, length):
+        # Among mixed signed zeros numpy's row max and min pick a zero by
+        # their reduction order, not by value; so do the statistics.
+        values = np.zeros((64, 2, length))
+        values[::3] = -0.0
+        values[:, :, ::5] = -0.0
+        values[1::4, 0, ::7] = -1.0
+        values[2::4, 1, ::3] = 1.0
+        fm = featurize(WindowBatch(np.arange(64), values, ["N"] * 64), FeatureConfig())
+        assert fm.data.tobytes() == featurize_rows_oracle(values, ("time",), 1, "haar").tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_per_segment_api(self, kind):
+        for length in (1, 2, 5, 8, 20, 129, 300):
+            # a strided segment, as a caller may pass one
+            x = _values(kind, (2 * length,), length)[::2]
+            assert time_stats(x).tobytes() == stats_rows_oracle(x).tobytes()
+            spectrum = np.abs(np.fft.fft(x))
+            assert fft_magnitude(x).tobytes() == spectrum.tobytes()
+            assert freq_stats(x).tobytes() == stats_rows_oracle(spectrum).tobytes()
+            for depth in (1, 2, 3):
+                if length < 2 ** depth:
+                    continue
+                for wavelet in ("haar", "db2"):
+                    bands = wpt_bands_rows_oracle(x, depth, wavelet)
+                    got = wpt_decompose(x, depth, wavelet)
+                    assert [b.tobytes() for b in got] == [b.tobytes() for b in bands]
+                    assert (wpt_stats(x, depth, wavelet).tobytes()
+                            == stats_rows_oracle(bands).ravel().tobytes())
+
+    def test_sum_follows_numpys_order(self):
+        # Pins the summation order numpy uses along a contiguous last axis
+        # (pairwise, 8-way unrolled, halves above 128 split at a multiple of
+        # 8): a numpy release that changes it fails here first.
+        rng = Pcg32(17)
+        for n in [*range(1, 301), 1000, 5000]:
+            x = rng.normals(3 * n).reshape(3, n) * [[1.0], [1e16], [1e-3]]
+            x[1, ::3] = 1.0
+            x = np.concatenate([x, np.full((1, n), -0.0), np.where(x[:1] > 0, -0.0, 0.0)])
+            xt = np.ascontiguousarray(x.T)
+            assert (_sum(xt) + 0.0).tobytes() == np.add.reduce(x, axis=-1).tobytes(), n
+            assert _mean(xt).tobytes() == x.mean(axis=-1).tobytes(), n
+
+    @pytest.mark.parametrize("length,config,digest", [
+        (20, FeatureConfig(domains=("time", "frequency", "timefreq"), wpt_depth=2),
+         "5dc0dd777317288d6ebf01224fc5f6e5851e19e8c9bbb84e134e8901c3ccb903"),
+        (300, FeatureConfig(domains=DOMAINS, wpt_depth=3, wavelet="db2"),
+         "17a0994602c128c4e583e8c72291107239e52b53a088a70d72c9175402b1b332"),
+    ])
+    def test_pinned_bytes(self, length, config, digest):
+        values = Pcg32(2024).normals(5 * 3 * length).reshape(5, 3, length) * 3.0
+        fm = featurize(WindowBatch(np.arange(5), values, ["N"] * 5), config)
+        assert hashlib.sha256(fm.data.tobytes()).hexdigest() == digest
 
 
 class TestStandardizer:
