@@ -53,19 +53,17 @@ class GbtParams:
             raise ConfigError("min_leaf must be >= 1")
 
 
-def _gain(gl, hl, G: float, H: float, gains, right, clamps):
+def _gain(gl, hl, G: float, H: float, gains, right):
     """Write gl²/max(hl, eps) + (G - gl)²/max(H - hl, eps) - G²/max(H, eps)
     into `gains`, one step at a time in place: `right` is scratch, and hl's
-    slot takes H - hl once hl has been read. `clamps` says which of the two
-    eps clamps (on hl, on H - hl) to apply; a caller drops one only where
-    it cannot act, so the gains are the same bits either way."""
+    slot takes H - hl once hl has been read."""
     np.multiply(gl, gl, out=gains)
-    np.divide(gains, np.maximum(hl, _EPS, out=right) if clamps[0] else hl, out=gains)
+    np.maximum(hl, _EPS, out=right)
+    np.divide(gains, right, out=gains)
     np.subtract(G, gl, out=right)
     np.square(right, out=right)
     np.subtract(H, hl, out=hl)
-    if clamps[1]:
-        np.maximum(hl, _EPS, out=hl)
+    np.maximum(hl, _EPS, out=hl)
     np.divide(right, hl, out=right)
     np.add(gains, right, out=gains)
     np.subtract(gains, G * G / max(H, _EPS), out=gains)
@@ -152,25 +150,16 @@ class _SplitScan:
         whose sides hold too few training rows are set to `-inf`. Otherwise
         only the split positions' sums are gathered into one compact vector
         and scored, and their gains are put back into a `-inf` row per
-        feature, so each feature's argmax is the one a full scan gives.
-
-        Both paths score only positions 0..m-2. hl, a cumsum of w·h >= 0, is
-        least at position 0 of each feature, and fl(H - hl), which does not
-        increase with hl, is least at position m-2; so an O(d) look at those
-        two columns tells when an eps clamp of the gain cannot act, and the
-        clamp is skipped."""
+        feature, so each feature's argmax is the one a full scan gives."""
         d, m = order.shape
         prefix = self.prefix[:d * m].reshape(d, m)
         self.gh.take(order, out=prefix, mode="clip")
         np.cumsum(prefix, axis=1, out=prefix)
-        hl = prefix.imag
-        clamps = (hl[:, 0].min(initial=np.inf) < _EPS,
-                  (H - hl[:, m - 2]).min(initial=np.inf) < _EPS)
         if self.tie_free:
             k = m - 1
             gains = self.work[0, :d * k].reshape(d, k)
-            _gain(prefix.real[:, :k], hl[:, :k], G, H, gains,
-                  self.work[1, :d * k].reshape(d, k), clamps)
+            _gain(prefix.real[:, :k], prefix.imag[:, :k], G, H, gains,
+                  self.work[1, :d * k].reshape(d, k))
             if min_leaf > 1:
                 np.copyto(gains, -np.inf, where=~self._enough_rows(order, min_leaf)[:, :k])
         else:
@@ -183,7 +172,7 @@ class _SplitScan:
             s = at.size
             sums = prefix.take(at, out=self.work.reshape(-1).view(complex)[:s], mode="clip")
             scores = self.prefix.view(float)
-            _gain(sums.real, sums.imag, G, H, scores[:s], scores[s:2 * s], clamps)
+            _gain(sums.real, sums.imag, G, H, scores[:s], scores[s:2 * s])
             row = self.work[0, :d * m]
             row.fill(-np.inf)
             row[at] = scores[:s]

@@ -11,14 +11,16 @@ The frequency domain applies the same nine to the unnormalized full-length
 DFT magnitude spectrum; the time-frequency domain applies them to every
 terminal subband of a wavelet packet tree.
 
-`featurize` copies each batch once into sample-major layout, (samples,
-windows, channels), and every domain works on that copy: a statistic over
-n samples is a few elementwise passes over n whole slices, not one short
-reduction per segment. Every sum adds in numpy's own pairwise order for a
-contiguous row, and a zero maximum or minimum is read off the segment's
-row (numpy picks which signed zero by its reduction order), so each
-feature is bit-equal to reducing the segment's own contiguous row. The
-per-segment functions run through the same kernels on one (n, 1) segment.
+Statistics of short segments in a wide batch are taken from a sample-major
+copy, (samples, ...): a statistic over n samples is a few elementwise passes
+over n whole slices, not one short reduction per segment. Other segments
+are contiguous rows, (..., samples), which numpy reduces efficiently one row
+at a time. Every sum adds in numpy's own pairwise order for a contiguous
+row, and a sample-major zero maximum or minimum is read off the segment's
+row (numpy picks which signed zero by its reduction order), so each feature
+is bit-equal to reducing the segment's own contiguous row in either layout.
+The wavelet-packet taps gather whole sample slices of a sample-major copy.
+The per-segment functions run through the same kernels on one segment.
 """
 
 from __future__ import annotations
@@ -45,82 +47,99 @@ WAVELETS = {
 }
 
 
-def _sum(x: np.ndarray) -> np.ndarray:
-    """Sum over axis 0 in the order numpy's pairwise summation adds a
-    contiguous last axis: sequentially below 8 terms; up to 128 in 8
-    running sums combined as a tree, then the tail; above that, the two
-    halves split at n // 2 rounded down to a multiple of 8. numpy's reduce
-    starts from +0.0, which the caller adds."""
+# Statistics are taken sample-major only where that pays: on segments short
+# enough that numpy's per-row reduction costs more than the row's data, in
+# batches wide enough that each whole-slice pass covers many segments.
+# Measured with numpy 2.4 on 2 vCPUs, sample-major took 0.4-0.9x the
+# row-layout time at 2-24 samples and 256 or more segments, but up to 2x at
+# 48 or more samples, and more than 1x on a single segment.
+_SAMPLE_MAJOR_MAX_N = 24
+_SAMPLE_MAJOR_MIN_SEGMENTS = 256
+
+
+def _sum(x: np.ndarray, axis: int) -> np.ndarray:
+    """Sum over `axis` in the order numpy's pairwise summation adds a
+    contiguous row. Over the last axis of contiguous rows that is numpy's own
+    reduction. Over axis 0 of sample-major values, at most 24 of them, it is
+    a few whole-slice adds: sequential below 8 terms, else 8 running sums
+    combined as a tree, then the tail. numpy's reduce starts from +0.0,
+    which the caller adds."""
+    if axis:
+        return x.sum(axis=axis)
     n = len(x)
     if n < 8:
         s = x[0].copy()
         for row in x[1:]:
             s += row
         return s
-    if n <= 128:
-        r = x[:8].copy()
-        end = n - n % 8
-        for i in range(8, end, 8):
-            r += x[i:i + 8]
-        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for row in x[end:]:
-            s += row
-        return s
-    half = n // 2 - n // 2 % 8
-    return _sum(x[:half]) + _sum(x[half:])
+    r = x[:8].copy()
+    end = n - n % 8
+    for i in range(8, end, 8):
+        r += x[i:i + 8]
+    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for row in x[end:]:
+        s += row
+    return s
 
 
-def _mean(x: np.ndarray) -> np.ndarray:
-    """x.mean over axis 0, bit-equal to numpy's mean of the rows of a
+def _mean(x: np.ndarray, axis: int) -> np.ndarray:
+    """x.mean over `axis`, bit-equal to numpy's mean of the rows of a
     contiguous (..., n) copy."""
-    return (_sum(x) + 0.0) / len(x)
+    return (_sum(x, axis) + 0.0) / x.shape[axis]
 
 
-def _stats(x: np.ndarray) -> np.ndarray:
-    """The nine statistics over axis 0 of sample-major values:
-    (n, ...) -> (..., 9).
+def _stats(x: np.ndarray, axis: int) -> np.ndarray:
+    """The nine statistics over the sample axis of x, `axis` 0 or -1:
+    -> (other axes..., 9).
 
-    Each statistic is a few whole-array passes over the n sample slices, and
-    every sum follows numpy's own order, so the result is bit-equal to the
-    statistics of each contiguous row of n samples. The elementwise
-    temporaries reuse one scratch buffer the size of x.
+    Short segments in a wide batch (see _SAMPLE_MAJOR_MAX_N) are laid out
+    sample-major, (n, ...), so each statistic is a few whole-array passes
+    over the n sample slices rather than one short reduction per segment.
+    Others are contiguous rows, (..., n), which numpy reduces one row at a
+    time. Either way every sum follows numpy's own order, so the result is
+    bit-equal to the statistics of each contiguous row of n samples. The
+    elementwise temporaries reuse one scratch buffer the size of x.
     """
     if not np.all(np.isfinite(x)):
         raise DataError("segment must be finite")
-    n = len(x)
-    mx, mn = np.maximum.reduce(x), np.minimum.reduce(x)
+    n = x.shape[axis]
+    wide = x.size // n >= _SAMPLE_MAJOR_MIN_SEGMENTS
+    layout = 0 if n <= _SAMPLE_MAJOR_MAX_N and wide else -1
+    x, axis = np.ascontiguousarray(np.moveaxis(x, axis, layout)), layout
+    mx, mn = np.maximum.reduce(x, axis=axis), np.minimum.reduce(x, axis=axis)
     max_abs = np.maximum(mx, -mn)
     buf = np.abs(x)
-    mean_abs = _mean(buf)
+    mean_abs = _mean(buf, axis)
     # libm pow rather than m * m: the square is rounded like the scalar
     # definition's Python float ``** 2``.
-    mean_sqrt_sq = np.float_power(_mean(np.sqrt(buf, out=buf)), 2)
+    mean_sqrt_sq = np.float_power(_mean(np.sqrt(buf, out=buf), axis), 2)
     # Square x over the power of two at or below max|x|: the scaling is exact,
     # and squares of tiny or huge segments neither lose precision nor overflow.
     scale = np.ldexp(1.0, np.frexp(max_abs)[1] - 1)
-    np.divide(x, scale, out=buf)
-    rms = scale * np.sqrt(_mean(np.square(buf, out=buf)))
+    np.divide(x, np.expand_dims(scale, axis), out=buf)
+    rms = scale * np.sqrt(_mean(np.square(buf, out=buf), axis))
     den = np.stack([rms, mean_abs, mean_sqrt_sq])
     factors = np.divide(max_abs, den, out=np.zeros_like(den), where=den > 0.0)
     # The median sorts a contiguous row-layout copy, which is much faster
     # than sorting along the strided sample axis.
-    rows = buf.reshape(*x.shape[1:], n)
-    rows[...] = np.moveaxis(x, 0, -1)
-    # Among mixed signed zeros, which zero a row's max or min is depends on
-    # numpy's reduction order; the rows whose max or min is zero take it
-    # from the row-layout copy.
-    zero = (mx == 0.0) | (mn == 0.0)
-    if zero.any():
-        mx[zero], mn[zero] = rows[zero].max(axis=-1), rows[zero].min(axis=-1)
+    rows = buf.reshape(*mx.shape, n)
+    rows[...] = np.moveaxis(x, axis, -1)
+    # Among mixed signed zeros, which zero a sample-major max or min is
+    # depends on the reduction order; the segments whose max or min is zero
+    # take it from the row-layout copy.
+    if axis == 0:
+        zero = (mx == 0.0) | (mn == 0.0)
+        if zero.any():
+            mx[zero], mn[zero] = rows[zero].max(axis=-1), rows[zero].min(axis=-1)
     rows.sort(axis=-1)
     median = rows[..., n // 2] if n % 2 else (rows[..., n // 2 - 1] + rows[..., n // 2]) / 2.0
     # Stacked statistic-major, so each statistic is one contiguous copy.
-    return np.moveaxis(np.stack([_mean(x), rms, mx, mn, median, mx - mn, *factors]), 0, -1)
+    return np.moveaxis(np.stack([_mean(x, axis), rms, mx, mn, median, mx - mn, *factors]), 0, -1)
 
 
-def _spectrum(x: np.ndarray) -> np.ndarray:
-    """DFT magnitudes over axis 0, sample-major like x."""
-    return np.abs(np.fft.fft(x, axis=0))
+def _spectrum(x: np.ndarray, axis: int) -> np.ndarray:
+    """DFT magnitudes over `axis`, laid out like x."""
+    return np.abs(np.fft.fft(x, axis=axis))
 
 
 def _segment(segment) -> np.ndarray:
@@ -138,16 +157,16 @@ def time_stats(segment) -> np.ndarray:
     denominator vanishes (an all-zero segment, or a margin whose squared mean
     root underflows), so downstream matrices stay finite.
     """
-    return _stats(_segment(segment))[0]
+    return _stats(_segment(segment), 0)[0]
 
 
 def fft_magnitude(segment) -> np.ndarray:
     """Unnormalized DFT magnitudes |X_k|, k = 0..l-1 (full spectrum)."""
-    return _spectrum(_segment(segment))[:, 0]
+    return _spectrum(_segment(segment), 0)[:, 0]
 
 
 def freq_stats(segment) -> np.ndarray:
-    return _stats(_spectrum(_segment(segment)))[0]
+    return _stats(_spectrum(_segment(segment), 0), 0)[0]
 
 
 def _filter_pair(wavelet: str):
@@ -197,7 +216,7 @@ def wpt_decompose(segment, depth: int, wavelet: str = "haar") -> list:
 
 def wpt_stats(segment, depth: int, wavelet: str = "haar") -> np.ndarray:
     """time_stats of each terminal subband, concatenated in subband order."""
-    return _stats(_wpt_bands(_segment(segment), depth, wavelet)).ravel()
+    return _stats(_wpt_bands(_segment(segment), depth, wavelet), 0).ravel()
 
 
 @dataclass
@@ -227,18 +246,17 @@ class FeatureConfig:
             _filter_pair(self.wavelet)
 
 
-def _domain_block(x: np.ndarray, xt: np.ndarray, domain: str, config: FeatureConfig):
+def _domain_block(x: np.ndarray, domain: str, config: FeatureConfig):
     """One domain's (windows, channels, f) block of x = (windows, channels, L),
-    with xt its sample-major copy (L, windows, channels), and the f
-    per-channel feature names."""
+    and the f per-channel feature names."""
     if domain == "origin":
         return x, [f"origin.t{i}" for i in range(x.shape[-1])]
     if domain == "time":
-        return _stats(xt), [f"time.{s}" for s in STAT_NAMES]
+        return _stats(x, -1), [f"time.{s}" for s in STAT_NAMES]
     if domain == "frequency":
-        return _stats(_spectrum(xt)), [f"freq.{s}" for s in STAT_NAMES]
-    block = _stats(_wpt_bands(xt, config.wpt_depth, config.wavelet))
-    return (block.reshape(*x.shape[:-1], -1),
+        return _stats(_spectrum(x, -1), -1), [f"freq.{s}" for s in STAT_NAMES]
+    bands = _wpt_bands(np.ascontiguousarray(np.moveaxis(x, -1, 0)), config.wpt_depth, config.wavelet)
+    return (_stats(bands, 0).reshape(*x.shape[:-1], -1),
             [f"wpt{b}.{s}" for b in range(2 ** config.wpt_depth) for s in STAT_NAMES])
 
 
@@ -248,8 +266,7 @@ def featurize(windows: WindowBatch, config: FeatureConfig) -> FeatureMatrix:
     if len(windows) == 0:
         raise DataError("no windows to featurize")
     x = windows.values
-    xt = np.ascontiguousarray(np.moveaxis(x, -1, 0))
-    blocks, names = zip(*(_domain_block(x, xt, d, config) for d in config.domains))
+    blocks, names = zip(*(_domain_block(x, d, config) for d in config.domains))
     feature_names = [f"ch{ch}.{n}" for ch in range(x.shape[1]) for block in names for n in block]
     data = np.concatenate(blocks, axis=-1).reshape(len(windows), -1)
     return FeatureMatrix(data, windows.labels, feature_names)

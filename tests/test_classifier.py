@@ -376,61 +376,7 @@ class TestUniformNodes:
         assert fitted.tobytes() == want_fitted.tobytes()
 
 
-class TestGainClamps:
-    """best_split skips an eps clamp of the gain only where an O(d) bound on
-    the node's hessian prefix sums proves it cannot act."""
-
-    @staticmethod
-    def _recorded_clamps(monkeypatch):
-        seen, gain = [], classifier._gain
-
-        def spy(*args):
-            seen.append(tuple(args[-1]))
-            return gain(*args)
-        monkeypatch.setattr(classifier, "_gain", spy)
-        return seen
-
-    @pytest.mark.parametrize("tiny", ["first", "last", "none"])
-    @pytest.mark.parametrize("tie_free", [True, False])
-    @pytest.mark.parametrize("min_leaf", [1, 2])
-    def test_one_side_bound_failing_matches_oracle(self, monkeypatch, tiny, tie_free, min_leaf):
-        # The row first in every feature's order has h < eps ("first"): the
-        # left sums start below eps, but H - hl never falls below it. The
-        # row last in every order ("last") gives the opposite case.
-        n = 24
-        rng = Pcg32(31)
-        X = np.column_stack([np.arange(n), np.arange(n) // (1 if tie_free else 2)]) / n
-        g = rng.normals(n)
-        h = rng.uniforms(n) + 0.5
-        if tiny != "none":
-            h[0 if tiny == "first" else -1] = 1e-20
-        seen = self._recorded_clamps(monkeypatch)
-        params = GbtParams(max_depth=1, min_leaf=min_leaf)
-        tree, fitted = _fit_tree(_SplitScan(X, np.ones(n)), g, h, params)
-        want_tree, want_fitted = fit_tree_oracle(X, g, h, params)
-        assert seen == [(tiny == "first", tiny == "last")]
-        assert json.dumps(tree) == json.dumps(want_tree)
-        assert fitted.tobytes() == want_fitted.tobytes()
-
-    @settings(max_examples=100, deadline=None)
-    @given(rows=st.integers(2, 40), cols=st.integers(1, 3), levels=st.sampled_from([3, 2**30]),
-           tiny=st.integers(0, 3), min_leaf=st.integers(1, 3), max_depth=st.integers(1, 3),
-           seed=st.integers(0, 2**32 - 1))
-    def test_hessians_near_eps_match_oracle(self, rows, cols, levels, tiny, min_leaf,
-                                            max_depth, seed):
-        """A few hessians far below eps, anywhere in the orders, so nodes see
-        either bound fail, both, or neither."""
-        rng = Pcg32(seed)
-        X = np.floor(rng.uniforms(rows * cols) * levels).reshape(rows, cols) / levels
-        g = rng.normals(rows)
-        h = rng.uniforms(rows) * 1e-15
-        h[rng.randints([rows] * tiny)] = 1e-30
-        params = GbtParams(max_depth=max_depth, min_leaf=min_leaf)
-        tree, fitted = _fit_tree(_SplitScan(X, np.ones(rows)), g, h, params)
-        want_tree, want_fitted = fit_tree_oracle(X, g, h, params)
-        assert json.dumps(tree) == json.dumps(want_tree)
-        assert fitted.tobytes() == want_fitted.tobytes()
-
+class TestTieFreeScan:
     @pytest.mark.parametrize("min_leaf", [1, 3, 7])
     def test_tie_free_set_scans_by_position(self, min_leaf):
         """A tie-free set takes the positional scan under any min_leaf: no

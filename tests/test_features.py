@@ -1,6 +1,7 @@
 import hashlib
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from imbfault.errors import ConfigError, DataError
 from imbfault.features import (DOMAINS, STAT_NAMES, FeatureConfig, Standardizer,
                                featurize, fft_magnitude, freq_stats, time_stats,
                                wpt_decompose, wpt_stats)
+from imbfault import features
 from imbfault.features import _mean, _sum
 from imbfault.rng import Pcg32
 
@@ -310,45 +312,62 @@ KINDS = ["random", "negative zero", "signed zeros", "constant", "huge", "tiny"]
 
 
 class TestSampleMajorBytes:
-    """featurize works on a sample-major copy; its bytes must be those of the
-    row-layout kernels in tests/oracles.py."""
+    """featurize takes the statistics of short segments in wide batches from
+    a sample-major copy, and of the rest from contiguous rows; either way its
+    bytes must be those of the row-layout kernels in tests/oracles.py."""
 
+    # With at least one segment required, every batch of short segments is
+    # laid out sample-major, so small examples reach both layouts.
+    @pytest.mark.parametrize("min_segments", [1, features._SAMPLE_MAJOR_MIN_SEGMENTS])
     @settings(max_examples=250, deadline=None)
     @given(n_windows=st.integers(1, 4), channels=st.integers(1, 3),
            length=st.one_of(st.integers(1, 24), st.integers(1, 300)),
            domains=st.sets(st.sampled_from(DOMAINS), min_size=1),
            wavelet=st.sampled_from(["haar", "db2"]), depth=st.integers(1, 3),
            kind=st.sampled_from(KINDS), seed=st.integers(0, 2 ** 32 - 1))
-    def test_featurize_bytes_equal_row_oracles(self, n_windows, channels, length, domains,
-                                               wavelet, depth, kind, seed):
+    def test_featurize_bytes_equal_row_oracles(self, min_segments, n_windows, channels, length,
+                                               domains, wavelet, depth, kind, seed):
         config = FeatureConfig(domains=tuple(domains), wpt_depth=depth, wavelet=wavelet)
         if "timefreq" in config.domains and length < 2 ** depth:
             return
         values = _values(kind, (n_windows, channels, length), seed)
-        fm = featurize(WindowBatch(np.arange(n_windows), values, ["N"] * n_windows), config)
+        with mock.patch.object(features, "_SAMPLE_MAJOR_MIN_SEGMENTS", min_segments):
+            fm = featurize(WindowBatch(np.arange(n_windows), values, ["N"] * n_windows), config)
         want = featurize_rows_oracle(values, config.domains, depth, wavelet)
+        assert fm.data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("windows,length", [(85, 24), (86, 24), (86, 25), (100, 2),
+                                                (100, 7), (100, 8), (100, 17), (100, 48)])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_wide_batches(self, windows, length, kind):
+        # Either side of both layout thresholds: 255 or 258 time-domain
+        # segments of 24 samples, 25 samples, and the WPT bands beside them.
+        values = _values(kind, (windows, 3, length), length + windows)
+        config = FeatureConfig(domains=DOMAINS, wpt_depth=1, wavelet="db2")
+        fm = featurize(WindowBatch(np.arange(windows), values, ["N"] * windows), config)
+        want = featurize_rows_oracle(values, DOMAINS, 1, "db2")
         assert fm.data.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("length,wavelet", [(1100, "db2"), (1283, "haar")])
     @pytest.mark.parametrize("kind", KINDS)
     def test_long_windows(self, length, wavelet, kind):
-        # Above 128 samples the sums split in halves, as numpy's do.
         values = _values(kind, (2, 2, length), length)
         config = FeatureConfig(domains=DOMAINS, wpt_depth=3, wavelet=wavelet)
         fm = featurize(WindowBatch([0, 1], values, ["N", "F"]), config)
         want = featurize_rows_oracle(values, DOMAINS, 3, wavelet)
         assert fm.data.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("length", [9, 16, 33, 200])
+    @pytest.mark.parametrize("length", [9, 16, 24, 33, 200])
     def test_zero_max_and_min_keep_numpys_sign(self, length):
         # Among mixed signed zeros numpy's row max and min pick a zero by
-        # their reduction order, not by value; so do the statistics.
-        values = np.zeros((64, 2, length))
+        # their reduction order, not by value; so do the statistics. 256
+        # segments of up to 24 samples are taken sample-major.
+        values = np.zeros((128, 2, length))
         values[::3] = -0.0
         values[:, :, ::5] = -0.0
         values[1::4, 0, ::7] = -1.0
         values[2::4, 1, ::3] = 1.0
-        fm = featurize(WindowBatch(np.arange(64), values, ["N"] * 64), FeatureConfig())
+        fm = featurize(WindowBatch(np.arange(128), values, ["N"] * 128), FeatureConfig())
         assert fm.data.tobytes() == featurize_rows_oracle(values, ("time",), 1, "haar").tobytes()
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -372,16 +391,17 @@ class TestSampleMajorBytes:
 
     def test_sum_follows_numpys_order(self):
         # Pins the summation order numpy uses along a contiguous last axis
-        # (pairwise, 8-way unrolled, halves above 128 split at a multiple of
-        # 8): a numpy release that changes it fails here first.
+        # up to the longest sample-major segment (sequential below 8 terms,
+        # then 8-way unrolled): a numpy release that changes it fails here
+        # first.
         rng = Pcg32(17)
-        for n in [*range(1, 301), 1000, 5000]:
+        for n in range(1, features._SAMPLE_MAJOR_MAX_N + 1):
             x = rng.normals(3 * n).reshape(3, n) * [[1.0], [1e16], [1e-3]]
             x[1, ::3] = 1.0
             x = np.concatenate([x, np.full((1, n), -0.0), np.where(x[:1] > 0, -0.0, 0.0)])
             xt = np.ascontiguousarray(x.T)
-            assert (_sum(xt) + 0.0).tobytes() == np.add.reduce(x, axis=-1).tobytes(), n
-            assert _mean(xt).tobytes() == x.mean(axis=-1).tobytes(), n
+            assert (_sum(xt, 0) + 0.0).tobytes() == np.add.reduce(x, axis=-1).tobytes(), n
+            assert _mean(xt, 0).tobytes() == x.mean(axis=-1).tobytes(), n
 
     @pytest.mark.parametrize("length,config,digest", [
         (20, FeatureConfig(domains=("time", "frequency", "timefreq"), wpt_depth=2),
@@ -392,6 +412,18 @@ class TestSampleMajorBytes:
     def test_pinned_bytes(self, length, config, digest):
         values = Pcg32(2024).normals(5 * 3 * length).reshape(5, 3, length) * 3.0
         fm = featurize(WindowBatch(np.arange(5), values, ["N"] * 5), config)
+        assert hashlib.sha256(fm.data.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("length,config,digest", [
+        (20, FeatureConfig(domains=("time", "frequency", "timefreq"), wpt_depth=2),
+         "176d39b930dd661368021638a832b66641cb455eb4ca6230df0299968dff6ecd"),
+        (12, FeatureConfig(domains=("time", "frequency", "timefreq"), wpt_depth=1, wavelet="db2"),
+         "c202e7ac98bfd3934755235cbf0057d560bc6ab6e95a1960a8c9392875a03694"),
+    ])
+    def test_pinned_bytes_of_a_wide_batch(self, length, config, digest):
+        # 300 segments per domain: the sample-major layout.
+        values = Pcg32(2024).normals(100 * 3 * length).reshape(100, 3, length) * 3.0
+        fm = featurize(WindowBatch(np.arange(100), values, ["N"] * 100), config)
         assert hashlib.sha256(fm.data.tobytes()).hexdigest() == digest
 
 
