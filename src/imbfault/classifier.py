@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .core import FeatureMatrix, as_rows, label_codes
+from .core import FeatureMatrix, as_rows, int_fields, label_codes
 from .errors import ConfigError, DataError
 
 _EPS = 1e-16
@@ -43,6 +44,10 @@ class GbtParams:
     min_leaf: int = 1
 
     def __post_init__(self):
+        int_fields(self, ("rounds", "max_depth", "min_leaf"))
+        if isinstance(self.learning_rate, bool) or not isinstance(self.learning_rate, numbers.Real):
+            raise ConfigError(f"learning_rate must be a real number, not {self.learning_rate!r}")
+        self.learning_rate = float(self.learning_rate)
         if self.rounds < 1:
             raise ConfigError("rounds must be >= 1")
         if not 0 < self.learning_rate <= 1:
@@ -372,18 +377,15 @@ class GbtModel:
         return model
 
     def _check(self) -> None:
-        """Raise ValueError unless the boosting params are well typed,
-        `rounds` is the number of rounds of trees, and every tree can be
-        evaluated. Children are numbered in preorder, so child ids above the
-        parent's rule out cycles. Each ensemble's margin is bounded by its
-        init plus every round's largest leaf; rounding is monotone, so a
-        finite bound keeps every margin finite."""
-        p = self.params
-        if any(type(v) is not int for v in (p.rounds, p.max_depth, p.min_leaf)) \
-                or type(p.learning_rate) not in (int, float):
-            raise ValueError("rounds, max_depth and min_leaf must be ints, learning_rate a number")
-        if p.rounds != len(self.trees):
-            raise ValueError(f"rounds is {p.rounds}, but there are {len(self.trees)} rounds of trees")
+        """Raise ValueError unless `rounds` (typed by GbtParams) is the number
+        of rounds of trees, and every tree can be evaluated. Children are
+        numbered in preorder, so child ids above the parent's rule out
+        cycles. Each ensemble's margin is bounded by its init plus every
+        round's largest leaf; rounding is monotone, so a finite bound keeps
+        every margin finite."""
+        rounds = self.params.rounds
+        if rounds != len(self.trees):
+            raise ValueError(f"rounds is {rounds}, but there are {len(self.trees)} rounds of trees")
         if type(self.n_features) is not int or self.n_features < 1:
             raise ValueError(f"n_features must be an int >= 1, not {self.n_features!r}")
         if type(self.binary) is not bool:

@@ -2,15 +2,14 @@
 
 All container types copy their array arguments into read-only C-ordered
 arrays, so instances are immutable and safe to share across threads.
-Class labels are opaque strings. `label_codes` owns their order: the sorted
+Class labels are opaque strings, made by `as_labels` alone; `label_codes`
+converts every input through it and owns their order: the sorted
 distinct labels, which fix majority tie-breaks, classifier and report column
 order, fold dealing, per-class random streams and dense ids.
 """
 
 from __future__ import annotations
 
-import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,26 +48,37 @@ def as_rows(X, name: str = "X", width: int | None = None) -> np.ndarray:
     return rows
 
 
+def as_int(value, name: str) -> int:
+    """`value` as a Python int. Only an integer, Python or numpy and not a
+    bool, passes; anything else is a ConfigError naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
+def int_fields(config, names, optional=()) -> None:
+    """Set each named field of `config` to its `as_int`; a field named in
+    `optional` may also be None."""
+    for name in (*names, *optional):
+        value = getattr(config, name)
+        if value is not None or name not in optional:
+            setattr(config, name, as_int(value, name))
+
+
 def scale_exponent(*arrays, axis=None):
     """0 unless the largest |coordinate| of the arrays lies outside 2**±400,
     where squares and products could overflow or underflow; then the e for
     which 2**-e scales it into [0.5, 1). Scaling by a power of two is exact,
     so work on rows scaled by 2**-e gives the unscaled result times a power
-    of two. With `axis=0`, the 2-d arrays get one exponent per column, as
-    an int array."""
-    if axis is None:
-        top = max(max(x.max(initial=0.0), -x.min(initial=0.0)) for x in arrays)
-        if top > 0.0 and not 2.0 ** -400 <= top <= 2.0 ** 400:
-            return math.frexp(top)[1]
-        return 0
+    of two. e is a numpy integer; with `axis=0`, the 2-d arrays get one
+    exponent per column, as an int array."""
     top = np.max([np.maximum(x.max(axis, initial=0.0), -x.min(axis, initial=0.0))
                   for x in arrays], axis=0)
     far = (top > 0.0) & ((top < 2.0 ** -400) | (top > 2.0 ** 400))
-    return np.where(far, np.frexp(top)[1], 0)
+    return np.where(far, np.frexp(top)[1], 0)[()]
 
 
 _to_str = np.frompyfunc(str, 1, 1)
-_made_labels = weakref.WeakValueDictionary()   # id -> an array as_labels returned
 
 
 def as_labels(values) -> np.ndarray:
@@ -77,17 +87,14 @@ def as_labels(values) -> np.ndarray:
     trailing NULs and merge labels that differ only by them."""
     labels = _to_str(np.asarray(values, dtype=object).ravel())
     labels.setflags(write=False)
-    _made_labels[id(labels)] = labels
     return labels
 
 
 def label_codes(labels, classes=None) -> tuple:
     """(classes, codes): the sorted distinct labels, or the order given, and
     each label's index into it. A label outside a given order is a DataError.
-    An array `as_labels` returned, still read-only, is used as it is."""
-    if _made_labels.get(id(labels)) is not labels or labels.flags.writeable:
-        labels = as_labels(labels)
-    values = labels.tolist()
+    The labels go through `as_labels` first."""
+    values = as_labels(labels).tolist()
     present = set(values)
     classes = tuple(sorted(present) if classes is None else classes)
     unknown = present.difference(classes)
@@ -273,6 +280,7 @@ class SamplerParams:
     emi_ridge: float = 1e-6
 
     def __post_init__(self):
+        int_fields(self, ("k", "k1", "k2"), optional=("k3",))
         if self.k < 1 or self.k1 < 1 or self.k2 < 1:
             raise ConfigError("neighbor counts must be >= 1")
         if self.k3 is not None and self.k3 < 1:

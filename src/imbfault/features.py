@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FeatureMatrix, WindowBatch, as_rows, scale_exponent
+from .core import FeatureMatrix, WindowBatch, as_rows, int_fields, scale_exponent
 from .errors import ConfigError, DataError
 
 STAT_NAMES = ("mean", "rms", "max", "min", "median", "range", "crest", "impulse", "margin")
@@ -233,6 +233,7 @@ class FeatureConfig:
     wavelet: str = "haar"
 
     def __post_init__(self):
+        int_fields(self, ("wpt_depth",))
         domains = tuple(self.domains)
         unknown = [d for d in domains if d not in DOMAINS]
         if unknown:

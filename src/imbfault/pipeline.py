@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .classifier import GbtModel, GbtParams, gbt_train
-from .core import FeatureMatrix, SamplerParams, label_codes
+from .core import FeatureMatrix, SamplerParams, as_int, int_fields, label_codes
 from .errors import ConfigError, DataError
 from .features import FeatureConfig, Standardizer, featurize
 from .ingestion import LabeledSeries, write_csv, write_feature_csv, write_intervals_csv
@@ -61,6 +61,8 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        int_fields(self, ("window_len", "slide_len", "folds", "seed"),
+                   optional=("pca_dims", "lda_dims"))
         if self.window_len < 1 or self.slide_len < 1:
             raise ConfigError("window_len and slide_len must be >= 1")
         if self.label_rule not in LABEL_RULES:
@@ -98,6 +100,7 @@ def stratified_folds(labels, n_folds: int, rng: Pcg32) -> list:
     and dealt round-robin. Classes smaller than n_folds leave some folds
     without that class (warned, allowed). More folds than rows is a
     ConfigError: most folds would be empty."""
+    n_folds = as_int(n_folds, "n_folds")
     if n_folds < 2:
         raise ConfigError("need at least 2 folds")
     classes, codes = label_codes(labels)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FeatureMatrix, as_rows, label_codes, scale_exponent
+from .core import FeatureMatrix, as_int, as_rows, label_codes, scale_exponent
 from .errors import ConfigError, DataError
 
 
@@ -87,7 +87,7 @@ def pca_fit(X, n_components: int | None = None, variance: float | None = None) -
         r = int(np.searchsorted(np.cumsum(ratios), variance - 1e-12) + 1)
         r = min(r, rank) if rank else 0
     else:
-        r = int(n_components)
+        r = as_int(n_components, "n_components")
         if r < 0:
             raise ConfigError("n_components must be >= 0")
         if r > rank:
@@ -137,7 +137,7 @@ def lda_fit(X, labels=None, n_components: int | None = None) -> Projection:
     order = np.argsort(eigvals, kind="stable")[::-1]
     eigvals, eigvecs = eigvals[order], eigvecs[:, order]
     cap = min(len(classes) - 1, d)
-    r = cap if n_components is None else int(n_components)
+    r = cap if n_components is None else as_int(n_components, "n_components")
     if r > cap:
         warnings.warn(f"requested {r} LDA components but the cap is {cap}; clipping")
         r = cap

@@ -6,14 +6,15 @@ the seed, never on platform or library version. Floats carry 53 random bits,
 bounded integers use rejection sampling (no modulo bias), and normals come
 from Box-Muller, so every derived draw is reproducible too.
 
-Raw outputs are made in blocks of at most _BLOCK by LCG jump-ahead: state i
-of a block is a^i s_0 + c (a^(i-1) + ... + 1) mod 2^64 (Brown, "Random number
-generation with arbitrary strides", 1994), from one cumprod of the
-multiplier and one cumsum of its powers in wrapping uint64, then put through
-the output permutation as one array. Each draw kind has one decoder, and the
-scalar draws are one-element batches; tests/test_rng.py checks every draw
-against a one-step scalar PCG32. Box-Muller keeps `math.log` and `math.cos`
-element by element: numpy's versions differ in the last bit.
+Raw outputs are made as a draw needs them, in blocks of at most _BLOCK, by
+LCG jump-ahead: state i of a block is a^i s_0 + c (a^(i-1) + ... + 1) mod
+2^64 (Brown, "Random number generation with arbitrary strides", 1994), from
+one cumprod of the multiplier and one cumsum of its powers in wrapping
+uint64, then put through the output permutation as one array. Each draw
+kind has one decoder, and the scalar draws are one-element batches;
+tests/test_rng.py checks every draw against a one-step scalar PCG32.
+Box-Muller keeps `math.log` and `math.cos` element by element: numpy's
+versions differ in the last bit.
 """
 
 from __future__ import annotations
@@ -28,10 +29,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 # At most this many outputs per block; it bounds the generator's scratch
 # memory (a few uint64 arrays of this length; 32,768 raised the benchmark's
-# peak RSS). A refill makes at least _REFILL, so scalar draws share the
-# cost of a block.
+# peak RSS).
 _BLOCK = 1 << 13
-_REFILL = 1 << 10
 
 
 def _splitmix64(x: int) -> int:
@@ -92,7 +91,7 @@ class Pcg32:
             parts = [self._buf[self._pos:]]
             have = len(parts[0])
             while have < m:
-                k = min(_BLOCK, max(m - have, _REFILL))
+                k = min(_BLOCK, m - have)
                 parts.append(self._block(k))
                 have += k
             self._buf = np.concatenate(parts)

@@ -11,6 +11,20 @@ import scipy.linalg
 from imbfault.core import FaultEvent
 
 
+def scale_exponent_oracle(*arrays, axis=None):
+    """core.scale_exponent as it was with a Python-float branch for the
+    scalar form: math.frexp of the largest |coordinate|."""
+    if axis is None:
+        top = max(max(x.max(initial=0.0), -x.min(initial=0.0)) for x in arrays)
+        if top > 0.0 and not 2.0 ** -400 <= top <= 2.0 ** 400:
+            return math.frexp(top)[1]
+        return 0
+    top = np.max([np.maximum(x.max(axis, initial=0.0), -x.min(axis, initial=0.0))
+                  for x in arrays], axis=0)
+    far = (top > 0.0) & ((top < 2.0 ** -400) | (top > 2.0 ** 400))
+    return np.where(far, np.frexp(top)[1], 0)
+
+
 def knn_oracle(query, pool, k):
     """Exhaustive sort by (distance, index)."""
     scored = sorted((np.linalg.norm(p - query), i) for i, p in enumerate(pool))
@@ -100,6 +114,44 @@ def conditional_oracle(model, x, miss, obs):
     sig_mo = cov[np.ix_(miss, obs)]
     sol = np.linalg.solve(sig_oo, (x[..., obs] - model.mean[obs]).T)
     return model.mean[miss] + (sig_mo @ sol).T
+
+
+def _split(v):
+    """Dekker's split: hi + lo == v, each with at most 26 significant bits,
+    so products of halves are exact."""
+    c = 134217729.0 * v
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+def _residual(A, X, B):
+    """B - A @ X, as accurate as if summed in twice the working precision
+    and rounded once: every product is split exactly into two floats
+    (Dekker) and the sums carry their rounding errors along (Ogita, Rump and
+    Oishi, "Accurate sum and dot product", 2005)."""
+    s, c = B.copy(), np.zeros_like(B)
+    ah, al = _split(A)
+    xh, xl = _split(X)
+    for k in range(A.shape[1]):
+        a, a_h, a_l = A[:, k, None], ah[:, k, None], al[:, k, None]
+        x, x_h, x_l = X[None, k], xh[None, k], xl[None, k]
+        p = a * x
+        e = ((a_h * x_h - p) + a_h * x_l + a_l * x_h) + a_l * x_l    # a * x == p + e
+        t = s - p
+        z = t - s
+        c += (s - (t - z)) - (p + z) - e
+        s = t
+    return s + c
+
+
+def refined_solve_oracle(A, B, steps=2):
+    """A^-1 B to about the float64 rounding of the exact result, for cond(A)
+    well below 1/eps: float64 solves corrected by residuals accurate far
+    past float64 (Wilkinson's iterative refinement)."""
+    X = np.linalg.solve(A, B)
+    for _ in range(steps):
+        X = X + np.linalg.solve(A, _residual(A, X, B))
+    return X
 
 
 def lda_oracle(X, labels):

@@ -93,6 +93,29 @@ class TestGbtTrain:
         with pytest.raises(ConfigError):
             GbtParams(learning_rate=0.0)
 
+    @pytest.mark.parametrize("bad", [{"max_depth": 2.5}, {"rounds": 2.5}, {"min_leaf": 1e300},
+                                     {"rounds": True}, {"max_depth": "2"}, {"rounds": None}])
+    def test_counts_must_be_integers(self, bad):
+        with pytest.raises(ConfigError, match=f"{next(iter(bad))} must be an integer"):
+            GbtParams(**{"rounds": 2, **bad})
+
+    @pytest.mark.parametrize("bad", [True, "0.3", None, 1j])
+    def test_learning_rate_must_be_a_real_number(self, bad):
+        with pytest.raises(ConfigError, match="learning_rate must be a real number"):
+            GbtParams(rounds=2, learning_rate=bad)
+
+    def test_numpy_params_save_and_load(self, tmp_path):
+        params = GbtParams(rounds=np.int64(2), learning_rate=np.float32(0.5),
+                           max_depth=np.uint8(2), min_leaf=np.int64(2))
+        assert [type(v) for v in (params.rounds, params.max_depth, params.min_leaf,
+                                  params.learning_rate)] == [int, int, int, float]
+        fm = _separable_1d()
+        model = gbt_train(fm, params)
+        model.save(tmp_path / "m.json")
+        loaded = GbtModel.load(tmp_path / "m.json")
+        assert loaded.params == params
+        assert loaded.predict_proba(fm).tobytes() == model.predict_proba(fm).tobytes()
+
 
 def _pinned_set(n_classes):
     rng = Pcg32(40 + n_classes)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from imbfault import core
 from imbfault.classifier import GbtParams, gbt_train
 from imbfault.core import (ClassDistribution, FaultInterval, FeatureMatrix,
                            SamplerParams, TimeSeriesFrame, WindowBatch,
-                           as_labels, as_rows, class_distribution, label_codes)
+                           as_labels, as_rows, class_distribution, label_codes,
+                           scale_exponent)
 from imbfault.errors import ConfigError, DataError
 from imbfault.features import Standardizer
 from imbfault.imputation import fit_gaussian, impute_conditional
@@ -13,6 +15,49 @@ from imbfault.reduction import lda_fit, lda_transform, pca_fit, pca_transform
 from imbfault.rng import Pcg32
 from imbfault.sampling import (SAMPLERS, agglomerative_clusters, borderline_majority,
                                filtered_minority, knn, selection_probabilities)
+
+from oracles import scale_exponent_oracle
+
+# Magnitudes at and next to the scaling thresholds 2**±400, subnormals,
+# the float limits, zero and ordinary values.
+EDGES = [0.0, 1.0, 3.7, 2.0 ** 400, np.nextafter(2.0 ** 400, np.inf),
+         np.nextafter(2.0 ** 400, 0.0), 2.0 ** -400, np.nextafter(2.0 ** -400, 0.0),
+         np.nextafter(2.0 ** -400, np.inf), 5e-324, 2.0 ** -1060, 2.0 ** -1022 * 0.75,
+         1.5e308, np.finfo(float).max, 2.0 ** 700, 2.0 ** -700]
+edge_values = st.builds(lambda v, negative: -v if negative else v,
+                        st.sampled_from(EDGES), st.booleans())
+
+
+@st.composite
+def edge_arrays(draw, width=None):
+    """A 2-d array (or, without `width`, any shape up to 2-d, empty ones
+    too) of edge magnitudes."""
+    shape = (draw(st.integers(0, 4)), width) if width is not None else draw(
+        st.sampled_from([(0,), (1,), (3,), (0, 2), (2, 0), (1, 1), (2, 3), (4, 2)]))
+    return np.array(draw(st.lists(edge_values, min_size=int(np.prod(shape)),
+                                  max_size=int(np.prod(shape)))), dtype=float).reshape(shape)
+
+
+class TestScaleExponent:
+    """One numpy expression for the scalar and per-column forms, against the
+    two-branch form with a Python-float scalar path."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(edge_arrays(), min_size=1, max_size=3))
+    def test_scalar_form_matches_the_oracle(self, arrays):
+        got, want = scale_exponent(*arrays), scale_exponent_oracle(*arrays)
+        assert isinstance(got, np.integer) and got == want
+        for x in arrays:
+            assert np.ldexp(x, -got).tobytes() == np.ldexp(x, -want).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3).flatmap(
+        lambda w: st.lists(edge_arrays(width=w), min_size=1, max_size=3)))
+    def test_per_column_form_matches_the_oracle(self, arrays):
+        got, want = scale_exponent(*arrays, axis=0), scale_exponent_oracle(*arrays, axis=0)
+        assert got.tolist() == want.tolist()
+        for x in arrays:
+            assert np.ldexp(x, -got).tobytes() == np.ldexp(x, -want).tobytes()
 
 
 class TestClassDistribution:
@@ -71,17 +116,12 @@ class TestLabelCodes:
         with pytest.raises(DataError, match=r"labels \['x'\] missing"):
             label_codes(["a", "x"], ["a"])
 
-    def test_labels_as_labels_made_are_used_as_they_are(self, monkeypatch):
-        """A FeatureMatrix's labels skip the str conversion and give the
-        codes the converting path gives, trailing NULs included."""
+    def test_labels_as_labels_made_are_used_as_they_are(self):
+        """A FeatureMatrix's labels, already converted by `as_labels`, give
+        the codes the raw values give, trailing NULs included."""
         values = ["b", "a\x00", "a", "b", "a\x00\x00", "a"]
         fm = FeatureMatrix(np.zeros((6, 1)), values, ("f",))
         want = label_codes(list(values))
-
-        def no_conversion(values):
-            raise AssertionError("as_labels called again")
-
-        monkeypatch.setattr(core, "as_labels", no_conversion)
         got = label_codes(fm.labels)
         assert got[0] == want[0] == ("a", "a\x00", "a\x00\x00", "b")
         assert got[1].tolist() == want[1].tolist() == [3, 1, 0, 3, 2, 0]
@@ -266,6 +306,13 @@ class TestCoreTypes:
                     {"cp": nan}, {"cf_th": -inf}):
             with pytest.raises(ConfigError):
                 SamplerParams(**bad)
+
+    @pytest.mark.parametrize("name", ["k", "k1", "k2", "k3"])
+    def test_sampler_params_counts_must_be_integers(self, name):
+        for bad in (2.5, 2.0, True, "2"):
+            with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+                SamplerParams(**{name: bad})
+        assert type(getattr(SamplerParams(**{name: np.int32(2)}), name)) is int
 
 
 class TestAsRows:

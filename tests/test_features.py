@@ -247,6 +247,12 @@ class TestFeaturize:
         with pytest.raises(DataError, match="no windows"):
             featurize(WindowBatch([], np.zeros((0, 2, 4)), []), FeatureConfig())
 
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, "2"])
+    def test_wpt_depth_must_be_an_integer(self, bad):
+        with pytest.raises(ConfigError, match="wpt_depth must be an integer"):
+            FeatureConfig(domains=("timefreq",), wpt_depth=bad)
+        assert type(FeatureConfig(wpt_depth=np.int16(2)).wpt_depth) is int
+
     def test_unknown_domain(self):
         with pytest.raises(ConfigError):
             FeatureConfig(domains=("cepstrum",))

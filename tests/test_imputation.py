@@ -6,7 +6,8 @@ from imbfault.imputation import GaussianModel, fit_gaussian, impute_conditional
 from imbfault.rng import Pcg32
 from imbfault.synthgen import gaussian_blobs
 
-from oracles import conditional_oracle, dense_solve_oracle
+import imbfault as ib
+from oracles import conditional_oracle, dense_solve_oracle, refined_solve_oracle
 
 
 class TestFitGaussian:
@@ -216,3 +217,28 @@ class TestImputeConditionalPerRowSets:
                 want = conditional_oracle(model, x[t], miss, obs)
                 assert np.max(np.abs(got[t, miss] - want)) <= bound, (case, t)
                 assert got[t, obs].tobytes() == x[t, obs].tobytes()
+
+    def test_ill_conditioned_set_keeps_the_solve_accuracy(self):
+        # 134 featurized fault windows at d = 162, as ewmote sees a plant
+        # fault class: fewer rows than attributes, so A = covariance + ridge*I
+        # has cond(A) ~ 1.1e8, each row imputed at one attribute. Against a
+        # reference from iteratively refined solves, A^-1 z by the solve was
+        # 1.8e-12 off and by an explicit inverse 6.5e-10: the solve route is
+        # the rule, not a detail.
+        intervals = [ib.FaultInterval(a, b, label) for a, b, label in (
+            (1000, 1299, "F1"), (3000, 3359, "F2"), (5500, 5799, "F2"), (7600, 7959, "F1"))]
+        frame, intervals = ib.synthetic_timeseries(10_000, intervals, 3, 3.0, seed=3000)
+        windows = ib.segment(ib.label_timestamps(frame, intervals), 20, 5)
+        config = ib.FeatureConfig(domains=("time", "frequency", "timefreq"), wpt_depth=2)
+        rows = ib.featurize(windows, config).rows_of("F1")
+        (m, d), rng = rows.shape, Pcg32(5)
+        assert (m, d) == (134, 162)
+        model = fit_gaussian(rows)
+        A = model.covariance + model.ridge * np.eye(d)
+        attrs = np.array([rng.randint(d) for _ in range(m)])
+        got = impute_conditional(model, rows, attrs[:, None])[np.arange(m), attrs]
+        z = rows - model.mean
+        z[np.arange(m), attrs] = 0.0
+        sol = refined_solve_oracle(A, np.hstack([np.eye(d)[:, attrs], z.T]))
+        want = model.mean[attrs] - sol[attrs, m + np.arange(m)] / sol[attrs, np.arange(m)]
+        assert np.abs(got - want).max() < 3e-11

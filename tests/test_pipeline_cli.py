@@ -87,6 +87,16 @@ class TestStratifiedFolds:
             folds = stratified_folds(labels, 10, Pcg32(2))
         assert sum(len(f) for f in folds) == 33
 
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, "2"])
+    def test_fold_count_must_be_an_integer(self, bad):
+        with pytest.raises(ConfigError, match="n_folds must be an integer"):
+            stratified_folds(["N"] * 4 + ["F"] * 4, bad, Pcg32(0))
+
+    def test_numpy_fold_count(self):
+        labels = ["N"] * 8 + ["F"] * 4
+        got = stratified_folds(labels, np.int64(4), Pcg32(0))
+        assert [f.tolist() for f in got] == [f.tolist() for f in stratified_folds(labels, 4, Pcg32(0))]
+
     def test_seed_changes_assignment(self):
         labels = ["N"] * 40 + ["F"] * 10
         a = stratified_folds(labels, 5, Pcg32(0))
@@ -674,6 +684,18 @@ class TestPipelineConfigFromFlags:
     def test_bad_setting_fails_on_construction(self, settings, detail):
         with pytest.raises(ConfigError, match=detail):
             PipelineConfig(**settings)
+
+    @pytest.mark.parametrize("name", ["window_len", "slide_len", "pca_dims", "lda_dims",
+                                      "folds", "seed", "wpt_depth", "rounds"])
+    def test_counts_must_be_integers(self, name):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            PipelineConfig(**{name: 2.5})
+
+    def test_integer_settings_are_stored_as_ints(self):
+        config = PipelineConfig(**{name: np.int64(3) for name in (
+            "window_len", "slide_len", "pca_dims", "lda_dims", "folds", "seed")})
+        assert all(type(getattr(config, name)) is int for name in (
+            "window_len", "slide_len", "pca_dims", "lda_dims", "folds", "seed"))
 
     def test_edge_settings_construct(self):
         PipelineConfig(window_len=1, slide_len=1, label_rule="midpoint", pca_dims=0)

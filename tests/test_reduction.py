@@ -134,6 +134,11 @@ class TestPca:
         with pytest.raises(DataError):
             pca_transform(model, np.ones((2, 3)))
 
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, "1"])
+    def test_component_count_must_be_an_integer(self, bad):
+        with pytest.raises(ConfigError, match="n_components must be an integer"):
+            pca_fit(_random(10, 2), n_components=bad)
+
     def test_zero_input_columns_refused_zero_components_allowed(self):
         with pytest.raises(DataError, match="1 column, got 5 x 0"):
             pca_fit(np.zeros((5, 0)), 1)
@@ -197,6 +202,12 @@ class TestLda:
         with pytest.warns(UserWarning, match="clipping"):
             model = lda_fit(X, y, n_components=5)
         assert model.components.shape[1] == 1
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, "1"])
+    def test_component_count_must_be_an_integer(self, bad):
+        X, y = self._two_classes()
+        with pytest.raises(ConfigError, match="n_components must be an integer"):
+            lda_fit(X, y, n_components=bad)
 
     def test_identical_distributions_zero_eigenvalues(self):
         rng = Pcg32(3)
