@@ -34,6 +34,7 @@ _FORMAT = "imbfault-gbt"
 _VERSION = 1
 _TREE_KEYS = ("feature", "threshold", "left", "right", "value")
 _KEY_STEP = np.uint64(0x9E3779B97F4A7C15)   # odd: multiplying by it mod 2**64 loses no bits
+_SCAN_ELEMENTS = 2**16   # elements per split-scan chunk: features per chunk times rows
 
 
 @dataclass
@@ -86,17 +87,24 @@ class _SplitScan:
     """Exact greedy split search over one training set, shared by every tree
     fit on it.
 
-    `orders[f]` lists the rows by feature f's value, ties by row index: the
-    stable argsort of each column. `cols` is X column-major, so one flat
-    `take` gathers a node's sorted values of every feature. A node's
-    gradients and hessians travel together as one complex vector: one
-    gather and one in-place cumsum give both prefix sums, and since real and
-    imaginary parts add independently each equals its own real cumsum bit
-    for bit. Only positions between distinct values are scored. The root's
-    are the same for every tree, so they are found once; when the root has
-    no tied values no node has any. The scratch buffers are sized for the
-    root and reused by every node, because each node finishes its scan
-    before its children start.
+    `orders[f]` lists the rows by feature f's value, ties by row index: what
+    a stable argsort of each column gives. Every column is sorted by numpy's
+    default (SIMD) argsort, and only the columns with tied values are sorted
+    again, stably: distinct values have a single order. The root's split
+    positions tell which columns have ties, and they hold for either order,
+    since they read only which sorted values are equal. `cols` is X
+    column-major, so one flat `take` gathers a node's sorted values of
+    every feature. A node's gradients and hessians travel together as one
+    complex vector: one gather and one in-place cumsum give both prefix
+    sums, and since real and imaginary parts add independently each equals
+    its own real cumsum bit for bit. Only positions between distinct values
+    are scored. The root's are the same for every tree, so they are found
+    once; when the root has no tied values no node has any.
+
+    A node scans its features in chunks, so the scratch buffers `prefix`,
+    `work` and `mask` hold at most max(n, _SCAN_ELEMENTS) elements, not
+    d·n; they are sized for the root's chunk and reused by every node,
+    because each node finishes its scan before its children start.
 
     `w` is each row's weight: the number of training rows it stands for.
     Only min_leaf reads it here, as a count of training rows; the gradients
@@ -105,39 +113,63 @@ class _SplitScan:
     def __init__(self, X: np.ndarray, w: np.ndarray):
         n, d = X.shape
         self.w = w
+        self.unit = bool((w == 1).all())
         self.cols = np.ascontiguousarray(X.T)
-        self.orders = np.argsort(self.cols, axis=1, kind="stable")
+        self.orders = np.argsort(self.cols, axis=1)
         self.offsets = np.arange(0, d * n, n)[:, None]
         self.features = np.arange(d)
+        size = min(d, max(1, _SCAN_ELEMENTS // n)) * n
         self.gh = np.empty(n, dtype=complex)
-        self.prefix = np.empty(d * n, dtype=complex)
-        self.work = np.empty((2, d * n))
-        self.mask = np.empty(d * n, dtype=bool)
+        self.prefix = np.empty(size, dtype=complex)
+        self.work = np.empty((2, size))
+        self.mask = np.empty(size, dtype=bool)
         self.goes_left = np.empty(n, dtype=bool)
+        self.sel = np.empty(d * n, dtype=bool)
         self.below = np.empty(d * n, dtype=np.intp)
-        self.root_splits = self._splits(self.orders).copy()
-        self.tie_free = bool(self.root_splits[:, :n - 1].all())
+        self.root_splits = np.empty((d, n), dtype=bool)
+        for f0, chunk in self._chunks(self.orders):
+            self.root_splits[f0:f0 + len(chunk)] = self._splits(chunk, f0)
+        tied = ~self.root_splits[:, :n - 1].all(axis=1)
+        for f in np.flatnonzero(tied).tolist():
+            self.orders[f] = np.argsort(self.cols[f], kind="stable")
+        self.tie_free = not tied.any()
 
-    def _splits(self, order: np.ndarray) -> np.ndarray:
+    def _chunks(self, order: np.ndarray):
+        """`(first feature, rows of order)` for each chunk of the features
+        that fills the scratch buffers at this node's row count."""
+        step = max(1, self.prefix.size // order.shape[1])
+        return ((f0, order[f0:f0 + step]) for f0 in range(0, len(order), step))
+
+    def _splits(self, order: np.ndarray, f0: int) -> np.ndarray:
         """A `(features, rows)` mask of the sorted positions where the value
-        is below the next one: the splits between distinct values. The
-        values are sorted and finite, so `<` here is `!=`."""
+        is below the next one, for features f0, f0 + 1, ... in `order`: the
+        splits between distinct values. The values are sorted and finite,
+        so `<` here is `!=`."""
         d, m = order.shape
         at = self.work[1].view(np.intp)[:d * m].reshape(d, m)
         xs = self.work[0, :d * m].reshape(d, m)
-        np.add(order, self.offsets, out=at)
+        np.add(order, self.offsets[f0:f0 + d], out=at)
         self.cols.take(at, out=xs, mode="clip")
         out = self.mask[:d * m].reshape(d, m)
         out[:, m - 1:] = False
         np.less(xs[:, :m - 1], xs[:, 1:], out=out[:, :m - 1])
         return out
 
-    def _enough_rows(self, order: np.ndarray, min_leaf: int) -> np.ndarray:
-        """A `(features, rows)` mask of the sorted positions whose split
-        leaves at least min_leaf training rows on each side, by prefix sums
-        of the weights in each feature's order."""
-        rows_left = np.cumsum(self.w.take(order), axis=1)
-        return (rows_left >= min_leaf) & (rows_left <= rows_left[:, -1:] - min_leaf)
+    def _thin_sides(self, order: np.ndarray, min_leaf: int, out: np.ndarray, fill) -> None:
+        """Set to `fill` the entries of `out`, a `(features, rows)` array
+        over the sorted positions of `order`, whose split leaves fewer than
+        min_leaf training rows on a side. With unit weights position p
+        leaves p + 1 rows on the left, so those are two runs of columns;
+        otherwise the sides are prefix sums of the weights in each
+        feature's order."""
+        if self.unit:
+            m = order.shape[1]
+            out[:, :min_leaf - 1] = fill
+            out[:, max(m - min_leaf, 0):] = fill
+        else:
+            rows_left = np.cumsum(self.w.take(order), axis=1)
+            np.copyto(out, fill, where=(rows_left < min_leaf)
+                      | (rows_left > rows_left[:, -1:] - min_leaf))
 
     def best_split(self, order: np.ndarray, G: float, H: float, min_leaf: int):
         """Return `(feature, threshold)` of the node whose rows are `order`
@@ -146,49 +178,55 @@ class _SplitScan:
         training rows on each side, between distinct values, scored by the
         second-order gain; the first feature wins equal gains.
 
-        The sides' training rows are the prefix sums of the weights in each
-        feature's order, which differ between features; with min_leaf 1 any
-        nonempty side qualifies, so they are summed only for a larger one.
-
-        The prefix sums run over every row. On a tie-free training set every
-        position but the last is scored, and with min_leaf > 1 the positions
-        whose sides hold too few training rows are set to `-inf`. Otherwise
-        only the split positions' sums are gathered into one compact vector
-        and scored, and their gains are put back into a `-inf` row per
-        feature, so each feature's argmax is the one a full scan gives."""
-        d, m = order.shape
-        prefix = self.prefix[:d * m].reshape(d, m)
-        self.gh.take(order, out=prefix, mode="clip")
-        np.cumsum(prefix, axis=1, out=prefix)
-        if self.tie_free:
-            k = m - 1
-            gains = self.work[0, :d * k].reshape(d, k)
-            _gain(prefix.real[:, :k], prefix.imag[:, :k], G, H, gains,
-                  self.work[1, :d * k].reshape(d, k))
-            if min_leaf > 1:
-                np.copyto(gains, -np.inf, where=~self._enough_rows(order, min_leaf)[:, :k])
-        else:
-            splits = self.root_splits if order is self.orders else self._splits(order)
-            if min_leaf > 1:
-                splits = splits & self._enough_rows(order, min_leaf)
-            # The sums go to `work`, free once the mask is built, and the
-            # scores to `prefix`, which is not read again.
-            at = np.flatnonzero(splits)
-            s = at.size
-            sums = prefix.take(at, out=self.work.reshape(-1).view(complex)[:s], mode="clip")
-            scores = self.prefix.view(float)
-            _gain(sums.real, sums.imag, G, H, scores[:s], scores[s:2 * s])
-            row = self.work[0, :d * m]
-            row.fill(-np.inf)
-            row[at] = scores[:s]
-            gains = row.reshape(d, m)
-        ps = np.argmax(gains, axis=1)
+        The features are scanned a chunk at a time (see `_chunks`), and the
+        prefix sums run over every row. On a tie-free training set every
+        position is scored as one flat vector, and the last one, whose
+        split leaves no row on the right, is set to `-inf`, as are, with
+        min_leaf > 1, the positions whose sides hold too few training rows.
+        Otherwise only the split positions' sums are gathered into one
+        compact vector and scored, and their gains are put back into a
+        `-inf` row per feature, so each feature's argmax is the one a full
+        scan gives. The chunks' best splits are compared in feature order."""
+        m = order.shape[1]
+        root = order is self.orders
         best_gain, best_feature, best_threshold = 0.0, -1, 0.0
-        for f, (p, gain) in enumerate(zip(ps.tolist(), gains[self.features, ps].tolist())):
-            if gain > best_gain + 1e-12:
-                best_gain, best_feature = gain, f
-                a, b = self.cols[f].take(order[f, p:p + 2]).tolist()
-                best_threshold = _between(a, b)
+        for f0, chunk in self._chunks(order):
+            d = len(chunk)
+            prefix = self.prefix[:d * m].reshape(d, m)
+            self.gh.take(chunk, out=prefix, mode="clip")
+            np.cumsum(prefix, axis=1, out=prefix)
+            if self.tie_free:
+                flat = prefix.reshape(-1)
+                gains = self.work[0, :d * m]
+                _gain(flat.real, flat.imag, G, H, gains, self.work[1, :d * m])
+                gains = gains.reshape(d, m)
+                gains[:, m - 1] = -np.inf
+                if min_leaf > 1:
+                    self._thin_sides(chunk, min_leaf, gains, -np.inf)
+            else:
+                splits = self.root_splits[f0:f0 + d] if root else self._splits(chunk, f0)
+                if min_leaf > 1:
+                    if root:
+                        splits = splits.copy()
+                    self._thin_sides(chunk, min_leaf, splits, False)
+                # The sums go to `work`, free once the mask is built, and the
+                # scores to `prefix`, which is not read again.
+                at = np.flatnonzero(splits)
+                s = at.size
+                sums = prefix.take(at, out=self.work.reshape(-1).view(complex)[:s], mode="clip")
+                scores = self.prefix.view(float)
+                _gain(sums.real, sums.imag, G, H, scores[:s], scores[s:2 * s])
+                row = self.work[0, :d * m]
+                row.fill(-np.inf)
+                row[at] = scores[:s]
+                gains = row.reshape(d, m)
+            ps = np.argmax(gains, axis=1)
+            best = gains[self.features[:d], ps].tolist()
+            for f, p, gain in zip(range(f0, f0 + d), ps.tolist(), best):
+                if gain > best_gain + 1e-12:
+                    best_gain, best_feature = gain, f
+                    a, b = self.cols[f].take(order[f, p:p + 2]).tolist()
+                    best_threshold = _between(a, b)
         return best_feature, best_threshold
 
     def partition(self, order: np.ndarray, rows: np.ndarray, left: np.ndarray):
@@ -201,7 +239,7 @@ class _SplitScan:
         d, m = order.shape
         flat = order.ravel()
         self.goes_left[rows] = left
-        sel = self.goes_left.take(flat, out=self.mask[:d * m], mode="clip")
+        sel = self.goes_left.take(flat, out=self.sel[:d * m], mode="clip")
         lo, hi = flat.compress(sel), flat.compress(np.logical_not(sel, out=sel))
         slot = self.below[:d * m] if order is self.orders else flat
         slot[:lo.size] = lo

@@ -3,6 +3,7 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -135,6 +136,80 @@ PINNED = {
 }
 
 
+def _tie_free_set():
+    """2,000 rows of 44 distinct normal features, 3 classes: the root scans
+    its features in two chunks."""
+    rng = Pcg32(26)
+    X = rng.normals(2000 * 44).reshape(2000, 44)
+    score = X[:, 0] - X[:, 1] + 0.5 * X[:, 2] * X[:, 3] + 0.5 * rng.normals(2000)
+    return _fm(X, list(np.array(["a", "b", "c"])[np.digitize(score, [-0.5, 1.0])]))
+
+
+# sha256 of json.dumps(model.trees, sort_keys=True) for _tie_free_set, by min_leaf.
+PINNED_TIE_FREE = {
+    1: "8d1fedf7fa4a6d4e927792fa73bd24eeb2bf2bc1f3719829bd0d5b8e5199c2dd",
+    3: "39170dd8dc3ab66aa7e9aa644725d6d50c88d5ad87e6242112bb6809b6889a95",
+}
+
+
+def _scan_elements(value, rows):
+    """Patch the split scan's chunk budget to `value` elements, -1 meaning
+    rows - 1; None keeps the default."""
+    budget = classifier._SCAN_ELEMENTS if value is None else rows - 1 if value == -1 else value
+    return mock.patch.object(classifier, "_SCAN_ELEMENTS", budget)
+
+
+def _weighted_case(rng, rows):
+    """Weights 1-3 and gradients and hessians that are multiples of 2**-4 of
+    at most 2 in magnitude, so every sum over a few hundred such rows is
+    exact in any order, and a weighted fit must match the oracle on every
+    training row."""
+    w = 1.0 + rng.randints([3] * rows)
+    return w, (rng.randints([65] * rows) - 32.0) / 16, rng.randints([33] * rows) / 16.0
+
+
+def _weighted_oracle(X, w, g, h, params):
+    """fit_tree_oracle on the training rows a weighted set stands for, and
+    the index of each training row's row in X."""
+    of = np.repeat(np.arange(len(X)), w.astype(int))
+    return (*fit_tree_oracle(X[of], g[of], h[of], params), of)
+
+
+TIE_PATTERNS = ("ewmote", "one column without ties", "every value tied", "tie free")
+
+
+def _check_tie_pattern(rows, cols, pattern, min_leaf, trees, weighted, elements, seed):
+    """Trees sharing one scan of a set with the given tie pattern match the
+    oracle; `elements` is the scan budget (see `_scan_elements`)."""
+    rng = Pcg32(seed)
+    X = np.floor(rng.uniforms(rows * cols) * 3).reshape(rows, cols)
+    j = rng.randint(cols)
+    if pattern == "ewmote":   # copies of a few base rows, each with one attribute redrawn
+        X = X[rng.randints([3] * rows) % rows]
+        X[np.arange(rows), rng.randints([cols] * rows)] = rng.uniforms(rows)
+    elif pattern == "one column without ties":
+        X[:, j] = np.argsort(rng.uniforms(rows), kind="stable")
+    elif pattern == "every value tied":   # each value at least twice
+        X[:, j] = rng.uniforms(rows // 2)[np.minimum(np.arange(rows) // 2, rows // 2 - 1)]
+    else:
+        X = np.argsort(rng.uniforms(rows * cols).reshape(cols, rows), axis=1).T / rows
+    w = _weighted_case(rng, rows)[0] if weighted else np.ones(rows)
+    with _scan_elements(elements, rows):
+        shared = _SplitScan(X, w)
+    assert shared.tie_free == all(len(set(X[:, f])) == rows for f in range(cols))
+    for _ in range(trees):
+        if weighted:
+            _, g, h = _weighted_case(rng, rows)
+        else:
+            g = rng.normals(rows)
+            h = rng.uniforms(rows) + 0.01
+        params = GbtParams(max_depth=1 + rng.randint(4), min_leaf=min_leaf)
+        tree, fitted = _fit_tree(shared, g, h, params)
+        want_tree, want_fitted, of = _weighted_oracle(X, w, g, h, params)
+        assert json.dumps(tree) == json.dumps(want_tree)
+        assert fitted[of].tobytes() == want_fitted.tobytes()
+
+
 def fit_tree_oracle(X, g, h, params):
     """Scalar reference for `_fit_tree`: every node argsorts every feature of
     its own rows and scans them one feature at a time. A node whose rows all
@@ -200,6 +275,13 @@ class TestPinnedModels:
         proba = model.predict_proba(fm).tobytes()
         assert (hashlib.sha256(trees).hexdigest(),
                 hashlib.sha256(proba).hexdigest()) == PINNED[n_classes]
+
+    @pytest.mark.parametrize("min_leaf", [1, 3])
+    def test_tie_free_trees(self, min_leaf):
+        fm = _tie_free_set()
+        model = gbt_train(fm, GbtParams(rounds=4, max_depth=4, min_leaf=min_leaf))
+        trees = json.dumps(model.trees, sort_keys=True).encode()
+        assert hashlib.sha256(trees).hexdigest() == PINNED_TIE_FREE[min_leaf]
 
     @settings(max_examples=60, deadline=None)
     @given(rows=st.integers(1, 40), cols=st.integers(1, 3), levels=st.integers(1, 5),
@@ -280,36 +362,26 @@ class TestPinnedModels:
             assert fitted.tobytes() == fresh_fitted.tobytes() == want_fitted.tobytes()
 
     @settings(max_examples=300, deadline=None)
-    @given(rows=st.integers(2, 60), cols=st.integers(1, 5),
-           pattern=st.sampled_from(["ewmote", "one column without ties", "every value tied",
-                                    "tie free"]),
-           min_leaf=st.integers(1, 5), trees=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-    def test_tie_patterns_match_oracle(self, rows, cols, pattern, min_leaf, trees, seed):
+    @given(rows=st.integers(2, 60), cols=st.integers(1, 5), pattern=st.sampled_from(TIE_PATTERNS),
+           min_leaf=st.integers(1, 5), trees=st.integers(1, 3), weighted=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_tie_patterns_match_oracle(self, rows, cols, pattern, min_leaf, trees, weighted,
+                                       seed):
         """Only the positions between distinct values are scored, whichever
         positions those are, and trees sharing one scan see the same ones.
-        min_leaf > 1 starts the root's split positions after position 0."""
-        rng = Pcg32(seed)
-        X = np.floor(rng.uniforms(rows * cols) * 3).reshape(rows, cols)
-        j = rng.randint(cols)
-        if pattern == "ewmote":   # copies of a few base rows, each with one attribute redrawn
-            X = X[rng.randints([3] * rows) % rows]
-            X[np.arange(rows), rng.randints([cols] * rows)] = rng.uniforms(rows)
-        elif pattern == "one column without ties":
-            X[:, j] = np.argsort(rng.uniforms(rows), kind="stable")
-        elif pattern == "every value tied":   # each value at least twice
-            X[:, j] = rng.uniforms(rows // 2)[np.minimum(np.arange(rows) // 2, rows // 2 - 1)]
-        else:
-            X = np.argsort(rng.uniforms(rows * cols).reshape(cols, rows), axis=1).T / rows
-        shared = _SplitScan(X, np.ones(len(X)))
-        assert shared.tie_free == all(len(set(X[:, f])) == rows for f in range(cols))
-        for _ in range(trees):
-            g = rng.normals(rows)
-            h = rng.uniforms(rows) + 0.01
-            params = GbtParams(max_depth=1 + rng.randint(4), min_leaf=min_leaf)
-            tree, fitted = _fit_tree(shared, g, h, params)
-            want_tree, want_fitted = fit_tree_oracle(X, g, h, params)
-            assert json.dumps(tree) == json.dumps(want_tree)
-            assert fitted.tobytes() == want_fitted.tobytes()
+        min_leaf > 1 starts the root's split positions after position 0.
+        Weighted sets count min_leaf in training rows."""
+        _check_tie_pattern(rows, cols, pattern, min_leaf, trees, weighted, None, seed)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.integers(2, 60), cols=st.integers(1, 5), pattern=st.sampled_from(TIE_PATTERNS),
+           min_leaf=st.integers(1, 5), trees=st.integers(1, 3), weighted=st.booleans(),
+           elements=st.sampled_from([1, 7, -1]), seed=st.integers(0, 2**32 - 1))
+    def test_tie_patterns_match_oracle_in_chunks(self, rows, cols, pattern, min_leaf, trees,
+                                                 weighted, elements, seed):
+        """The same with a scan budget of 1, 7 or rows - 1 elements: every
+        node scans its features in several chunks."""
+        _check_tie_pattern(rows, cols, pattern, min_leaf, trees, weighted, elements, seed)
 
 
 def _spied_scan(X, w):
@@ -402,23 +474,87 @@ class TestUniformNodes:
 class TestTieFreeScan:
     @pytest.mark.parametrize("min_leaf", [1, 3, 7])
     def test_tie_free_set_scans_by_position(self, min_leaf):
-        """A tie-free set takes the positional scan under any min_leaf: no
-        node looks for split positions, and the trees match the oracle."""
+        """A tie-free set takes the positional scan under any min_leaf,
+        weighted or not: no node looks for split positions, and the trees
+        match the oracle."""
+        for weighted in (False, True):
+            self._check(min_leaf, weighted, None)
+
+    @pytest.mark.parametrize("elements", [1, 7, -1])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("min_leaf", [1, 3, 7])
+    def test_tie_free_set_scans_in_chunks(self, min_leaf, weighted, elements):
+        """The same with a scan budget of 1, 7 or rows - 1 elements: every
+        node scans its features in several chunks."""
+        self._check(min_leaf, weighted, elements)
+
+    @staticmethod
+    def _check(min_leaf, weighted, elements):
         rng = Pcg32(min_leaf)
         X = rng.normals(300).reshape(100, 3)
-        scan = _SplitScan(X, np.ones(100))
-        assert scan.tie_free
+        w = _weighted_case(rng, 100)[0] if weighted else np.ones(100)
+        with _scan_elements(elements, 100):
+            scan = _SplitScan(X, w)
+        assert scan.tie_free and scan.unit is not weighted
 
-        def no_split_positions(order):
+        def no_split_positions(order, f0):
             raise AssertionError("a tie-free set looked for split positions")
         scan._splits = no_split_positions
         params = GbtParams(max_depth=4, min_leaf=min_leaf)
         for _ in range(3):
-            g, h = rng.normals(100), rng.uniforms(100) + 0.01
+            if weighted:
+                _, g, h = _weighted_case(rng, 100)
+            else:
+                g, h = rng.normals(100), rng.uniforms(100) + 0.01
             tree, fitted = _fit_tree(scan, g, h, params)
-            want_tree, want_fitted = fit_tree_oracle(X, g, h, params)
+            want_tree, want_fitted, of = _weighted_oracle(X, w, g, h, params)
             assert json.dumps(tree) == json.dumps(want_tree)
-            assert fitted.tobytes() == want_fitted.tobytes()
+            assert fitted[of].tobytes() == want_fitted.tobytes()
+
+    @pytest.mark.parametrize("rows, cols", [(300, 300), (70_000, 2)])
+    def test_scratch_is_bounded(self, rows, cols):
+        """Past _SCAN_ELEMENTS elements, the scan's scratch holds whole
+        features' rows up to that budget, or one feature's rows."""
+        bound = max(rows, classifier._SCAN_ELEMENTS)
+        assert rows * cols > classifier._SCAN_ELEMENTS
+        scan = _SplitScan(Pcg32(5).normals(rows * cols).reshape(rows, cols), np.ones(rows))
+        assert scan.prefix.size <= bound and scan.mask.size <= bound
+        assert scan.work.shape == (2, scan.prefix.size)
+
+
+class TestScanOrders:
+    COLUMNS = ("tie free", "partly tied", "all tied", "signed zeros", "subnormals")
+
+    @staticmethod
+    def _column(rng, kind, rows):
+        if kind == "tie free":
+            return np.argsort(rng.uniforms(rows), kind="stable") - rows / 2
+        if kind == "partly tied":
+            x = np.floor(rng.uniforms(rows) * max(1, rows // 3))
+            return np.where(rng.uniforms(rows) < 0.3, x + rng.uniforms(rows), x)
+        if kind == "all tied":
+            return np.full(rows, 0.75)
+        if kind == "signed zeros":   # -0.0 < 0.0 is False: they are tied
+            return np.array([-0.0, 0.0, 1.0, -1.0])[rng.randints([4] * rows) % (2 + rng.randint(3))]
+        return (rng.randints([7] * rows) - 3.0) * 5e-324   # subnormals and zeros of both signs
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.one_of(st.sampled_from([1, 2]), st.integers(3, 600)),
+           kinds=st.lists(st.sampled_from(COLUMNS), min_size=1, max_size=5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_orders_are_the_stable_argsort(self, rows, kinds, seed):
+        """Each column's order lists equal values by row index, and the
+        root's split positions are where a sorted value is below the next."""
+        rng = Pcg32(seed)
+        X = np.column_stack([self._column(rng, kind, rows) for kind in kinds])
+        scan = _SplitScan(X, np.ones(rows))
+        want = np.argsort(X.T, axis=1, kind="stable")
+        assert scan.orders.tolist() == want.tolist()
+        xs = np.take_along_axis(X.T, want, axis=1)
+        splits = np.zeros((len(kinds), rows), dtype=bool)
+        splits[:, :-1] = xs[:, :-1] < xs[:, 1:]
+        assert scan.root_splits.tolist() == splits.tolist()
+        assert scan.tie_free is bool(splits[:, :-1].all())
 
 
 class TestRepeatedRows:
