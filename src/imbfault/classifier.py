@@ -113,7 +113,6 @@ class _SplitScan:
     def __init__(self, X: np.ndarray, w: np.ndarray):
         n, d = X.shape
         self.w = w
-        self.unit = bool((w == 1).all())
         self.cols = np.ascontiguousarray(X.T)
         self.orders = np.argsort(self.cols, axis=1)
         self.offsets = np.arange(0, d * n, n)[:, None]
@@ -158,18 +157,11 @@ class _SplitScan:
     def _thin_sides(self, order: np.ndarray, min_leaf: int, out: np.ndarray, fill) -> None:
         """Set to `fill` the entries of `out`, a `(features, rows)` array
         over the sorted positions of `order`, whose split leaves fewer than
-        min_leaf training rows on a side. With unit weights position p
-        leaves p + 1 rows on the left, so those are two runs of columns;
-        otherwise the sides are prefix sums of the weights in each
-        feature's order."""
-        if self.unit:
-            m = order.shape[1]
-            out[:, :min_leaf - 1] = fill
-            out[:, max(m - min_leaf, 0):] = fill
-        else:
-            rows_left = np.cumsum(self.w.take(order), axis=1)
-            np.copyto(out, fill, where=(rows_left < min_leaf)
-                      | (rows_left > rows_left[:, -1:] - min_leaf))
+        min_leaf training rows on a side: the sides are prefix sums of the
+        weights in each feature's order."""
+        rows_left = np.cumsum(self.w.take(order), axis=1)
+        np.copyto(out, fill, where=(rows_left < min_leaf)
+                  | (rows_left > rows_left[:, -1:] - min_leaf))
 
     def best_split(self, order: np.ndarray, G: float, H: float, min_leaf: int):
         """Return `(feature, threshold)` of the node whose rows are `order`

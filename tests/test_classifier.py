@@ -175,41 +175,6 @@ def _weighted_oracle(X, w, g, h, params):
     return (*fit_tree_oracle(X[of], g[of], h[of], params), of)
 
 
-TIE_PATTERNS = ("ewmote", "one column without ties", "every value tied", "tie free")
-
-
-def _check_tie_pattern(rows, cols, pattern, min_leaf, trees, weighted, elements, seed):
-    """Trees sharing one scan of a set with the given tie pattern match the
-    oracle; `elements` is the scan budget (see `_scan_elements`)."""
-    rng = Pcg32(seed)
-    X = np.floor(rng.uniforms(rows * cols) * 3).reshape(rows, cols)
-    j = rng.randint(cols)
-    if pattern == "ewmote":   # copies of a few base rows, each with one attribute redrawn
-        X = X[rng.randints([3] * rows) % rows]
-        X[np.arange(rows), rng.randints([cols] * rows)] = rng.uniforms(rows)
-    elif pattern == "one column without ties":
-        X[:, j] = np.argsort(rng.uniforms(rows), kind="stable")
-    elif pattern == "every value tied":   # each value at least twice
-        X[:, j] = rng.uniforms(rows // 2)[np.minimum(np.arange(rows) // 2, rows // 2 - 1)]
-    else:
-        X = np.argsort(rng.uniforms(rows * cols).reshape(cols, rows), axis=1).T / rows
-    w = _weighted_case(rng, rows)[0] if weighted else np.ones(rows)
-    with _scan_elements(elements, rows):
-        shared = _SplitScan(X, w)
-    assert shared.tie_free == all(len(set(X[:, f])) == rows for f in range(cols))
-    for _ in range(trees):
-        if weighted:
-            _, g, h = _weighted_case(rng, rows)
-        else:
-            g = rng.normals(rows)
-            h = rng.uniforms(rows) + 0.01
-        params = GbtParams(max_depth=1 + rng.randint(4), min_leaf=min_leaf)
-        tree, fitted = _fit_tree(shared, g, h, params)
-        want_tree, want_fitted, of = _weighted_oracle(X, w, g, h, params)
-        assert json.dumps(tree) == json.dumps(want_tree)
-        assert fitted[of].tobytes() == want_fitted.tobytes()
-
-
 def fit_tree_oracle(X, g, h, params):
     """Scalar reference for `_fit_tree`: every node argsorts every feature of
     its own rows and scans them one feature at a time. A node whose rows all
@@ -361,27 +326,47 @@ class TestPinnedModels:
             assert json.dumps(tree) == json.dumps(fresh_tree) == json.dumps(want_tree)
             assert fitted.tobytes() == fresh_fitted.tobytes() == want_fitted.tobytes()
 
-    @settings(max_examples=300, deadline=None)
-    @given(rows=st.integers(2, 60), cols=st.integers(1, 5), pattern=st.sampled_from(TIE_PATTERNS),
+    @settings(max_examples=600, deadline=None)
+    @given(rows=st.integers(2, 60), cols=st.integers(1, 5),
+           pattern=st.sampled_from(["ewmote", "one column without ties", "every value tied",
+                                    "tie free"]),
            min_leaf=st.integers(1, 5), trees=st.integers(1, 3), weighted=st.booleans(),
-           seed=st.integers(0, 2**32 - 1))
+           elements=st.sampled_from([None, 1, 7, -1]), seed=st.integers(0, 2**32 - 1))
     def test_tie_patterns_match_oracle(self, rows, cols, pattern, min_leaf, trees, weighted,
-                                       seed):
+                                       elements, seed):
         """Only the positions between distinct values are scored, whichever
         positions those are, and trees sharing one scan see the same ones.
         min_leaf > 1 starts the root's split positions after position 0.
-        Weighted sets count min_leaf in training rows."""
-        _check_tie_pattern(rows, cols, pattern, min_leaf, trees, weighted, None, seed)
-
-    @settings(max_examples=300, deadline=None)
-    @given(rows=st.integers(2, 60), cols=st.integers(1, 5), pattern=st.sampled_from(TIE_PATTERNS),
-           min_leaf=st.integers(1, 5), trees=st.integers(1, 3), weighted=st.booleans(),
-           elements=st.sampled_from([1, 7, -1]), seed=st.integers(0, 2**32 - 1))
-    def test_tie_patterns_match_oracle_in_chunks(self, rows, cols, pattern, min_leaf, trees,
-                                                 weighted, elements, seed):
-        """The same with a scan budget of 1, 7 or rows - 1 elements: every
-        node scans its features in several chunks."""
-        _check_tie_pattern(rows, cols, pattern, min_leaf, trees, weighted, elements, seed)
+        Weighted sets count min_leaf in training rows. A scan budget of 1, 7
+        or rows - 1 elements makes every node scan its features in several
+        chunks."""
+        rng = Pcg32(seed)
+        X = np.floor(rng.uniforms(rows * cols) * 3).reshape(rows, cols)
+        j = rng.randint(cols)
+        if pattern == "ewmote":   # copies of a few base rows, each with one attribute redrawn
+            X = X[rng.randints([3] * rows) % rows]
+            X[np.arange(rows), rng.randints([cols] * rows)] = rng.uniforms(rows)
+        elif pattern == "one column without ties":
+            X[:, j] = np.argsort(rng.uniforms(rows), kind="stable")
+        elif pattern == "every value tied":   # each value at least twice
+            X[:, j] = rng.uniforms(rows // 2)[np.minimum(np.arange(rows) // 2, rows // 2 - 1)]
+        else:
+            X = np.argsort(rng.uniforms(rows * cols).reshape(cols, rows), axis=1).T / rows
+        w = _weighted_case(rng, rows)[0] if weighted else np.ones(rows)
+        with _scan_elements(elements, rows):
+            shared = _SplitScan(X, w)
+        assert shared.tie_free == all(len(set(X[:, f])) == rows for f in range(cols))
+        for _ in range(trees):
+            if weighted:
+                _, g, h = _weighted_case(rng, rows)
+            else:
+                g = rng.normals(rows)
+                h = rng.uniforms(rows) + 0.01
+            params = GbtParams(max_depth=1 + rng.randint(4), min_leaf=min_leaf)
+            tree, fitted = _fit_tree(shared, g, h, params)
+            want_tree, want_fitted, of = _weighted_oracle(X, w, g, h, params)
+            assert json.dumps(tree) == json.dumps(want_tree)
+            assert fitted[of].tobytes() == want_fitted.tobytes()
 
 
 def _spied_scan(X, w):
@@ -475,41 +460,30 @@ class TestTieFreeScan:
     @pytest.mark.parametrize("min_leaf", [1, 3, 7])
     def test_tie_free_set_scans_by_position(self, min_leaf):
         """A tie-free set takes the positional scan under any min_leaf,
-        weighted or not: no node looks for split positions, and the trees
-        match the oracle."""
+        weighted or not, and with any scan budget (see `_scan_elements`): no
+        node looks for split positions, and the trees match the oracle."""
         for weighted in (False, True):
-            self._check(min_leaf, weighted, None)
+            for elements in (None, 1, 7, -1):
+                rng = Pcg32(min_leaf)
+                X = rng.normals(300).reshape(100, 3)
+                w = _weighted_case(rng, 100)[0] if weighted else np.ones(100)
+                with _scan_elements(elements, 100):
+                    scan = _SplitScan(X, w)
+                assert scan.tie_free
 
-    @pytest.mark.parametrize("elements", [1, 7, -1])
-    @pytest.mark.parametrize("weighted", [False, True])
-    @pytest.mark.parametrize("min_leaf", [1, 3, 7])
-    def test_tie_free_set_scans_in_chunks(self, min_leaf, weighted, elements):
-        """The same with a scan budget of 1, 7 or rows - 1 elements: every
-        node scans its features in several chunks."""
-        self._check(min_leaf, weighted, elements)
-
-    @staticmethod
-    def _check(min_leaf, weighted, elements):
-        rng = Pcg32(min_leaf)
-        X = rng.normals(300).reshape(100, 3)
-        w = _weighted_case(rng, 100)[0] if weighted else np.ones(100)
-        with _scan_elements(elements, 100):
-            scan = _SplitScan(X, w)
-        assert scan.tie_free and scan.unit is not weighted
-
-        def no_split_positions(order, f0):
-            raise AssertionError("a tie-free set looked for split positions")
-        scan._splits = no_split_positions
-        params = GbtParams(max_depth=4, min_leaf=min_leaf)
-        for _ in range(3):
-            if weighted:
-                _, g, h = _weighted_case(rng, 100)
-            else:
-                g, h = rng.normals(100), rng.uniforms(100) + 0.01
-            tree, fitted = _fit_tree(scan, g, h, params)
-            want_tree, want_fitted, of = _weighted_oracle(X, w, g, h, params)
-            assert json.dumps(tree) == json.dumps(want_tree)
-            assert fitted[of].tobytes() == want_fitted.tobytes()
+                def no_split_positions(order, f0):
+                    raise AssertionError("a tie-free set looked for split positions")
+                scan._splits = no_split_positions
+                params = GbtParams(max_depth=4, min_leaf=min_leaf)
+                for _ in range(3):
+                    if weighted:
+                        _, g, h = _weighted_case(rng, 100)
+                    else:
+                        g, h = rng.normals(100), rng.uniforms(100) + 0.01
+                    tree, fitted = _fit_tree(scan, g, h, params)
+                    want_tree, want_fitted, of = _weighted_oracle(X, w, g, h, params)
+                    assert json.dumps(tree) == json.dumps(want_tree)
+                    assert fitted[of].tobytes() == want_fitted.tobytes()
 
     @pytest.mark.parametrize("rows, cols", [(300, 300), (70_000, 2)])
     def test_scratch_is_bounded(self, rows, cols):
