@@ -126,28 +126,36 @@ class _SplitScan:
         self.sel = np.empty(d * n, dtype=bool)
         self.below = np.empty(d * n, dtype=np.intp)
         self.root_splits = np.empty((d, n), dtype=bool)
-        for f0, chunk in self._chunks(self.orders):
-            self.root_splits[f0:f0 + len(chunk)] = self._splits(chunk, f0)
+        for _, chunk, root_splits, offsets, _ in self._chunks(self.orders):
+            root_splits[:] = self._splits(chunk, offsets)
         tied = ~self.root_splits[:, :n - 1].all(axis=1)
         for f in np.flatnonzero(tied).tolist():
             self.orders[f] = np.argsort(self.cols[f], kind="stable")
         self.tie_free = not tied.any()
 
     def _chunks(self, order: np.ndarray):
-        """`(first feature, rows of order)` for each chunk of the features
-        that fills the scratch buffers at this node's row count."""
+        """`(first feature, rows of order, root split mask, offsets into
+        cols, feature positions within the chunk)` for each chunk of the
+        features that fills the scratch buffers at this node's row count.
+        When one chunk holds every feature, as at every cv-scale node, these
+        are the scan's own arrays, unsliced."""
+        d = len(order)
         step = max(1, self.prefix.size // order.shape[1])
-        return ((f0, order[f0:f0 + step]) for f0 in range(0, len(order), step))
+        if step >= d:
+            return ((0, order, self.root_splits, self.offsets, self.features),)
+        return ((f0, order[f0:f0 + step], self.root_splits[f0:f0 + step],
+                 self.offsets[f0:f0 + step], self.features[:min(step, d - f0)])
+                for f0 in range(0, d, step))
 
-    def _splits(self, order: np.ndarray, f0: int) -> np.ndarray:
+    def _splits(self, order: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """A `(features, rows)` mask of the sorted positions where the value
-        is below the next one, for features f0, f0 + 1, ... in `order`: the
-        splits between distinct values. The values are sorted and finite,
-        so `<` here is `!=`."""
+        is below the next one, for the features of `order`, whose columns
+        start at `offsets` in cols: the splits between distinct values. The
+        values are sorted and finite, so `<` here is `!=`."""
         d, m = order.shape
         at = self.work[1].view(np.intp)[:d * m].reshape(d, m)
         xs = self.work[0, :d * m].reshape(d, m)
-        np.add(order, self.offsets[f0:f0 + d], out=at)
+        np.add(order, offsets, out=at)
         self.cols.take(at, out=xs, mode="clip")
         out = self.mask[:d * m].reshape(d, m)
         out[:, m - 1:] = False
@@ -182,7 +190,7 @@ class _SplitScan:
         m = order.shape[1]
         root = order is self.orders
         best_gain, best_feature, best_threshold = 0.0, -1, 0.0
-        for f0, chunk in self._chunks(order):
+        for f0, chunk, root_splits, offsets, features in self._chunks(order):
             d = len(chunk)
             prefix = self.prefix[:d * m].reshape(d, m)
             self.gh.take(chunk, out=prefix, mode="clip")
@@ -196,7 +204,7 @@ class _SplitScan:
                 if min_leaf > 1:
                     self._thin_sides(chunk, min_leaf, gains, -np.inf)
             else:
-                splits = self.root_splits[f0:f0 + d] if root else self._splits(chunk, f0)
+                splits = root_splits if root else self._splits(chunk, offsets)
                 if min_leaf > 1:
                     if root:
                         splits = splits.copy()
@@ -213,7 +221,7 @@ class _SplitScan:
                 row[at] = scores[:s]
                 gains = row.reshape(d, m)
             ps = np.argmax(gains, axis=1)
-            best = gains[self.features[:d], ps].tolist()
+            best = gains[features, ps].tolist()
             for f, p, gain in zip(range(f0, f0 + d), ps.tolist(), best):
                 if gain > best_gain + 1e-12:
                     best_gain, best_feature = gain, f

@@ -32,20 +32,36 @@ from .imputation import fit_gaussian, impute_conditional
 from .rng import Pcg32
 
 
+_NEAREST_CELLS = 2**21   # distance cells per chunk of a neighbour search: query rows times pool rows
+
+
+def _row_chunks(n: int, m: int):
+    """Row slices of an (n, m) distance matrix, each of at most
+    max(m, _NEAREST_CELLS) cells."""
+    step = max(1, _NEAREST_CELLS // max(m, 1))
+    return (slice(r, r + step) for r in range(0, n, step))
+
+
 def _cross_sq_dists(a: np.ndarray, b: np.ndarray):
     """Squared Euclidean distances, shape (len(a), len(b)), of a and b scaled
     by 2**-e, and e, the `scale_exponent` of both; ranks do not change.
 
     Quadratic expansion instead of a (n, m, d) difference tensor so large
     minority/majority sets stay within memory; clipped at 0 against float
-    cancellation."""
+    cancellation. The product `a @ b.T` is one BLAS call, and the rest is
+    done in place over row chunks of it, so it is the only full-size array."""
     e = scale_exponent(a, b)
     if e:
         a, b = np.ldexp(a, -e), np.ldexp(b, -e)
     sq_a = np.einsum("ij,ij->i", a, a)
     sq_b = np.einsum("ij,ij->i", b, b)
-    d2 = sq_a[:, None] + sq_b[None, :] - 2.0 * (a @ b.T)
-    return np.clip(d2, 0.0, None, out=d2), e
+    d2 = a @ b.T
+    for rows in _row_chunks(*d2.shape):
+        block = d2[rows]
+        block *= 2.0
+        np.subtract(sq_a[rows, None] + sq_b, block, out=block)
+        np.clip(block, 0.0, None, out=block)
+    return d2, e
 
 
 def _nearest(queries: np.ndarray, pool: np.ndarray, k: int,
@@ -53,12 +69,32 @@ def _nearest(queries: np.ndarray, pool: np.ndarray, k: int,
     """Indices of each query's k nearest pool rows, shape (len(queries), k),
     nearest first; ties of the computed squared distance go to the lower
     index. With skip_self, query i is pool row i and is never its own
-    neighbour."""
+    neighbour.
+
+    Each row keeps the entries at or below its k-th smallest distance (found
+    by `np.partition`), and on the rows where that distance is tied only the
+    lowest-index ties that fill k; the k kept entries are then sorted
+    stably. That is what `argsort(kind="stable")[:, :k]` gives, without
+    sorting whole rows. Rows are selected a chunk at a time."""
     d2, _ = _cross_sq_dists(queries, pool)
     if skip_self:
         own = np.arange(len(queries))
         d2[own, own] = np.inf
-    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+    out = np.empty((len(d2), k), dtype=np.intp)
+    for rows in _row_chunks(*d2.shape):
+        block = d2[rows]
+        kth = np.partition(block, k - 1, axis=1)[:, k - 1:k]
+        keep = block <= kth
+        tied = np.flatnonzero(keep.sum(axis=1) > k)
+        if tied.size:
+            near, cut = block[tied], kth[tied]
+            at_kth = near == cut
+            spare = k - (near < cut).sum(axis=1, keepdims=True)
+            keep[tied] &= ~at_kth | (np.cumsum(at_kth, axis=1) <= spare)
+        cols = np.nonzero(keep)[1].reshape(-1, k)
+        by_dist = np.argsort(block[keep].reshape(-1, k), axis=1, kind="stable")
+        out[rows] = np.take_along_axis(cols, by_dist, axis=1)
+    return out
 
 
 def knn(query, pool, k: int) -> np.ndarray:

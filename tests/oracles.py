@@ -31,6 +31,25 @@ def knn_oracle(query, pool, k):
     return [i for _, i in scored[:k]]
 
 
+def nearest_oracle(queries, pool, k, skip_self=False):
+    """`(indices, d2, e)`: each query's k nearest pool rows by a stable sort
+    of its whole distance row, the squared distances and the exponent e.
+    The distances are the quadratic expansion of the rows scaled by 2**-e,
+    in one unchunked expression clipped at 0 (unscaled rows stay the same
+    objects: numpy multiplies a set by its own transpose by another BLAS
+    routine); with skip_self, query i is pool row i and never its own
+    neighbour."""
+    e = int(scale_exponent_oracle(queries, pool))
+    a, b = (np.ldexp(queries, -e), np.ldexp(pool, -e)) if e else (queries, pool)
+    sq_a = np.einsum("ij,ij->i", a, a)
+    sq_b = np.einsum("ij,ij->i", b, b)
+    d2 = np.clip(sq_a[:, None] + sq_b[None, :] - 2.0 * (a @ b.T), 0.0, None)
+    ranked = d2.copy()
+    if skip_self:
+        ranked[np.arange(len(a)), np.arange(len(a))] = np.inf
+    return np.argsort(ranked, axis=1, kind="stable")[:, :k], d2, e
+
+
 def average_linkage_oracle(points, cp):
     """O(n^3) agglomeration recomputing every cluster distance from scratch."""
     points = np.asarray(points, dtype=float)

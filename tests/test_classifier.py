@@ -471,7 +471,7 @@ class TestTieFreeScan:
                     scan = _SplitScan(X, w)
                 assert scan.tie_free
 
-                def no_split_positions(order, f0):
+                def no_split_positions(order, offsets):
                     raise AssertionError("a tie-free set looked for split positions")
                 scan._splits = no_split_positions
                 params = GbtParams(max_depth=4, min_leaf=min_leaf)

@@ -1,20 +1,25 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imbfault.core import FeatureMatrix, SamplerParams, class_distribution
 from imbfault.errors import ConfigError, DataError
 from imbfault.features import Standardizer
 from imbfault.imputation import fit_gaussian, impute_conditional
+from imbfault import sampling
 from imbfault.rng import Pcg32
-from imbfault.sampling import (METHODS, SAMPLERS, _nearest, agglomerative_clusters,
+from imbfault.sampling import (METHODS, SAMPLERS, _cross_sq_dists, _nearest,
+                               agglomerative_clusters,
                                borderline_majority, emicil, ewmote, filtered_minority,
                                knn, mwmote, random_oversample, resample_multiclass,
                                selection_probabilities, smote)
 
-from oracles import average_linkage_oracle, knn_oracle
+from oracles import average_linkage_oracle, knn_oracle, nearest_oracle
 
 P = SamplerParams()
 
@@ -203,6 +208,35 @@ class TestNearest:
             for i, j in [(0, 10), (10, 0), (9, 13), (13, 9)]:
                 assert j in nbrs[i]
             assert {11, 12} <= set(nbrs[3]) and {3, 12} <= set(nbrs[11])
+
+    @settings(max_examples=400, deadline=None)
+    @given(pool_rows=st.integers(1, 40), copies=st.integers(0, 8), queries=st.integers(0, 12),
+           cols=st.integers(1, 5), skip_self=st.booleans(), k=st.integers(1, 50),
+           exp=st.sampled_from([0, 600, -600]), cells=st.sampled_from([None, 1, 7, -1]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_oracle_bytes(self, pool_rows, copies, queries, cols, skip_self, k, exp,
+                                  cells, seed):
+        """Distances and neighbours equal the stable sort of whole unchunked
+        rows byte for byte: values rounded to 0.1 (ties), exact duplicate
+        rows, any k up to the pool size, scales of 2^+-600, and row chunks
+        of the default size, 1, 7 or m - 1 cells."""
+        rng = Pcg32(seed)
+        base = np.round(rng.normals(pool_rows * cols).reshape(pool_rows, cols), 1)
+        pool = np.ldexp(np.vstack([base, base[rng.randints([pool_rows] * copies)]]), exp)
+        if skip_self:
+            q = pool
+        else:
+            fresh = np.round(rng.normals(queries * cols).reshape(queries, cols), 1)
+            q = np.vstack([np.ldexp(fresh, exp), pool[rng.randints([len(pool)] * queries)]])
+        m = len(pool)
+        k = min(k, m)
+        budget = {None: sampling._NEAREST_CELLS, -1: max(1, m - 1)}.get(cells, cells)
+        want, want_d2, want_e = nearest_oracle(q, pool, k, skip_self)
+        with mock.patch.object(sampling, "_NEAREST_CELLS", budget):
+            d2, e = _cross_sq_dists(q, pool)
+            got = _nearest(q, pool, k, skip_self)
+        assert e == want_e and d2.tobytes() == want_d2.tobytes()
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestRandomOversample:
