@@ -9,7 +9,9 @@ Every neighbour search runs through one brute-force exact search: ties of the
 computed squared distance go to the lower row index, so results are
 deterministic given (inputs, seed). The squared distances come from the
 quadratic expansion, so exact duplicate rows can differ in their last bits
-and rank in either order.
+and rank in either order. Selection weights are computed on the table of
+each borderline row's k3 nearest filtered rows, from that search's one
+distance pass.
 Degenerate inputs fall back down a documented ladder instead of failing:
 ewmote -> emicil -> random duplication, mwmote -> smote -> random.
 
@@ -64,22 +66,16 @@ def _cross_sq_dists(a: np.ndarray, b: np.ndarray):
     return d2, e
 
 
-def _nearest(queries: np.ndarray, pool: np.ndarray, k: int,
-             skip_self: bool = False) -> np.ndarray:
-    """Indices of each query's k nearest pool rows, shape (len(queries), k),
-    nearest first; ties of the computed squared distance go to the lower
-    index. With skip_self, query i is pool row i and is never its own
-    neighbour.
+def _top_k(d2: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of each row's k smallest entries of d2, shape
+    (len(d2), k), smallest first; ties go to the lower index.
 
-    Each row keeps the entries at or below its k-th smallest distance (found
-    by `np.partition`), and on the rows where that distance is tied only the
+    Each row keeps the entries at or below its k-th smallest value (found
+    by `np.partition`), and on the rows where that value is tied only the
     lowest-index ties that fill k; the k kept entries are then sorted
     stably. That is what `argsort(kind="stable")[:, :k]` gives, without
-    sorting whole rows. Rows are selected a chunk at a time."""
-    d2, _ = _cross_sq_dists(queries, pool)
-    if skip_self:
-        own = np.arange(len(queries))
-        d2[own, own] = np.inf
+    sorting whole rows. Rows are selected a chunk at a time; d2 is not
+    changed."""
     out = np.empty((len(d2), k), dtype=np.intp)
     for rows in _row_chunks(*d2.shape):
         block = d2[rows]
@@ -95,6 +91,19 @@ def _nearest(queries: np.ndarray, pool: np.ndarray, k: int,
         by_dist = np.argsort(block[keep].reshape(-1, k), axis=1, kind="stable")
         out[rows] = np.take_along_axis(cols, by_dist, axis=1)
     return out
+
+
+def _nearest(queries: np.ndarray, pool: np.ndarray, k: int,
+             skip_self: bool = False) -> np.ndarray:
+    """Indices of each query's k nearest pool rows, shape (len(queries), k),
+    nearest first; ties of the computed squared distance go to the lower
+    index. With skip_self, query i is pool row i and is never its own
+    neighbour."""
+    d2, _ = _cross_sq_dists(queries, pool)
+    if skip_self:
+        own = np.arange(len(queries))
+        d2[own, own] = np.inf
+    return _top_k(d2, k)
 
 
 def knn(query, pool, k: int) -> np.ndarray:
@@ -171,8 +180,9 @@ class WeightedMinoritySet:
 
     Index arrays tie the rows back to the caller's sets: minf_indices
     indexes s_min, bmaj_indices indexes s_maj, imin_in_minf indexes the
-    filtered set. nmin_member[i, j] says whether informative row j belongs
-    to the nearest-minority set of borderline row i.
+    filtered set. nmin[i] indexes s_imin with the k3 nearest-minority rows
+    of borderline row i, nearest first; the weights are computed on this
+    (|S_bmaj|, k3) table, from the one distance matrix of its search.
     """
 
     s_imin: np.ndarray
@@ -182,7 +192,7 @@ class WeightedMinoritySet:
     minf_indices: np.ndarray
     bmaj_indices: np.ndarray
     imin_in_minf: np.ndarray
-    nmin_member: np.ndarray
+    nmin: np.ndarray
 
     def __post_init__(self):
         if len(self.probabilities) and abs(self.probabilities.sum() - 1.0) > 1e-9:
@@ -196,7 +206,8 @@ class WeightedMinoritySet:
 def selection_probabilities(s_min, s_maj, params: SamplerParams) -> WeightedMinoritySet:
     """Run the weighting cascade: filter noisy minority rows, find borderline
     majority rows, collect the informative minority set and normalize its
-    summed information weights into selection probabilities."""
+    summed information weights into selection probabilities. Empty sets
+    pass through the same steps to an empty result."""
     s_min = as_rows(s_min, "s_min")
     d = s_min.shape[1]
     s_maj = as_rows(s_maj, "s_maj", d)
@@ -205,34 +216,24 @@ def selection_probabilities(s_min, s_maj, params: SamplerParams) -> WeightedMino
     s_minf = s_min[minf_idx]
     bmaj_idx = borderline_majority(s_minf, s_maj, params.k2)
     s_bmaj = s_maj[bmaj_idx]
-    if len(bmaj_idx) == 0:   # also when no minority row survived the filter
-        none = np.empty(0, dtype=int)
-        return WeightedMinoritySet(
-            s_imin=s_minf[none], s_bmaj=s_bmaj, weights=np.empty(0),
-            probabilities=np.empty(0), minf_indices=minf_idx, bmaj_indices=bmaj_idx,
-            imin_in_minf=none, nmin_member=np.empty((0, 0), dtype=bool))
 
     k3 = params.k3 if params.k3 is not None else math.ceil(len(s_min) / 2)
-    k3_eff = min(k3, len(s_minf))
-    nmin = _nearest(s_bmaj, s_minf, k3_eff)            # (n_bmaj, k3) into s_minf
-    imin_in_minf = np.unique(nmin)
+    d2, e = _cross_sq_dists(s_bmaj, s_minf)
+    table = _top_k(d2, min(k3, len(s_minf)))           # (n_bmaj, k3) into s_minf
+    imin_in_minf, nmin = np.unique(table, return_inverse=True)
+    nmin = nmin.reshape(table.shape)                   # into s_imin; numpy 1.x returns it flat
     s_imin = s_minf[imin_in_minf]
 
-    member = np.zeros((len(s_bmaj), len(s_imin)), dtype=bool)
-    member[np.arange(len(s_bmaj))[:, None], np.searchsorted(imin_in_minf, nmin)] = True
-
-    d2, e = _cross_sq_dists(s_bmaj, s_imin)
     # A distance or its reciprocal may be inf (zero or extreme distances), still in order.
     with np.errstate(divide="ignore", over="ignore"):
-        dist = np.ldexp(np.sqrt(d2), e) / d
+        dist = np.ldexp(np.sqrt(np.take_along_axis(d2, table, axis=1)), e) / d
         recip = 1.0 / dist
     cf = np.minimum(recip, params.cf_th) / params.cf_th * params.cmax
-    cf = np.where(member, cf, 0.0)
     row_sums = cf.sum(axis=1, keepdims=True)
     iw = np.divide(cf * cf, row_sums, out=np.zeros_like(cf), where=row_sums > 0)
-    weights = iw.sum(axis=0)
+    weights = np.bincount(nmin.ravel(), weights=iw.ravel())
     total = weights.sum()
-    if total <= 0.0:
+    if total <= 0.0 and len(s_imin):
         warnings.warn("no borderline structure: uniform selection probabilities")
         probs = np.full(len(s_imin), 1.0 / len(s_imin))
     else:
@@ -240,7 +241,7 @@ def selection_probabilities(s_min, s_maj, params: SamplerParams) -> WeightedMino
     return WeightedMinoritySet(
         s_imin=s_imin, s_bmaj=s_bmaj, weights=weights, probabilities=probs,
         minf_indices=minf_idx, bmaj_indices=bmaj_idx,
-        imin_in_minf=imin_in_minf, nmin_member=member,
+        imin_in_minf=imin_in_minf, nmin=nmin,
     )
 
 
@@ -259,33 +260,27 @@ def agglomerative_clusters(points, cp: float) -> np.ndarray:
     points = np.ldexp(points, -scale_exponent(points))
     cd = np.array([np.linalg.norm(points - p, axis=1) for p in points])
     np.fill_diagonal(cd, np.inf)
-    threshold = cp * cd.min(axis=1).sum() / n
+    with np.errstate(over="ignore"):          # an inf threshold merges every row
+        threshold = cp * cd.min(axis=1).sum() / n
 
     size = np.ones(n)
-    active = np.ones(n, dtype=bool)
-    members = [[i] for i in range(n)]
-    idx = np.arange(n)
-    while active.sum() > 1:
-        flat = int(np.argmin(cd))
-        i, j = divmod(flat, n)
-        if cd[i, j] > threshold:
+    first = np.arange(n)                       # each row's cluster, by its first member
+    while True:
+        # The first minimum in row-major order: i <= j, and (0, 0) once one
+        # cluster is left, as every entry is then inf.
+        i, j = divmod(int(np.argmin(cd)), n)
+        if i == j or cd[i, j] > threshold:
             break
-        # Lance-Williams average-linkage update, merging j into i (i < j).
-        ks = idx[active & (idx != i) & (idx != j)]
-        if len(ks):
-            merged = (size[i] * cd[i, ks] + size[j] * cd[j, ks]) / (size[i] + size[j])
-            cd[i, ks] = merged
-            cd[ks, i] = merged
-        size[i] += size[j]
-        members[i] += members[j]
-        active[j] = False
-        cd[j, :] = np.inf
+        # Lance-Williams average-linkage update, merging j into i, on whole
+        # rows: the inf entries of the diagonal and of merged clusters stay inf.
+        merged = (size[i] * cd[i] + size[j] * cd[j]) / (size[i] + size[j])
+        cd[i] = merged
+        cd[:, i] = merged
+        cd[j] = np.inf
         cd[:, j] = np.inf
-    labels = np.empty(n, dtype=int)
-    clusters = sorted((members[i] for i in idx[active]), key=min)
-    for cid, rows in enumerate(clusters):
-        labels[rows] = cid
-    return labels
+        size[i] += size[j]
+        first[first == j] = i
+    return np.unique(first, return_inverse=True)[1]
 
 
 def _draw_base(cum: np.ndarray, u):

@@ -76,6 +76,85 @@ def average_linkage_oracle(points, cp):
     return clusters
 
 
+def lance_williams_oracle(points, cp):
+    """Average-linkage cluster labels, numbered by first member, from the
+    Lance-Williams update over an active set (Müllner, "Modern hierarchical,
+    agglomerative clustering algorithms", 2011): each merge of j into i
+    recomputes only the active clusters' distances to i, merged-away rows
+    and columns are set to inf, and merging stops at the first pair above
+    cp times the mean nearest-neighbour distance or at one cluster."""
+    points = np.asarray(points, dtype=float)
+    n = len(points)
+    if n == 1:
+        return np.zeros(1, dtype=int)
+    points = np.ldexp(points, -int(scale_exponent_oracle(points)))
+    cd = np.array([np.linalg.norm(points - p, axis=1) for p in points])
+    np.fill_diagonal(cd, np.inf)
+    threshold = cp * cd.min(axis=1).sum() / n
+    size = np.ones(n)
+    active = np.ones(n, dtype=bool)
+    members = [[i] for i in range(n)]
+    idx = np.arange(n)
+    while active.sum() > 1:
+        i, j = divmod(int(np.argmin(cd)), n)
+        if cd[i, j] > threshold:
+            break
+        ks = idx[active & (idx != i) & (idx != j)]
+        if len(ks):
+            merged = (size[i] * cd[i, ks] + size[j] * cd[j, ks]) / (size[i] + size[j])
+            cd[i, ks] = merged
+            cd[ks, i] = merged
+        size[i] += size[j]
+        members[i] += members[j]
+        active[j] = False
+        cd[j, :] = np.inf
+        cd[:, j] = np.inf
+    labels = np.empty(n, dtype=int)
+    for cid, rows in enumerate(sorted((members[i] for i in idx[active]), key=min)):
+        labels[rows] = cid
+    return labels
+
+
+def information_weights_oracle(s_min, s_maj, params):
+    """The MWMOTE weighting cascade (Barua et al., IEEE TKDE 2014) with its
+    information weights on a dense |S_bmaj| x |S_imin| matrix. Every search
+    is `nearest_oracle`; a second distance pass gives the closeness factor
+    of every (borderline, informative) pair, and a membership mask keeps
+    only each borderline row's k3 nearest filtered rows. Returns a dict of
+    minf_indices, bmaj_indices, imin_in_minf, nmin (indexing s_imin,
+    nearest first), weights and probabilities (uniform when no weight is
+    positive)."""
+    d = s_min.shape[1]
+    minf = bmaj = np.empty(0, dtype=int)
+    pooled = np.vstack([s_min, s_maj]) if len(s_maj) else s_min
+    k1 = min(params.k1, len(pooled) - 1)
+    if k1 >= 1:
+        nbrs = nearest_oracle(s_min, pooled, k1, skip_self=True)[0]
+        minf = np.flatnonzero((nbrs < len(s_min)).any(axis=1))
+    s_minf = s_min[minf]
+    if len(s_minf) and len(s_maj):
+        bmaj = np.unique(nearest_oracle(s_minf, s_maj, min(params.k2, len(s_maj)))[0])
+    s_bmaj = s_maj[bmaj]
+    k3 = params.k3 if params.k3 is not None else math.ceil(len(s_min) / 2)
+    table = nearest_oracle(s_bmaj, s_minf, min(k3, len(s_minf)))[0]
+    imin = np.unique(table)
+    nmin = np.searchsorted(imin, table)
+    member = np.zeros((len(s_bmaj), len(imin)), dtype=bool)
+    member[np.arange(len(s_bmaj))[:, None], nmin] = True
+    _, d2, e = nearest_oracle(s_bmaj, s_minf[imin], 0)
+    with np.errstate(divide="ignore", over="ignore"):
+        recip = 1.0 / (np.ldexp(np.sqrt(d2), e) / d)
+    cf = np.minimum(recip, params.cf_th) / params.cf_th * params.cmax
+    cf = np.where(member, cf, 0.0)
+    row_sums = cf.sum(axis=1, keepdims=True)
+    iw = np.divide(cf * cf, row_sums, out=np.zeros_like(cf), where=row_sums > 0)
+    weights = iw.sum(axis=0)
+    total = weights.sum()
+    probs = weights / total if total > 0.0 else np.ones(len(imin)) / len(imin)
+    return {"minf_indices": minf, "bmaj_indices": bmaj, "imin_in_minf": imin,
+            "nmin": nmin, "weights": weights, "probabilities": probs}
+
+
 def auc_pair_oracle(y_true, scores, positive):
     """Brute-force concordant / tied pair counting."""
     pos = [s for s, t in zip(scores, y_true) if t == positive]

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from imbfault.core import FeatureMatrix, SamplerParams, class_distribution
@@ -19,7 +19,8 @@ from imbfault.sampling import (METHODS, SAMPLERS, _cross_sq_dists, _nearest,
                                knn, mwmote, random_oversample, resample_multiclass,
                                selection_probabilities, smote)
 
-from oracles import average_linkage_oracle, knn_oracle, nearest_oracle
+from oracles import (average_linkage_oracle, information_weights_oracle, knn_oracle,
+                     lance_williams_oracle, nearest_oracle)
 
 P = SamplerParams()
 
@@ -58,17 +59,24 @@ def with_duplicates(rng, m, d, copies):
     return np.vstack([base, base[copies]])
 
 
+def rounded_rows(rng, n, d, copies, exp):
+    """n rows of normals rounded to 0.1 (ties), then `copies` exact copies of
+    random rows among them, all scaled by 2**exp."""
+    base = np.round(rng.normals(n * d).reshape(n, d), 1)
+    return np.ldexp(np.vstack([base, base[rng.randints([n] * copies)]]), exp)
+
+
 def assert_empty_weighted_set(wset, d, minf_indices):
     """An empty cascade result: every field has its empty shape, and the
     filtered minority rows are still reported."""
     assert wset.is_empty
     shapes = {"s_imin": (0, d), "s_bmaj": (0, d), "weights": (0,), "probabilities": (0,),
-              "bmaj_indices": (0,), "imin_in_minf": (0,), "nmin_member": (0, 0)}
+              "bmaj_indices": (0,), "imin_in_minf": (0,)}
     assert {name: getattr(wset, name).shape for name in shapes} == shapes
     assert wset.minf_indices.tolist() == minf_indices
     for name in ("minf_indices", "bmaj_indices", "imin_in_minf"):
         assert getattr(wset, name).dtype.kind == "i"
-    assert wset.nmin_member.dtype == bool
+    assert wset.nmin.size == 0 and wset.nmin.dtype.kind == "i"
 
 
 def closeness_factor(y, x, cf_th, cmax):
@@ -463,7 +471,7 @@ class TestSelectionProbabilities:
         for j in range(len(wset.s_imin)):
             total = 0.0
             for i, y in enumerate(wset.s_bmaj):
-                nmin = np.flatnonzero(wset.nmin_member[i])
+                nmin = wset.nmin[i]
                 total += information_weight(y, j, wset.s_imin, nmin,
                                             params.cf_th, params.cmax)
             assert total == pytest.approx(wset.weights[j], abs=1e-9)
@@ -495,6 +503,36 @@ class TestSelectionProbabilities:
                                       SamplerParams(cf_th=math.ldexp(P.cf_th, -exp)))
         assert got.probabilities.tobytes() == want.probabilities.tobytes()
         assert got.imin_in_minf.tolist() == want.imin_in_minf.tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(n_min=st.integers(0, 10), min_copies=st.integers(0, 3),
+           n_maj=st.integers(0, 14), maj_copies=st.integers(0, 3), d=st.integers(1, 4),
+           k1=st.integers(1, 6), k2=st.integers(1, 5), k3=st.integers(0, 13),
+           exp=st.sampled_from([0, 600, -600]), seed=st.integers(0, 2**32 - 1))
+    @example(n_min=3, min_copies=0, n_maj=0, maj_copies=0, d=2, k1=5, k2=3, k3=0,
+             exp=0, seed=1)                                      # no majority rows
+    @example(n_min=1, min_copies=0, n_maj=8, maj_copies=0, d=2, k1=5, k2=3, k3=0,
+             exp=0, seed=1)                                      # nothing survives the filter
+    def test_matches_dense_masked_oracle(self, n_min, min_copies, n_maj, maj_copies, d,
+                                         k1, k2, k3, exp, seed):
+        """The cascade on the k3-neighbour table equals the dense masked
+        weighting: index sets and the table exactly, weights and
+        probabilities to 1e-9 relative (the table's row sums add k3 terms,
+        not a zero-padded row). Values rounded to 0.1, exact duplicate rows,
+        k3 from 1 past |S_minf| (0 draws the default), scales of 2^+-600
+        with the closeness cutoff scaled to match, and empty cascades."""
+        rng = Pcg32(seed)
+        s_min = rounded_rows(rng, n_min, d, min_copies if n_min else 0, exp)
+        s_maj = rounded_rows(rng, n_maj, d, maj_copies if n_maj else 0, exp) + np.ldexp(1.0, exp)
+        params = SamplerParams(k1=k1, k2=k2, k3=k3 or None, cf_th=math.ldexp(P.cf_th, -exp))
+        want = information_weights_oracle(s_min, s_maj, params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            got = selection_probabilities(s_min, s_maj, params)
+        for name in ("minf_indices", "bmaj_indices", "imin_in_minf", "nmin"):
+            assert getattr(got, name).tolist() == want[name].tolist(), name
+        for name in ("weights", "probabilities"):
+            np.testing.assert_allclose(getattr(got, name), want[name], rtol=1e-9, atol=0)
 
     def test_all_filtered_returns_empty(self):
         s_min = np.array([[0.0, 0.0], [30.0, 30.0]])
@@ -546,6 +584,28 @@ class TestAgglomerativeClusters:
             pts = np.round(rng.normals(n * 2).reshape(n, 2), 1)   # ties included
             assert (agglomerative_clusters(np.ldexp(pts, exp), 2.0).tolist()
                     == agglomerative_clusters(pts, 2.0).tolist())
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 14), copies=st.integers(0, 4), d=st.integers(1, 4),
+           cp=st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0, 6.0]),
+           exp=st.sampled_from([0, 600, -600]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_active_set_oracle(self, n, copies, d, cp, exp, seed):
+        """Whole-row updates give the active-set loop's labels exactly:
+        values rounded to 0.1 (ties), exact duplicate rows, scales of
+        2^+-600."""
+        pts = rounded_rows(Pcg32(seed), n, d, copies, exp)
+        assert agglomerative_clusters(pts, cp).tolist() == lance_williams_oracle(pts, cp).tolist()
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_overflowing_threshold_ends_in_one_cluster(self, n):
+        # cp near the float maximum makes the threshold inf, so no pair stops
+        # the merging: the loop must end once one cluster is left.
+        pts = np.arange(n * 2, dtype=float).reshape(n, 2) ** 2
+        assert agglomerative_clusters(pts, cp=1.7e308).tolist() == [0] * n
+
+    def test_tiny_cp_keeps_singletons(self):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0], [5.0, 5.0]])
+        assert agglomerative_clusters(pts, cp=1e-9).tolist() == [0, 1, 2, 3]
 
     def test_cluster_ids_ordered_by_first_member(self):
         pts = np.array([[0.0], [100.0], [0.1]])
