@@ -303,4 +303,7 @@ class Standardizer:
             raise DataError("standardizer not fitted")
         X = as_rows(X, "X", self.mean_.shape[0])
         e = scale_exponent(X, self.mean_[None], axis=0)
-        return (np.ldexp(X, -e) - np.ldexp(self.mean_, -e)) / np.ldexp(self.scale_, -e)
+        out = np.ldexp(X, -e)   # the one working copy; X is never written
+        out -= np.ldexp(self.mean_, -e)
+        out /= np.ldexp(self.scale_, -e)
+        return out

@@ -249,6 +249,7 @@ def run_predict_events(train_series: LabeledSeries, test_series: LabeledSeries,
                                 cfg.label_rule, cfg.default_label)
         train_fm = featurize(train_windows, fconfig)
         fold = fit_fold(train_fm, cfg, root.child(1))
+        del train_windows, train_fm   # not held while the test series is featurized
         if model_out is not None:
             fold.model.save(model_out)
 

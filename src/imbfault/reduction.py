@@ -42,7 +42,9 @@ class Projection:
         name_prefix + component index; an array comes back as an array."""
         rows = as_rows(X, "X", self.mean.shape[0])
         e = scale_exponent(rows, self.mean)
-        reduced = (np.ldexp(rows, -e) - np.ldexp(self.mean, -e)) @ self.components
+        centered = np.ldexp(rows, -e)
+        centered -= np.ldexp(self.mean, -e)
+        reduced = centered @ self.components
         np.ldexp(reduced, e, out=reduced)
         if not isinstance(X, FeatureMatrix):
             return reduced
@@ -69,10 +71,11 @@ def pca_fit(X, n_components: int | None = None, variance: float | None = None) -
     if m < 2 or d == 0:
         raise DataError(f"PCA needs at least 2 rows and 1 column, got {m} x {d}")
     e = scale_exponent(data)
-    data = np.ldexp(data, -e)
-    mean = data.mean(axis=0)
-    centered = data - mean
+    centered = np.ldexp(data, -e)
+    mean = centered.mean(axis=0)
+    centered -= mean
     cov = centered.T @ centered / (m - 1)
+    del centered   # what follows needs only the (d, d) scatter
     eigvals, eigvecs = np.linalg.eigh((cov + cov.T) / 2.0)
     order = np.argsort(eigvals, kind="stable")[::-1]
     eigvals, eigvecs = eigvals[order], eigvecs[:, order]
@@ -124,8 +127,8 @@ def lda_fit(X, labels=None, n_components: int | None = None) -> Projection:
     for k in range(len(classes)):
         rows = data[codes == k]
         mu_c = rows.mean(axis=0)
-        centered = rows - mu_c
-        sw += centered.T @ centered
+        rows -= mu_c
+        sw += rows.T @ rows
         diff = (mu_c - mean)[:, None]
         sb += len(rows) * (diff @ diff.T)
     trace = np.trace(sw)
