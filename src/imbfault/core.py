@@ -225,9 +225,8 @@ class FeatureMatrix:
     def select(self, idx) -> "FeatureMatrix":
         return FeatureMatrix(self.data[idx], self.labels[idx], self.feature_names)
 
-    def with_data(self, data, feature_names=None) -> "FeatureMatrix":
-        names = self.feature_names if feature_names is None else feature_names
-        return FeatureMatrix(data, self.labels, names)
+    def with_data(self, data) -> "FeatureMatrix":
+        return FeatureMatrix(data, self.labels, self.feature_names)
 
 
 @dataclass(frozen=True)

@@ -92,14 +92,10 @@ def roc_points(y_true, scores, positive: str) -> np.ndarray:
     (0, 0) and (1, 1) endpoints included."""
     scores, pos, n_pos, n_neg = _ranking_input(y_true, scores, positive, "ROC")
     order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    tp_cum = np.cumsum(pos[order])
-    fp_cum = np.cumsum(~pos[order])
-    distinct = np.flatnonzero(np.diff(sorted_scores) != 0.0)
-    cuts = np.concatenate([distinct, [len(scores) - 1]])
-    points = [(0.0, 0.0)]
-    points += [(fp_cum[c] / n_neg, tp_cum[c] / n_pos) for c in cuts]
-    return np.asarray(points, dtype=float)
+    cuts = np.append(np.flatnonzero(np.diff(scores[order]) != 0.0), len(scores) - 1)
+    tp = np.append(0, np.cumsum(pos[order])[cuts])
+    fp = np.append(0, np.cumsum(~pos[order])[cuts])
+    return np.column_stack([fp / n_neg, tp / n_pos])
 
 
 def auc(y_true, scores, positive: str) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .classifier import GbtModel, GbtParams, gbt_train
 from .core import FeatureMatrix, SamplerParams, as_int, int_fields, label_codes
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .features import FeatureConfig, Standardizer, featurize
 from .ingestion import LabeledSeries, write_csv, write_feature_csv, write_intervals_csv
 from .metrics import METRIC_KEYS, confusion, macro_metrics, mean_metrics, roc_points
@@ -197,9 +197,6 @@ def run_crossval(features: FeatureMatrix, cfg: PipelineConfig, out_dir) -> dict:
         fold_reports.append(report)
         oof_scores[test_idx] = scores
         oof_pred[test_idx] = pred
-
-    if not fold_reports:
-        raise DataError("no non-empty folds to evaluate")
 
     # One mapping per fold, class -> metrics with "__macro__" last, feeds both tables.
     tables = [{**r["per_class"], "__macro__": r["macro"]} for r in fold_reports]

@@ -76,19 +76,16 @@ def pca_fit(X, n_components: int | None = None, variance: float | None = None) -
     centered -= mean
     cov = centered.T @ centered / (m - 1)
     del centered   # what follows needs only the (d, d) scatter
-    eigvals, eigvecs = np.linalg.eigh((cov + cov.T) / 2.0)
-    order = np.argsort(eigvals, kind="stable")[::-1]
-    eigvals, eigvecs = eigvals[order], eigvecs[:, order]
-    eigvals = np.clip(eigvals, 0.0, None)
+    eigvals, eigvecs = np.linalg.eigh(cov)   # ascending
+    eigvals, eigvecs = np.clip(eigvals[::-1], 0.0, None), eigvecs[:, ::-1]
     total = eigvals.sum()
     ratios = eigvals / total if total > 0 else np.zeros_like(eigvals)
-    rank = int(np.sum(eigvals > (eigvals[0] * 1e-10 if eigvals[0] > 0 else 0.0)))
+    rank = int(np.sum(eigvals > eigvals[0] * 1e-10))
     if variance is not None:
         if not 0 < variance <= 1:
             raise ConfigError("variance fraction must be in (0, 1]")
         # tolerance so e.g. a true 0.9 cumulative ratio satisfies target 0.9
-        r = int(np.searchsorted(np.cumsum(ratios), variance - 1e-12) + 1)
-        r = min(r, rank) if rank else 0
+        r = min(int(np.searchsorted(np.cumsum(ratios), variance - 1e-12) + 1), rank)
     else:
         r = as_int(n_components, "n_components")
         if r < 0:
@@ -133,12 +130,9 @@ def lda_fit(X, labels=None, n_components: int | None = None) -> Projection:
         sb += len(rows) * (diff @ diff.T)
     trace = np.trace(sw)
     ridge = 1e-6 * (trace / d if trace > 0 else 1.0)
-    sw_r = (sw + sw.T) / 2.0 + ridge * np.eye(d)
-    whiten = np.linalg.inv(np.linalg.cholesky(sw_r))
-    eigvals, eigvecs = np.linalg.eigh(whiten @ ((sb + sb.T) / 2.0) @ whiten.T)
-    eigvecs = whiten.T @ eigvecs
-    order = np.argsort(eigvals, kind="stable")[::-1]
-    eigvals, eigvecs = eigvals[order], eigvecs[:, order]
+    whiten = np.linalg.inv(np.linalg.cholesky(sw + ridge * np.eye(d)))
+    eigvals, eigvecs = np.linalg.eigh(whiten @ sb @ whiten.T)   # ascending
+    eigvals, eigvecs = eigvals[::-1], (whiten.T @ eigvecs)[:, ::-1]
     cap = min(len(classes) - 1, d)
     r = cap if n_components is None else as_int(n_components, "n_components")
     if r > cap:

@@ -51,10 +51,13 @@ def _cross_sq_dists(a: np.ndarray, b: np.ndarray):
     Quadratic expansion instead of a (n, m, d) difference tensor so large
     minority/majority sets stay within memory; clipped at 0 against float
     cancellation. The product `a @ b.T` is one BLAS call, and the rest is
-    done in place over row chunks of it, so it is the only full-size array."""
+    done in place over row chunks of it, so it is the only full-size array.
+    A self-search (a is b) stays one object when scaled: numpy multiplies
+    `a @ a.T` by SYRK and two distinct arrays by GEMM, whose last bits
+    differ, and exact duplicate rows rank by those bits."""
     e = scale_exponent(a, b)
     if e:
-        a, b = np.ldexp(a, -e), np.ldexp(b, -e)
+        a, b = (np.ldexp(a, -e),) * 2 if a is b else (np.ldexp(a, -e), np.ldexp(b, -e))
     sq_a = np.einsum("ij,ij->i", a, a)
     sq_b = np.einsum("ij,ij->i", b, b)
     d2 = a @ b.T
@@ -153,6 +156,8 @@ def filtered_minority(s_min, s_maj, k1: int) -> np.ndarray:
     their k1 nearest neighbours in the pooled set (self excluded)."""
     s_min = as_rows(s_min, "s_min")
     s_maj = as_rows(s_maj, "s_maj", s_min.shape[1])
+    # Not vstack alone: with no majority rows the pool is s_min itself, and
+    # that shared object is what gives the search its SYRK product.
     pooled = np.vstack([s_min, s_maj]) if len(s_maj) else s_min
     k1_eff = min(k1, len(pooled) - 1)
     if k1_eff < 1:
@@ -253,8 +258,6 @@ def agglomerative_clusters(points, cp: float) -> np.ndarray:
     n = len(points)
     if n == 0:
         raise DataError("cannot cluster an empty set")
-    if n == 1:
-        return np.zeros(1, dtype=int)
     # Exact row differences, so duplicated rows sit at distance 0, of rows
     # scaled clear of over- and underflow: clusters do not depend on scale.
     points = np.ldexp(points, -scale_exponent(points))
@@ -400,8 +403,6 @@ def resample_multiclass(fm: FeatureMatrix, method: str, params: SamplerParams,
     label_blocks = [fm.labels]
     for ci, c in enumerate(cl for cl in dist.counts if cl != dist.majority_label):
         n_new = target - dist.counts[c]
-        if n_new <= 0:
-            continue
         s_min = fm.data[fm.labels == c]
         s_maj = fm.data[fm.labels != c]
         blocks.append(SAMPLERS[method](s_min, s_maj, n_new, params, rng.child(ci)))

@@ -35,12 +35,15 @@ def nearest_oracle(queries, pool, k, skip_self=False):
     """`(indices, d2, e)`: each query's k nearest pool rows by a stable sort
     of its whole distance row, the squared distances and the exponent e.
     The distances are the quadratic expansion of the rows scaled by 2**-e,
-    in one unchunked expression clipped at 0 (unscaled rows stay the same
-    objects: numpy multiplies a set by its own transpose by another BLAS
-    routine); with skip_self, query i is pool row i and never its own
-    neighbour."""
+    in one unchunked expression clipped at 0 (a self-search, scaled or not,
+    keeps one object for both sides: numpy multiplies a set by its own
+    transpose by another BLAS routine); with skip_self, query i is pool row
+    i and never its own neighbour."""
     e = int(scale_exponent_oracle(queries, pool))
-    a, b = (np.ldexp(queries, -e), np.ldexp(pool, -e)) if e else (queries, pool)
+    a, b = queries, pool
+    if e:
+        a = np.ldexp(queries, -e)
+        b = a if pool is queries else np.ldexp(pool, -e)
     sq_a = np.einsum("ij,ij->i", a, a)
     sq_b = np.einsum("ij,ij->i", b, b)
     d2 = np.clip(sq_a[:, None] + sq_b[None, :] - 2.0 * (a @ b.T), 0.0, None)

@@ -8,6 +8,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import imbfault
 from imbfault import cli, pipeline
@@ -103,6 +105,23 @@ class TestStratifiedFolds:
         b = stratified_folds(labels, 5, Pcg32(1))
         assert any(not np.array_equal(x, y) for x, y in zip(a, b))
 
+    @settings(max_examples=200, deadline=None)
+    @given(counts=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+           n_folds=st.integers(2, 15), seed=st.integers(0, 2**32 - 1))
+    def test_folds_partition_rows_with_every_class_in_fold_0(self, counts, n_folds, seed):
+        # Each class deals its first shuffled row to fold 0, so fold 0 is
+        # never empty and the folds left empty are the trailing ones.
+        labels = [f"c{k}" for k, n in enumerate(counts) for _ in range(n)]
+        assume(n_folds <= len(labels))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)    # classes below n_folds
+            folds = stratified_folds(labels, n_folds, Pcg32(seed))
+        assert len(folds) == n_folds
+        assert sorted(np.concatenate(folds).tolist()) == list(range(len(labels)))
+        assert {labels[i] for i in folds[0]} == set(labels)
+        sizes = [len(f) for f in folds]
+        assert sizes == sorted(sizes, reverse=True)
+
 
 class TestFitFoldLeakage:
     def test_test_rows_cannot_influence_fit(self):
@@ -180,6 +199,20 @@ class TestRunCrossval:
                             lambda self, X: calls.append(1) or scores(self, X))
         run_crossval(_blobs(seed=9), small_cfg(sampler="none"), tmp_path)
         assert len(calls) == small_cfg().folds
+
+    def test_empty_fold_is_warned_and_skipped(self, tmp_path):
+        fm = FeatureMatrix([[0.0, 1.0], [0.2, 0.9], [3.0, 2.0], [3.1, 2.2]],
+                           ["N", "N", "F", "F"], ("a", "b"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run_crossval(fm, small_cfg(folds=3), tmp_path)
+        assert [str(w.message) for w in caught] == [
+            "class 'F' has 2 rows for 3 folds", "class 'N' has 2 rows for 3 folds",
+            "fold 2 is empty; skipped"]
+        assert len(result["folds"]) == 2
+        fold_column = [line.split(",")[0] for line in
+                       (tmp_path / "fold_metrics.csv").read_text().splitlines()[1:]]
+        assert fold_column == ["0"] * 3 + ["1"] * 3
 
     def test_golden_mean_metrics(self, tmp_path):
         fm = gaussian_blobs([((0, 0), 1.0, 40, "N"), ((3, 0), 0.5, 10, "F")], seed=42)
@@ -360,6 +393,27 @@ class TestCli:
         assert rc == 0
         assert (out_dir / "mean_metrics.csv").exists()
 
+    def test_crossval_series_equals_featurize_then_features(self, tmp_path):
+        # CI's 2,000-tick series with the plant's feature flags.
+        ivs_path = tmp_path / "ivs.csv"
+        write_intervals_csv([FaultInterval(300, 599, "F"), FaultInterval(1200, 1499, "F")],
+                            ivs_path)
+        series = str(tmp_path / "train.csv")
+        assert main(["synthgen", "--kind", "timeseries", "--ticks", "2000", "--n-channels", "2",
+                     "--intervals", str(ivs_path), "--out", series, "--seed", "1"]) == 0
+        plant = ["--intervals", str(ivs_path), "--window-len", "20", "--slide-len", "5",
+                 "--domains", "time,frequency,timefreq", "--wpt-depth", "2"]
+        feat = str(tmp_path / "f1.csv")
+        assert main(["featurize", "--series", series, *plant, "--out", feat]) == 0
+        run = ["--sampler", "ewmote", "--rounds", "10", "--max-depth", "2", "--seed", "3"]
+        assert main(["crossval", "--features", feat, *run,
+                     "--out-dir", str(tmp_path / "features")]) == 0
+        assert main(["crossval", "--series", series, *plant, *run,
+                     "--out-dir", str(tmp_path / "series")]) == 0
+        for report in ("fold_metrics", "mean_metrics", "confusion", "roc_points"):
+            assert ((tmp_path / "series" / f"{report}.csv").read_bytes()
+                    == (tmp_path / "features" / f"{report}.csv").read_bytes())
+
     def test_cli_deterministic_reports(self, tmp_path):
         series_path, ivs_path = self._write_series(tmp_path, seed=60)
         feat = tmp_path / "f.csv"
@@ -537,6 +591,7 @@ class TestCli:
         (["nosuchcommand"], "invalid choice: 'nosuchcommand'"),
         (["synthgen", "--kind", "blobs", "--dim", "0", "--out", "o.csv"], "--dim must be >= 1"),
         (["synthgen", "--kind", "blobs", "--dim", "-1", "--out", "o.csv"], "--dim must be >= 1"),
+        (["crossval", "--out-dir", "o"], "crossval needs --features or --series"),
     ])
     def test_usage_error_is_one_line(self, tmp_path, monkeypatch, capsys, argv, detail):
         monkeypatch.chdir(tmp_path)

@@ -301,11 +301,22 @@ class TestSmote:
     @pytest.mark.parametrize("exp", [660, -660])
     def test_extreme_magnitudes_scale_exactly(self, exp):
         # At 2**660 the squared norms overflow and at 2**-660 they underflow;
-        # neither may warn or change which neighbours are drawn.
-        s_min = Pcg32(23).normals(24).reshape(12, 2)
-        want = smote(s_min, no_maj(s_min), 40, P, Pcg32(1))
-        got = smote(np.ldexp(s_min, exp), no_maj(s_min), 40, P, Pcg32(1))
-        assert got.tobytes() == np.ldexp(want, exp).tobytes()
+        # neither may change which neighbours are drawn. The seeded sets hold
+        # exact copies, which rank by the last bits of the self-search's
+        # product: scaled or not, it must come from the same BLAS routine
+        # (seeds 21 and 162 rank differently when the scaled search
+        # multiplies two distinct arrays).
+        sets = [Pcg32(23).normals(24).reshape(12, 2)]
+        for seed in range(300):
+            rng = Pcg32(seed)
+            m, d = 6 + rng.randint(20), 1 + rng.randint(6)
+            base = np.round(rng.normals(m * d).reshape(m, d) * 2, 1)
+            sets.append(np.vstack([base, base[rng.randints(np.full(1 + rng.randint(m), m))]]))
+        for s_min in sets:
+            for params in (P, SamplerParams(k=3)):
+                want = smote(s_min, no_maj(s_min), 40, params, Pcg32(1))
+                got = smote(np.ldexp(s_min, exp), no_maj(s_min), 40, params, Pcg32(1))
+                assert got.tobytes() == np.ldexp(want, exp).tobytes()
 
     def test_duplicate_rows_vs_oracle(self):
         rng = Pcg32(22)
@@ -438,6 +449,17 @@ class TestInformationWeight:
 
 
 class TestSelectionProbabilities:
+    def test_no_borderline_structure_gives_uniform_probabilities(self):
+        # Minority rows near 1e308 and majority rows at their negatives: every
+        # distance to the borderline set passes the float range, so every
+        # closeness factor, and with it every weight, is 0.
+        s_min = 1e308 - np.abs(Pcg32(4).normals(16).reshape(8, 2)) * 1e306
+        s_maj = -s_min[[0, 1, 2, 3, 4, 5, 6, 7, 0, 1]]
+        with pytest.warns(UserWarning, match="no borderline structure"):
+            wset = selection_probabilities(s_min, s_maj, SamplerParams())
+        assert len(wset.s_imin) > 1 and not wset.weights.any()
+        assert wset.probabilities.tolist() == [1.0 / len(wset.s_imin)] * len(wset.s_imin)
+
     def test_probabilities_sum_to_one(self):
         rng = Pcg32(5)
         s_min = rng.normals(20).reshape(10, 2)
@@ -614,6 +636,12 @@ class TestAgglomerativeClusters:
 
 
 class TestMwmote:
+    def test_single_minority_row_is_duplicated(self):
+        s_min = np.array([[1.0, 2.0]])
+        with pytest.warns(UserWarning, match="mwmote needs >= 2 minority rows"):
+            out = mwmote(s_min, np.zeros((3, 2)), 4, P, Pcg32(0))
+        assert out.tolist() == [[1.0, 2.0]] * 4
+
     def test_single_cluster_two_points(self):
         s_min = np.array([[0.0, 0.0], [1.0, 1.0]])
         s_maj = np.array([[0.4, 0.6], [0.6, 0.4], [5.0, 5.0]])

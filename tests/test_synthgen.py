@@ -40,6 +40,12 @@ class TestGaussianBlobs:
         fm = gaussian_blobs([((0, 0), cov, 20000, "x")], seed=4)
         np.testing.assert_allclose(np.cov(fm.data, rowvar=False), cov, atol=0.1)
 
+    def test_variance_vector_equals_scalar_variance(self):
+        a = gaussian_blobs([((0, 1, 2), 2.25, 40, "x"), ((3, 0, 0), 0.5, 9, "y")], seed=6)
+        b = gaussian_blobs([((0, 1, 2), [2.25] * 3, 40, "x"), ((3, 0, 0), [0.5] * 3, 9, "y")],
+                           seed=6)
+        assert a.data.tobytes() == b.data.tobytes() and a.labels.tolist() == b.labels.tolist()
+
     def test_empty_specs_error(self):
         with pytest.raises(DataError):
             gaussian_blobs([], seed=0)
